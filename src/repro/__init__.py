@@ -101,12 +101,10 @@ from .obs import (
     AuditTrail,
     NumericsWatchdog,
     Telemetry,
-    audit_capture,
     build_manifest,
     enable_telemetry,
     disable_telemetry,
     get_telemetry,
-    numerics_capture,
     telemetry_capture,
 )
 from .store import LeaseManager, ResultStore, migrate_legacy_cache
@@ -118,7 +116,7 @@ from .thermal import (
     make_crosstalk_operator,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "__version__",
@@ -181,7 +179,5 @@ __all__ = [
     "telemetry_capture",
     "build_manifest",
     "AuditTrail",
-    "audit_capture",
     "NumericsWatchdog",
-    "numerics_capture",
 ]

@@ -88,7 +88,6 @@ run against a committed golden stream as a CI determinism gate, and
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -106,17 +105,16 @@ from ..obs import (
     HeartbeatWriter,
     RunLedger,
     Telemetry,
-    audit_capture,
     build_manifest,
     diff_audit_streams,
     check_bench,
     diff_snapshots,
     follow_heartbeat,
     gate_passed,
-    heartbeat_scope,
     load_baselines,
     load_bench_records,
     new_run_id,
+    numerics_counts,
     payload_max_abs_diff,
     read_audit_stream,
     read_heartbeat,
@@ -572,8 +570,9 @@ def _run_recorded(
     handler's exception propagates, but the ledger keeps the partial snapshot
     with status ``error`` and the heartbeat terminates as ``failed``.
 
-    ``--audit`` additionally runs the dispatch under a live
-    :class:`~repro.obs.AuditTrail`; the fingerprint stream is persisted under
+    The dispatch runs under one observer context,
+    ``Telemetry(audit=trail, heartbeat=writer)``: ``--audit`` adds a live
+    :class:`~repro.obs.AuditTrail`, whose fingerprint stream is persisted under
     ``<obs dir>/audit/<run id>.jsonl`` even when the run errors or is
     interrupted, so a divergence can be localized post-mortem.
     """
@@ -597,18 +596,12 @@ def _run_recorded(
         except OSError as exc:
             logger.debug("obs recording unavailable: %s", exc)
             ledger = heartbeat = None
-    telemetry = Telemetry()
+    telemetry = Telemetry(audit=trail, heartbeat=heartbeat)
     started = time.time()
     code: Optional[int] = None
     interrupted = False
     try:
-        with contextlib.ExitStack() as scopes:
-            scopes.enter_context(telemetry_capture(telemetry))
-            scopes.enter_context(telemetry.span(f"cli.{label}"))
-            if trail is not None:
-                scopes.enter_context(audit_capture(trail))
-            if heartbeat is not None:
-                scopes.enter_context(heartbeat_scope(heartbeat))
+        with telemetry_capture(telemetry), telemetry.span(f"cli.{label}"):
             code = dispatch()
     except CampaignInterrupted:
         # A drained SIGINT/SIGTERM stop: completed work is cached, the run is
@@ -1176,6 +1169,9 @@ def _cmd_obs_show(args: argparse.Namespace) -> int:
             "resilience: "
             + " ".join(f"{key}={value}" for key, value in resilience.items() if value)
         )
+    numerics = numerics_counts(payload)
+    if numerics["checks"]:
+        print("numerics: " + " ".join(f"{key}={value}" for key, value in numerics.items()))
     print()
     print(render_report(payload))
     return 0

@@ -52,17 +52,7 @@ from ..faults import (
     should_tear_write,
     tear_payload,
 )
-from ..obs import (
-    NULL_AUDIT,
-    Telemetry,
-    audit_capture,
-    audit_enabled,
-    get_audit,
-    get_heartbeat,
-    get_telemetry,
-    telemetry_capture,
-    telemetry_enabled,
-)
+from ..obs import Telemetry, enable_telemetry, get_telemetry, telemetry_capture, telemetry_enabled
 from ..utils.logging import get_logger
 from .cache import ResultCache
 from .spec import CampaignPoint, CampaignSpec
@@ -112,7 +102,10 @@ def _init_worker(telemetry_on: bool, start_queue: Optional[Any] = None) -> None:
 
     The job payload tuple stays untouched (its content feeds the cache keys),
     so the telemetry flag and the sentinel queue travel through the pool
-    initializer instead.
+    initializer instead.  A forked worker inherits the parent's active
+    telemetry, heartbeat and audit trail included; the fresh worker-local
+    :class:`~repro.obs.Telemetry` drops both, so only the parent ever
+    rewrites its heartbeat file or appends to its audit stream.
 
     Workers forked while the parent holds the graceful-shutdown scope inherit
     its cooperative signal handlers, under which ``pool.terminate()``'s
@@ -129,9 +122,7 @@ def _init_worker(telemetry_on: bool, start_queue: Optional[Any] = None) -> None:
     global _worker_start_queue
     _worker_start_queue = start_queue
     if telemetry_on:
-        from ..obs import enable_telemetry
-
-        enable_telemetry()
+        enable_telemetry(Telemetry())
 
 
 def _dispatch_job(job_fn: Callable[[JobPayload], "JobRecord"], payload: JobPayload, attempt: int) -> "JobRecord":
@@ -271,20 +262,13 @@ def run_campaign_job(payload: JobPayload) -> JobRecord:
     uniformly for the serial and pool paths, so per-job span trees cross the
     multiprocessing boundary as plain dicts and the parent merges them.
 
-    With an ambient audit trail active in the *parent*, the job itself is
-    audited with :data:`~repro.obs.NULL_AUDIT`: stage records from a serial
-    in-process job would otherwise leak into the parent's stream, which pool
-    jobs (separate processes) could never mirror, breaking the serial-vs-pool
-    stream identity.  The campaign's own fingerprints are emitted parent-side
-    per point, ordered by index (see :meth:`CampaignRunner.run`).
+    The job-local telemetry carries no audit trail and no heartbeat: stage
+    records from a serial in-process job would otherwise leak into the
+    parent's stream, which pool jobs (separate processes) could never mirror,
+    breaking the serial-vs-pool stream identity.  The campaign's own
+    fingerprints are emitted parent-side per point, ordered by index (see
+    :meth:`CampaignRunner.run`), and the parent reports per-point progress.
     """
-    if audit_enabled():
-        with audit_capture(NULL_AUDIT):
-            return _run_campaign_job_observed(payload)
-    return _run_campaign_job_observed(payload)
-
-
-def _run_campaign_job_observed(payload: JobPayload) -> JobRecord:
     if telemetry_enabled():
         with telemetry_capture(Telemetry()) as tel:
             with tel.span("campaign.job", index=payload[0]):
@@ -490,14 +474,14 @@ class CampaignRunner:
         """
         start = time.perf_counter()
         tel = get_telemetry()
-        hb = get_heartbeat()
+        hb = tel.heartbeat
         used_pool = self.workers >= 2 or self.timeout_s is not None
         self._used_pool = used_pool
         self.resilience = dict(_ZERO_RESILIENCE)
         self._leases = self.cache.lease_manager() if self.cache is not None else None
         records: Dict[int, JobRecord] = {}
         cache_hits = failed = 0
-        if hb.enabled:
+        if hb is not None:
             hb.update(spec_name=self.spec.name, total=self.spec.point_count(), workers=self.workers)
 
         def consume(record: JobRecord) -> None:
@@ -511,7 +495,7 @@ class CampaignRunner:
             self._release_point(record.key)
             if not record.ok:
                 failed += 1
-            if hb.enabled:
+            if hb is not None:
                 hb.advance(1, failed=failed)
             if tel.enabled and record.telemetry is not None:
                 # Pool jobs ran concurrently with the parent span, so their
@@ -542,7 +526,7 @@ class CampaignRunner:
                         if tel.enabled:
                             tel.count("campaign.cache.hits", len(shard) - len(pending))
                             tel.count("campaign.cache.misses", len(pending))
-                        if hb.enabled:
+                        if hb is not None:
                             # Shard boundary: cached points count as done immediately.
                             hb.advance(len(shard) - len(pending), cached=cache_hits)
                         self._check_interrupted(records)
@@ -553,7 +537,7 @@ class CampaignRunner:
                             # miss and the lease claim: a hit after all.
                             records[record.index] = record
                             cache_hits += 1
-                            if hb.enabled:
+                            if hb is not None:
                                 hb.advance(1, cached=cache_hits)
                         if claimed or deferred:
                             logger.debug(
@@ -599,7 +583,7 @@ class CampaignRunner:
             tel.count("campaign.points", len(report.records))
             if utilization is not None:
                 tel.gauge("campaign.worker_utilization", utilization)
-        if hb.enabled:
+        if hb is not None:
             if utilization is not None:
                 hb.update(worker_utilization=utilization)
             else:
@@ -618,8 +602,8 @@ class CampaignRunner:
         byte-identical streams, and a cached replay matches the run that
         computed it.
         """
-        audit = get_audit()
-        if not audit.enabled:
+        audit = get_telemetry().audit
+        if audit is None:
             return
         for record in report.records:  # already sorted by index
             audit.record(
@@ -733,8 +717,8 @@ class CampaignRunner:
             else:
                 self._note_claim_conflict(point.index)
                 deferred.append(point)
-        hb = get_heartbeat()
-        if hb.enabled:
+        hb = get_telemetry().heartbeat
+        if hb is not None:
             hb.update(leases_held=len(self._leases.held))
         return claimed, deferred, raced
 
@@ -1098,18 +1082,22 @@ class CampaignRunner:
     # resilience bookkeeping
     # ------------------------------------------------------------------
 
-    def _note_retry(self, record: JobRecord, delay: float) -> None:
-        self.resilience["retried"] += 1
+    def _note_resilience(self, name: str, counter: str) -> Any:
+        """Tally one resilience event in the report, telemetry and heartbeat."""
+        self.resilience[name] += 1
         tel = get_telemetry()
         if tel.enabled:
-            tel.count("campaign.retries")
-            if record.telemetry is not None:
-                # The failed attempt's spans would otherwise be lost: only
-                # the final record flows through the run loop's merge.
-                tel.merge_snapshot(record.telemetry, remote=self._used_pool)
-        hb = get_heartbeat()
-        if hb.enabled:
-            hb.update(retried=self.resilience["retried"])
+            tel.count(counter)
+            if tel.heartbeat is not None:
+                tel.heartbeat.update(**{name: self.resilience[name]})
+        return tel
+
+    def _note_retry(self, record: JobRecord, delay: float) -> None:
+        tel = self._note_resilience("retried", "campaign.retries")
+        if tel.enabled and record.telemetry is not None:
+            # The failed attempt's spans would otherwise be lost: only the
+            # final record flows through the run loop's merge.
+            tel.merge_snapshot(record.telemetry, remote=self._used_pool)
         logger.debug(
             "campaign %r: point %d attempt %d failed (%s); retrying in %.3fs",
             self.spec.name,
@@ -1120,13 +1108,7 @@ class CampaignRunner:
         )
 
     def _note_crash(self, index: int, count: int) -> None:
-        self.resilience["crashed"] += 1
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("campaign.crashes")
-        hb = get_heartbeat()
-        if hb.enabled:
-            hb.update(crashed=self.resilience["crashed"])
+        self._note_resilience("crashed", "campaign.crashes")
         logger.warning(
             "campaign %r: worker crashed running point %d (crash %d/%d)",
             self.spec.name,
@@ -1136,30 +1118,15 @@ class CampaignRunner:
         )
 
     def _note_quarantine(self, index: int) -> None:
-        self.resilience["quarantined"] += 1
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("campaign.quarantined")
-        hb = get_heartbeat()
-        if hb.enabled:
-            hb.update(quarantined=self.resilience["quarantined"])
+        self._note_resilience("quarantined", "campaign.quarantined")
         logger.warning("campaign %r: point %d quarantined", self.spec.name, index)
 
     def _note_pool_restart(self, reason: str) -> None:
-        self.resilience["pool_restarts"] += 1
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("campaign.pool_restarts")
+        self._note_resilience("pool_restarts", "campaign.pool_restarts")
         logger.warning("campaign %r: worker pool restarted (%s)", self.spec.name, reason)
 
     def _note_lease_steal(self, index: int, state: Any) -> None:
-        self.resilience["lease_steals"] += 1
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("store.lease_steals")
-        hb = get_heartbeat()
-        if hb.enabled:
-            hb.update(lease_steals=self.resilience["lease_steals"])
+        self._note_resilience("lease_steals", "store.lease_steals")
         logger.warning(
             "campaign %r: stole stale lease on point %d (holder pid %d on %s)",
             self.spec.name,
@@ -1169,13 +1136,7 @@ class CampaignRunner:
         )
 
     def _note_claim_conflict(self, index: int) -> None:
-        self.resilience["claim_conflicts"] += 1
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("store.claim_conflicts")
-        hb = get_heartbeat()
-        if hb.enabled:
-            hb.update(claim_conflicts=self.resilience["claim_conflicts"])
+        self._note_resilience("claim_conflicts", "store.claim_conflicts")
         logger.debug(
             "campaign %r: point %d is leased by another process; deferring",
             self.spec.name,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from ..devices.base import (
 )
 from ..errors import ConfigurationError, ConvergenceError
 from ..faults import register_retryable
-from ..obs import get_audit, get_telemetry, get_watchdog
+from ..obs import get_telemetry
 from .drivers import BiasPattern
 from .netlist import GROUND_NODE, CrossbarNetlist
 
@@ -324,8 +324,8 @@ class CrossbarSolver:
         prev_step = np.inf
         converged = False
         residual = np.inf
-        watchdog = get_watchdog()
-        residual_trajectory = [] if watchdog.enabled else None
+        tel = get_telemetry()
+        residual_trajectory = [] if tel.enabled else None
         for solve_count in range(self.max_iterations + 1):
             branch_v = voltages[dev_w] - voltages[dev_b]
             currents = self._batched.current(branch_v, x_arr, t_arr)
@@ -339,7 +339,7 @@ class CrossbarSolver:
                 break
             conductances = self._batched.conductance(branch_v, x_arr, t_arr)
             equivalent = currents - conductances * branch_v
-            new_voltages = self._solve_linear(extra_g, driver_currents, conductances, equivalent)
+            new_voltages = self._solve_linear(extra_g, driver_currents, conductances, equivalent, tel)
             step = new_voltages - voltages
             max_step = float(np.abs(step).max()) if step.size else 0.0
             if max_step > self.max_step_v:
@@ -348,7 +348,6 @@ class CrossbarSolver:
             prev_step = max_step
             iterations = solve_count + 1
 
-        tel = get_telemetry()
         if tel.enabled:
             tel.count("solver.solves")
             tel.count("solver.iterations", iterations)
@@ -361,12 +360,11 @@ class CrossbarSolver:
                 tel.count("solver.warm_starts")
             tel.observe("solver.residual_a", residual)
             tel.observe("solver.iterations_per_solve", iterations)
-
-        if watchdog.enabled:
-            watchdog.check_array("solver.solve", "node_voltages_v", voltages)
-            watchdog.check_array("solver.solve", "device_currents_a", currents)
-            watchdog.check_iterations("solver.solve", iterations, self.max_iterations)
-            watchdog.check_residuals("solver.solve", residual_trajectory)
+            numerics = tel.numerics
+            numerics.check_array("solver.solve", "node_voltages_v", voltages)
+            numerics.check_array("solver.solve", "device_currents_a", currents)
+            numerics.check_iterations("solver.solve", iterations, self.max_iterations)
+            numerics.check_residuals("solver.solve", residual_trajectory)
 
         if not converged:
             if tel.enabled:
@@ -377,9 +375,8 @@ class CrossbarSolver:
             )
 
         self._last_solution = voltages.copy()
-        audit = get_audit()
-        if audit.enabled:
-            audit.record(
+        if tel.audit is not None:
+            tel.audit.record(
                 "solver.operating_point",
                 arrays={
                     "node_voltages_v": voltages,
@@ -398,6 +395,7 @@ class CrossbarSolver:
         driver_currents: np.ndarray,
         conductances: np.ndarray,
         equivalent: np.ndarray,
+        tel: Any,
     ) -> np.ndarray:
         """Assemble the companion-model system and solve it once."""
         n = self.netlist.node_count
@@ -422,11 +420,10 @@ class CrossbarSolver:
             np.subtract.at(rhs, self._dev_w, equivalent)
             np.add.at(rhs, self._dev_b, equivalent)
 
-        watchdog = get_watchdog()
-        if watchdog.enabled:
+        if tel.enabled:
             # Stamp-magnitude spread of the assembled Jacobian data: a cheap
             # conditioning proxy that drifts with the true condition number.
-            watchdog.gauge_condition("solver.jacobian", data)
+            tel.numerics.gauge_condition("solver.jacobian", data)
 
         if self._use_sparse:
             self.last_backend = "sparse"

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..obs import get_audit, get_telemetry, get_watchdog
+from ..obs import get_telemetry
 from .crossbar import CrossbarArray
 from .drivers import BiasPattern, idle_bias
 from .pulses import StimulusSchedule, StimulusSegment
@@ -232,8 +232,7 @@ class TransientSimulator:
         steps = 0
         stop = False
 
-        audit = get_audit()
-        watchdog = get_watchdog()
+        audit = tel.audit
         for segment_index, segment in enumerate(schedule):
             if stop:
                 break
@@ -278,10 +277,10 @@ class TransientSimulator:
                         voltages,
                         segment.label,
                     )
-            if watchdog.enabled:
-                watchdog.check_array("transient.segment", "state_x", state.x)
-                watchdog.check_array("transient.segment", "temperature_k", state.temperature_k)
-            if audit.enabled:
+            if tel.enabled:
+                tel.numerics.check_array("transient.segment", "state_x", state.x)
+                tel.numerics.check_array("transient.segment", "temperature_k", state.temperature_k)
+            if audit is not None:
                 # Segment boundary: the trace contribution of one stimulus
                 # segment is fully determined here (device states, filament
                 # temperatures, accumulated flips).

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..config import JsonConfig
 from ..errors import MonteCarloError
-from ..obs import get_audit, get_heartbeat, get_telemetry, get_watchdog
+from ..obs import get_telemetry
 from .estimators import (
     INTERVAL_METHODS,
     EstimatorState,
@@ -189,32 +189,28 @@ class AdaptiveSampler:
                 estimate=record.estimate,
                 half_width=record.half_width,
             )
-        watchdog = get_watchdog()
-        if watchdog.enabled:
-            watchdog.check_array(
+            tel.numerics.check_array(
                 "adaptive.batch", "estimate", [record.estimate, record.half_width]
             )
-        audit = get_audit()
-        if audit.enabled:
-            # Batch i's estimate is a pure function of (seed, batch index),
-            # so keying by index keeps the stream identical however many
-            # batches the stopping rule ends up drawing before it.
-            audit.record(
-                "mc.batch_estimate",
-                key=record.index,
-                arrays={"estimate": [record.estimate, record.half_width]},
-                meta={"n": record.n_drawn, "n_total": self.n_drawn},
-            )
-        hb = get_heartbeat()
-        if hb.enabled:
-            # Batch boundary: enough for a concurrent `status --follow` /
-            # `obs top` reader to see convergence progress live.
-            hb.update(
-                samples=self.n_drawn,
-                batches=self.next_batch_index,
-                estimate=record.estimate,
-                ci_half_width=record.half_width,
-            )
+            if tel.audit is not None:
+                # Batch i's estimate is a pure function of (seed, batch index),
+                # so keying by index keeps the stream identical however many
+                # batches the stopping rule ends up drawing before it.
+                tel.audit.record(
+                    "mc.batch_estimate",
+                    key=record.index,
+                    arrays={"estimate": [record.estimate, record.half_width]},
+                    meta={"n": record.n_drawn, "n_total": self.n_drawn},
+                )
+            if tel.heartbeat is not None:
+                # Batch boundary: enough for a concurrent `status --follow` /
+                # `obs top` reader to see convergence progress live.
+                tel.heartbeat.update(
+                    samples=self.n_drawn,
+                    batches=self.next_batch_index,
+                    estimate=record.estimate,
+                    ci_half_width=record.half_width,
+                )
         return record
 
     @property

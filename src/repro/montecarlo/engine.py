@@ -38,7 +38,7 @@ from ..devices.kinetics import pulses_to_switch
 from ..devices.thermal import solve_operating_point
 from ..errors import ConvergenceError, DeviceModelError, MonteCarloError
 from ..circuit.drivers import write_bias
-from ..obs import build_manifest, get_audit, get_heartbeat, get_telemetry, get_watchdog, spawn_digest
+from ..obs import build_manifest, get_telemetry, spawn_digest
 from ..utils.logging import get_logger
 from .adaptive import AdaptiveConfig, AdaptiveOutcome, AdaptiveSampler
 from .estimators import (
@@ -671,19 +671,16 @@ class MonteCarloEngine:
                 result = self._run_vectorized(n, draw, conditions)
             else:
                 result = self._run_scalar(n, draw, conditions)
-        self._observe_batch(result, spawn)
+        if tel.enabled:
+            self._observe_batch(tel, result, spawn)
         return result
 
-    def _observe_batch(self, result: MonteCarloResult, spawn: Sequence) -> None:
+    def _observe_batch(self, tel: Any, result: MonteCarloResult, spawn: Sequence) -> None:
         """Audit/watchdog hook at one batch boundary (fixed runs included)."""
-        watchdog = get_watchdog()
-        if watchdog.enabled:
-            watchdog.check_array("mc.batch", "final_x", result.final_x)
-            watchdog.check_array(
-                "mc.batch", "victim_temperature_k", result.victim_temperature_k
-            )
-        audit = get_audit()
-        if audit.enabled:
+        tel.numerics.check_array("mc.batch", "final_x", result.final_x)
+        tel.numerics.check_array("mc.batch", "victim_temperature_k", result.victim_temperature_k)
+        audit = tel.audit
+        if audit is not None:
             # Keyed by the batch's RNG spawn path, so the record's identity
             # is execution-invariant (batch i is batch i whatever drew it).
             audit.record(
@@ -1001,10 +998,10 @@ class MonteCarloEngine:
             return env.scalar(path, index, nominal) if env is not None else float(nominal)
 
         tel = get_telemetry()
-        hb = get_heartbeat()
+        hb = tel.heartbeat
         with tel.span("mc.full_array.arrays", n_arrays=n_arrays):
             for index in range(n_arrays):
-                if hb.enabled:
+                if hb is not None:
                     # Array boundary: each iteration is one whole-array
                     # re-solve, the natural progress unit of this mode.
                     hb.update(arrays_done=index, samples=index * n_victims)
@@ -1074,7 +1071,7 @@ class MonteCarloEngine:
         if tel.enabled:
             tel.count("mc.arrays", n_arrays)
             tel.count("mc.invalid_arrays", n_arrays - int(array_valid.sum()))
-        if hb.enabled:
+        if hb is not None:
             hb.update(arrays_done=n_arrays, samples=total)
 
         confidence, method = self._ci_settings()

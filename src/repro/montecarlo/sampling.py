@@ -42,7 +42,7 @@ import numpy as np
 from ..config import JsonConfig
 from ..devices.jart_vcm import JartVcmParameters
 from ..errors import MonteCarloError
-from ..obs import get_audit, get_watchdog, spawn_digest
+from ..obs import get_telemetry, spawn_digest
 from ..utils.rng import child_rng
 
 #: Distribution families understood by the sampler.
@@ -477,18 +477,17 @@ class PopulationSampler:
                 values = values * float(nominals[dist.path])
             draw.values[dist.path] = np.asarray(values, dtype=np.float64)
         draw.log_weights = log_weights
-        watchdog = get_watchdog()
-        if watchdog.enabled:
+        tel = get_telemetry()
+        if tel.enabled:
             for path, values in draw.values.items():
-                watchdog.check_array("mc.population_draw", path, values)
-        audit = get_audit()
-        if audit.enabled:
-            audit.record(
-                "mc.population_draw",
-                key=spawn_digest(self.seed, "montecarlo", *spawn),
-                arrays=draw.values,
-                meta={"n_samples": n_samples, "spawn": [str(s) for s in spawn]},
-            )
+                tel.numerics.check_array("mc.population_draw", path, values)
+            if tel.audit is not None:
+                tel.audit.record(
+                    "mc.population_draw",
+                    key=spawn_digest(self.seed, "montecarlo", *spawn),
+                    arrays=draw.values,
+                    meta={"n_samples": n_samples, "spawn": [str(s) for s in spawn]},
+                )
         return draw
 
     def sample_cells(
@@ -528,8 +527,8 @@ class PopulationSampler:
                     )
                 values = values * float(nominals[dist.path])
             draw.values[dist.path] = np.asarray(values, dtype=np.float64)
-        audit = get_audit()
-        if audit.enabled:
+        audit = get_telemetry().audit
+        if audit is not None:
             audit.record(
                 "mc.population_draw",
                 key=spawn_digest(self.seed, "montecarlo", *spawn, "full-array"),

@@ -1,14 +1,18 @@
 """Opt-in observability: telemetry metrics, span tracing, run manifests.
 
-The subsystem is dependency-free and disabled by default.  Instrumented code
-asks for the process-wide instance and pays one attribute check when it is
-off::
+The subsystem is disabled by default and has one observer context: the
+process-wide :class:`Telemetry`.  Instrumented code asks for it and pays one
+attribute check when it is off; the numerics watchdog, the determinism
+audit trail and the live heartbeat are all reached through it::
 
     from repro.obs import get_telemetry
 
     tel = get_telemetry()
     if tel.enabled:
         tel.count("solver.solves")
+        tel.numerics.check_array("solver.solve", "node_voltages_v", voltages)
+        if tel.audit is not None:
+            tel.audit.record("solver.operating_point", arrays={"v": voltages})
 
 Enable it for a scope with :func:`telemetry_capture` (or globally with
 :func:`enable_telemetry`), then export::
@@ -18,6 +22,10 @@ Enable it for a scope with :func:`telemetry_capture` (or globally with
     with telemetry_capture() as tel:
         engine.run()
     print(render_report(tel.snapshot()))
+
+Audit trail and heartbeat are optional attributes of the context,
+``telemetry_capture(Telemetry(audit=AuditTrail(), heartbeat=writer))``; the
+numerics watchdog is on whenever telemetry is.
 
 The ``repro profile <cmd...>`` CLI wraps any subcommand in exactly this
 pattern, and ``--telemetry out.json`` on ``mc run`` / ``mc map`` /
@@ -32,18 +40,11 @@ regression gate (:mod:`repro.obs.regress` — ``repro obs check-bench``).
 """
 
 from .audit import (
-    NULL_AUDIT,
     VOLATILE_KEYS,
     AuditTrail,
-    NullAuditTrail,
-    audit_capture,
-    audit_enabled,
     canonical_array_bytes,
     diff_audit_streams,
-    disable_audit,
-    enable_audit,
     fingerprint,
-    get_audit,
     payload_max_abs_diff,
     read_audit_stream,
     render_audit_diff,
@@ -52,13 +53,9 @@ from .audit import (
     write_audit_stream,
 )
 from .live import (
-    NULL_HEARTBEAT,
     HeartbeatWriter,
-    NullHeartbeat,
     find_heartbeats,
     follow_heartbeat,
-    get_heartbeat,
-    heartbeat_scope,
     read_heartbeat,
     render_heartbeat,
 )
@@ -84,6 +81,7 @@ from .store import (
     default_obs_dir,
     diff_snapshots,
     new_run_id,
+    numerics_counts,
     render_diff,
     render_runs_table,
     resilience_counts,
@@ -103,16 +101,7 @@ from .export import (
     render_span_table,
     write_snapshot,
 )
-from .numerics import (
-    NULL_WATCHDOG,
-    NullNumericsWatchdog,
-    NumericsWatchdog,
-    disable_numerics,
-    enable_numerics,
-    get_watchdog,
-    numerics_capture,
-    watchdog_enabled,
-)
+from .numerics import NumericsWatchdog
 from .telemetry import (
     BINS_PER_DECADE,
     MAX_EVENTS_PER_NAME,
@@ -134,19 +123,13 @@ __all__ = [
     "HISTORY_FILENAME",
     "MANIFEST_SCHEMA_VERSION",
     "MAX_EVENTS_PER_NAME",
-    "NULL_AUDIT",
-    "NULL_HEARTBEAT",
     "NULL_TELEMETRY",
-    "NULL_WATCHDOG",
     "OBS_DIR_ENV",
     "VOLATILE_KEYS",
     "AuditTrail",
     "CheckResult",
     "HeartbeatWriter",
     "LogHistogram",
-    "NullAuditTrail",
-    "NullHeartbeat",
-    "NullNumericsWatchdog",
     "NullTelemetry",
     "NumericsWatchdog",
     "RunEntry",
@@ -156,43 +139,32 @@ __all__ = [
     "Telemetry",
     "aggregate_spans",
     "append_history",
-    "audit_capture",
-    "audit_enabled",
     "canonical_array_bytes",
     "build_manifest",
     "check_bench",
     "default_obs_dir",
     "diff_audit_streams",
     "diff_snapshots",
-    "disable_audit",
-    "disable_numerics",
     "disable_telemetry",
-    "enable_audit",
-    "enable_numerics",
     "enable_telemetry",
     "find_heartbeats",
     "fingerprint",
-    "get_audit",
-    "get_watchdog",
-    "numerics_capture",
     "payload_max_abs_diff",
     "read_audit_stream",
     "render_audit_diff",
     "spawn_digest",
     "strip_volatile",
-    "watchdog_enabled",
     "write_audit_stream",
     "find_span",
     "follow_heartbeat",
     "gate_passed",
-    "get_heartbeat",
     "get_telemetry",
-    "heartbeat_scope",
     "load_baselines",
     "load_bench_records",
     "load_history",
     "metric_name",
     "new_run_id",
+    "numerics_counts",
     "parse_openmetrics",
     "read_heartbeat",
     "render_aggregate_table",

@@ -6,9 +6,9 @@ zero-duplicate shared-store sweeps — yet none of it *observes* that
 invariant.  This module records SHA-256 fingerprints of the numerical
 payloads crossing stage boundaries (per-solve operating points, transient
 trace segments, Monte-Carlo population draws and batch estimates, per-point
-campaign payloads) into an opt-in, process-wide :class:`AuditTrail`, streams
-them next to the run ledger, and diffs two runs' streams to pinpoint the
-first divergent stage.
+campaign payloads) into an opt-in :class:`AuditTrail` that rides on the
+active telemetry (``Telemetry(audit=trail)``), streams them next to the run
+ledger, and diffs two runs' streams to pinpoint the first divergent stage.
 
 Design rules that make the streams comparable across executions:
 
@@ -23,17 +23,17 @@ Design rules that make the streams comparable across executions:
   campaign runner emits its per-point records sorted by index after the
   sweep, so serial, pool and multi-process shared-store executions of one
   seeded spec produce byte-identical streams.
-* **Null-object opt-in.**  :data:`NULL_AUDIT` mirrors ``NULL_TELEMETRY``:
-  a disabled hot path pays one attribute check.
+* **Opt-in through telemetry.**  Sites reach the trail as ``tel.audit``
+  behind the one ``tel.enabled`` check; a job-local telemetry carries no
+  trail, so in-process jobs never leak records into the parent's stream.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -124,30 +124,12 @@ def spawn_digest(seed: int, *spawn_key: SpawnKey) -> str:
 
 
 # ----------------------------------------------------------------------
-# the trail (null-object opt-in, mirrors telemetry)
+# the trail
 # ----------------------------------------------------------------------
-
-
-class NullAuditTrail:
-    """Disabled audit trail: every record is one attribute check."""
-
-    __slots__ = ()
-    enabled = False
-
-    def record(self, stage, key=None, arrays=None, payload=None, meta=None):
-        return None
-
-    def records(self):
-        return []
-
-
-NULL_AUDIT = NullAuditTrail()
 
 
 class AuditTrail:
     """Accumulates order-stable stage fingerprints for one run."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._records: List[Dict[str, Any]] = []
@@ -184,55 +166,6 @@ class AuditTrail:
 
     def records(self) -> List[Dict[str, Any]]:
         return list(self._records)
-
-
-# ----------------------------------------------------------------------
-# the process-wide active instance
-# ----------------------------------------------------------------------
-
-_active: Any = NULL_AUDIT
-
-
-def get_audit() -> Any:
-    """The process-wide active audit trail (a no-op singleton when off)."""
-    return _active
-
-
-def audit_enabled() -> bool:
-    """True when a live (non-null) audit trail is active."""
-    return _active.enabled
-
-
-def enable_audit(trail: Optional[AuditTrail] = None) -> AuditTrail:
-    """Install (and return) a live audit trail as the process-wide instance."""
-    global _active
-    _active = trail if trail is not None else AuditTrail()
-    return _active
-
-
-def disable_audit() -> None:
-    """Restore the disabled no-op singleton."""
-    global _active
-    _active = NULL_AUDIT
-
-
-@contextmanager
-def audit_capture(trail: Optional[Any] = None) -> Iterator[Any]:
-    """Activate an audit trail for the duration of the block.
-
-    The previous instance is restored on exit.  Pass :data:`NULL_AUDIT`
-    explicitly to *suppress* auditing inside the block — the campaign
-    runner does this around each job so stage records from in-process
-    (serial) jobs cannot leak into the parent's stream and make it differ
-    from a pool execution of the same spec.
-    """
-    global _active
-    previous = _active
-    _active = trail if trail is not None else AuditTrail()
-    try:
-        yield _active
-    finally:
-        _active = previous
 
 
 # ----------------------------------------------------------------------

@@ -9,16 +9,18 @@ current CI half-width, worker utilization, ETA — which is exactly what
 ``repro campaign status --follow`` and ``repro obs top RUN`` poll from
 another process, without touching the worker pool.
 
-Instrumented code uses the same opt-in idiom as telemetry::
+The writer rides on the active telemetry (``Telemetry(heartbeat=writer)``);
+instrumented code reaches it through the one observer context::
 
-    from repro.obs import get_heartbeat
+    from repro.obs import get_telemetry
 
-    hb = get_heartbeat()
-    if hb.enabled:
+    hb = get_telemetry().heartbeat
+    if hb is not None:
         hb.update(done=done, cached=hits)
 
-When no heartbeat scope is active, :func:`get_heartbeat` returns the no-op
-:data:`NULL_HEARTBEAT` and the hot path pays one attribute check.
+With telemetry off, or under a job-local telemetry (campaign jobs, pool
+workers), ``heartbeat`` is None: only the process that owns the file writes
+it, and the hot path pays one attribute check.
 """
 
 from __future__ import annotations
@@ -27,54 +29,12 @@ import json
 import os
 import tempfile
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Union
 
 #: Progress fields readers understand; anything else passed to ``update`` is
 #: carried through verbatim.
 TERMINAL_STATUSES = ("done", "failed", "interrupted")
-
-
-class NullHeartbeat:
-    """Inert stand-in used when no heartbeat scope is active."""
-
-    enabled = False
-
-    def update(self, **fields: Any) -> None:
-        pass
-
-    def advance(self, n: int = 1, **fields: Any) -> None:
-        pass
-
-    def finish(self, status: str = "done", **fields: Any) -> None:
-        pass
-
-
-NULL_HEARTBEAT = NullHeartbeat()
-
-_active: "Union[HeartbeatWriter, NullHeartbeat]" = NULL_HEARTBEAT
-
-
-def get_heartbeat() -> "Union[HeartbeatWriter, NullHeartbeat]":
-    """The process-wide active heartbeat (a no-op when none is active)."""
-    return _active
-
-
-@contextmanager
-def heartbeat_scope(writer: "HeartbeatWriter") -> Iterator["HeartbeatWriter"]:
-    """Install ``writer`` as the active heartbeat for the scope's duration.
-
-    Does not write a terminal status on exit — the owner decides between
-    ``done`` and ``failed`` and calls :meth:`HeartbeatWriter.finish` itself.
-    """
-    global _active
-    previous = _active
-    _active = writer
-    try:
-        yield writer
-    finally:
-        _active = previous
 
 
 class HeartbeatWriter:
@@ -84,8 +44,6 @@ class HeartbeatWriter:
     write and :meth:`finish`, so per-point updates in a tight loop cost a
     clock read, not a filesystem write.
     """
-
-    enabled = True
 
     def __init__(
         self,

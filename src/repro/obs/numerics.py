@@ -8,19 +8,17 @@ structured ``numerics.*`` counters, gauges and events through the existing
 :class:`~repro.obs.telemetry.Telemetry` registry, so they ride the same
 snapshots, ledger records and OpenMetrics export as every other signal.
 
-Opt-in with the same null-object idiom as telemetry: disabled call sites
-pay one attribute check (:data:`NULL_WATCHDOG`).  The watchdog itself holds
-no results — it only *emits*; enable telemetry alongside it to collect.
+Every live telemetry carries one watchdog (``tel.numerics``), so the checks
+run exactly when telemetry is on and cost nothing beyond the one
+``tel.enabled`` check when it is off.  The watchdog holds no results — it
+only *emits* into the telemetry it is bound to.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
-
-from .telemetry import get_telemetry
 
 #: Fraction of the iteration budget at which a solve counts as "pressured".
 ITERATION_PRESSURE_FRACTION = 0.9
@@ -29,33 +27,13 @@ ITERATION_PRESSURE_FRACTION = 0.9
 RESIDUAL_BLOWUP_FACTOR = 1e3
 
 
-class NullNumericsWatchdog:
-    """Disabled watchdog: every check is one attribute check."""
-
-    __slots__ = ()
-    enabled = False
-
-    def check_array(self, stage, name, values):
-        return True
-
-    def check_residuals(self, stage, residuals):
-        return True
-
-    def check_iterations(self, stage, iterations, limit):
-        return True
-
-    def gauge_condition(self, stage, values):
-        return None
-
-
-NULL_WATCHDOG = NullNumericsWatchdog()
-
-
 class NumericsWatchdog:
-    """Emits ``numerics.*`` health signals through the active telemetry."""
+    """Emits ``numerics.*`` health signals through one telemetry."""
 
-    __slots__ = ()
-    enabled = True
+    __slots__ = ("telemetry",)
+
+    def __init__(self, telemetry: Any) -> None:
+        self.telemetry = telemetry
 
     def check_array(self, stage: str, name: str, values: Any) -> bool:
         """Guard one array against NaN/Inf/subnormal underflow.
@@ -68,29 +46,27 @@ class NumericsWatchdog:
         array = np.asarray(values)
         if array.dtype.kind not in "fc":
             return True
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("numerics.checks")
+        tel = self.telemetry
+        tel.count("numerics.checks")
         finite = np.isfinite(array)
         if finite.all():
             if array.dtype.kind == "f" and array.size:
                 tiny = np.finfo(array.dtype).tiny
                 subnormal = int(np.count_nonzero((np.abs(array) < tiny) & (array != 0)))
-                if subnormal and tel.enabled:
+                if subnormal:
                     tel.count("numerics.underflow", subnormal)
             return True
         nan_count = int(np.count_nonzero(np.isnan(array)))
         inf_count = int(array.size - np.count_nonzero(finite)) - nan_count
-        if tel.enabled:
-            tel.count("numerics.nonfinite")
-            tel.event(
-                "numerics.nonfinite",
-                stage=stage,
-                array=name,
-                nan=nan_count,
-                inf=inf_count,
-                size=int(array.size),
-            )
+        tel.count("numerics.nonfinite")
+        tel.event(
+            "numerics.nonfinite",
+            stage=stage,
+            array=name,
+            nan=nan_count,
+            inf=inf_count,
+            size=int(array.size),
+        )
         return False
 
     def check_residuals(self, stage: str, residuals: Sequence[float]) -> bool:
@@ -104,7 +80,6 @@ class NumericsWatchdog:
         trajectory = [float(r) for r in residuals]
         if len(trajectory) < 2:
             return True
-        tel = get_telemetry()
         blowup_step = None
         for index in range(1, len(trajectory)):
             previous, current = trajectory[index - 1], trajectory[index]
@@ -114,32 +89,29 @@ class NumericsWatchdog:
         stalled = trajectory[-1] >= trajectory[0] and trajectory[0] > 0.0
         if blowup_step is None and not stalled:
             return True
-        if tel.enabled:
-            tel.count("numerics.residual_anomalies")
-            tel.event(
-                "numerics.residual_anomaly",
-                stage=stage,
-                kind="blowup" if blowup_step is not None else "stall",
-                step=blowup_step,
-                first=trajectory[0],
-                last=trajectory[-1],
-                steps=len(trajectory),
-            )
+        self.telemetry.count("numerics.residual_anomalies")
+        self.telemetry.event(
+            "numerics.residual_anomaly",
+            stage=stage,
+            kind="blowup" if blowup_step is not None else "stall",
+            step=blowup_step,
+            first=trajectory[0],
+            last=trajectory[-1],
+            steps=len(trajectory),
+        )
         return False
 
     def check_iterations(self, stage: str, iterations: int, limit: int) -> bool:
         """Flag a solve that consumed most of its iteration budget."""
         if limit <= 0 or iterations < ITERATION_PRESSURE_FRACTION * limit:
             return True
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("numerics.iteration_pressure")
-            tel.event(
-                "numerics.iteration_pressure",
-                stage=stage,
-                iterations=int(iterations),
-                limit=int(limit),
-            )
+        self.telemetry.count("numerics.iteration_pressure")
+        self.telemetry.event(
+            "numerics.iteration_pressure",
+            stage=stage,
+            iterations=int(iterations),
+            limit=int(limit),
+        )
         return False
 
     def gauge_condition(self, stage: str, values: Any) -> Optional[float]:
@@ -155,49 +127,6 @@ class NumericsWatchdog:
         if not array.size:
             return None
         proxy = float(array.max() / array.min())
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.gauge(f"numerics.condition_proxy.{stage}", proxy)
+        self.telemetry.gauge(f"numerics.condition_proxy.{stage}", proxy)
         return proxy
 
-
-# ----------------------------------------------------------------------
-# the process-wide active instance
-# ----------------------------------------------------------------------
-
-_active: Any = NULL_WATCHDOG
-
-
-def get_watchdog() -> Any:
-    """The process-wide active watchdog (a no-op singleton when off)."""
-    return _active
-
-
-def watchdog_enabled() -> bool:
-    """True when a live (non-null) watchdog is active."""
-    return _active.enabled
-
-
-def enable_numerics(watchdog: Optional[NumericsWatchdog] = None) -> NumericsWatchdog:
-    """Install (and return) a live watchdog as the process-wide instance."""
-    global _active
-    _active = watchdog if watchdog is not None else NumericsWatchdog()
-    return _active
-
-
-def disable_numerics() -> None:
-    """Restore the disabled no-op singleton."""
-    global _active
-    _active = NULL_WATCHDOG
-
-
-@contextmanager
-def numerics_capture(watchdog: Optional[NumericsWatchdog] = None) -> Iterator[Any]:
-    """Activate a watchdog for the duration of the block (restores on exit)."""
-    global _active
-    previous = _active
-    _active = watchdog if watchdog is not None else NumericsWatchdog()
-    try:
-        yield _active
-    finally:
-        _active = previous

@@ -412,6 +412,21 @@ def resilience_counts(snapshot: Dict[str, Any]) -> Dict[str, int]:
     }
 
 
+def numerics_counts(snapshot: Dict[str, Any]) -> Dict[str, int]:
+    """Numerics-health counters of one run's telemetry snapshot.
+
+    ``checks`` is how many arrays the watchdog inspected; the other four
+    count what it found (non-finite arrays, anomalous residual
+    trajectories, solves near their iteration ceiling, subnormal values).
+    A run with checks and all-zero findings had healthy numerics.
+    """
+    counters = snapshot.get("counters") or {}
+    return {
+        name: int(counters.get(f"numerics.{name}", 0))
+        for name in ("checks", "nonfinite", "residual_anomalies", "iteration_pressure", "underflow")
+    }
+
+
 def render_runs_table(entries: List[RunEntry], limit: Optional[int] = None) -> str:
     """The ``repro obs runs`` listing, most recent last."""
     if not entries:

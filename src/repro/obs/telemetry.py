@@ -6,9 +6,13 @@ Design constraints (see the module docstring of :mod:`repro.obs`):
   :data:`NULL_TELEMETRY`, whose every operation is a no-op.  Hot paths guard
   their instrumentation with one attribute check (``if tel.enabled:``), so a
   disabled run pays a handful of nanoseconds per solve, not per metric.
-* **Dependency-free.**  Only the standard library is used; snapshots are
-  plain JSON-serialisable dicts so they cross process boundaries (the
-  campaign worker pool) through pickle or JSON without custom reducers.
+* **One context.**  A live telemetry also carries the run's optional
+  determinism audit trail (``tel.audit``), live heartbeat (``tel.heartbeat``)
+  and its numerics watchdog (``tel.numerics``), so a hot path reaches every
+  observer through the one ``tel.enabled`` check.
+* **Plain snapshots.**  Snapshots are JSON-serialisable dicts, so they cross
+  process boundaries (the campaign worker pool) through pickle or JSON
+  without custom reducers.
 * **Mergeable.**  Two telemetry states combine bin-by-bin / counter-by-
   counter (:meth:`Telemetry.merge_snapshot`), which is how per-job span trees
   measured inside pool workers are folded back into the parent campaign span.
@@ -19,9 +23,14 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
+from .numerics import NumericsWatchdog
 from .spans import SpanRecord
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .audit import AuditTrail
+    from .live import HeartbeatWriter
 
 #: Events kept per event name; older entries are dropped first so a long
 #: adaptive run cannot grow the registry without bound.
@@ -150,10 +159,13 @@ class NullTelemetry:
     Instrumented code holds one of these when telemetry is off; the contract
     is that ``tel.enabled`` is the *only* check a hot path needs — every
     method is still callable (and free) so cold paths need no guards at all.
+    There is no audit trail or heartbeat to reach without a live telemetry.
     """
 
     __slots__ = ()
     enabled = False
+    audit = None
+    heartbeat = None
 
     def count(self, name: str, n: float = 1.0) -> None:
         return None
@@ -222,11 +234,26 @@ class Telemetry:
     fresh instance in around each job so its spans serialise independently).
     Not thread-safe by design: the simulation stack is single-threaded per
     process, and pool workers each carry their own instance.
+
+    The instance is also the run's one observer context: ``audit`` (an
+    :class:`~repro.obs.audit.AuditTrail`) and ``heartbeat`` (a
+    :class:`~repro.obs.live.HeartbeatWriter`) are optional and ``None`` by
+    default, while ``numerics`` (a
+    :class:`~repro.obs.numerics.NumericsWatchdog`) is always on.  A fresh
+    job-local instance carries neither audit nor heartbeat, which is what
+    keeps in-process jobs out of the parent's audit stream and progress file.
     """
 
     enabled = True
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        audit: Optional[AuditTrail] = None,
+        heartbeat: Optional[HeartbeatWriter] = None,
+    ) -> None:
+        self.audit = audit
+        self.heartbeat = heartbeat
+        self.numerics = NumericsWatchdog(self)
         self.epoch = time.perf_counter()
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, Dict[str, float]] = {}

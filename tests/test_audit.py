@@ -1,7 +1,7 @@
 """Tests of the determinism audit trail (:mod:`repro.obs.audit`).
 
 Covers the canonical fingerprints themselves (dtype normalization, volatile
-key stripping, spawn digests), the null-object opt-in and capture scoping,
+key stripping, spawn digests), the opt-in through the telemetry context,
 stream persistence and the divergence differ, the execution-path invariant —
 serial, 2-worker pool and two-process shared-store campaigns of one seeded
 spec produce identical fingerprint streams — and the headline acceptance
@@ -22,24 +22,26 @@ import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, ResultCache
 from repro.campaign.cli import main
+from repro.circuit import BiasPattern, CrossbarSolver, build_crossbar_netlist
+from repro.config import CrossbarGeometry, WireParameters
+from repro.devices import DeviceStateArrays, JartVcmModel
 from repro.errors import ReproError
 from repro.obs import (
-    NULL_AUDIT,
     AuditTrail,
     RunLedger,
-    audit_capture,
-    audit_enabled,
+    Telemetry,
     canonical_array_bytes,
     diff_audit_streams,
-    disable_audit,
-    enable_audit,
+    disable_telemetry,
+    enable_telemetry,
     fingerprint,
-    get_audit,
+    get_telemetry,
     payload_max_abs_diff,
     read_audit_stream,
     render_audit_diff,
     spawn_digest,
     strip_volatile,
+    telemetry_capture,
     write_audit_stream,
 )
 
@@ -47,9 +49,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
-def _audit_off_after_each_test():
+def _telemetry_off_after_each_test():
     yield
-    disable_audit()
+    disable_telemetry()
 
 
 #: A 4-point attack campaign on a fast 3x3 crossbar.
@@ -129,29 +131,41 @@ class TestFingerprint:
 
 class TestAuditTrail:
     def test_disabled_by_default_and_null_is_inert(self):
-        assert not audit_enabled()
-        assert get_audit() is NULL_AUDIT
-        assert NULL_AUDIT.record("stage", key=1) is None
-        assert NULL_AUDIT.records() == []
+        tel = get_telemetry()
+        assert not tel.enabled and tel.audit is None
+        # A live telemetry records only when handed a trail.
+        assert Telemetry().audit is None
 
     def test_enable_disable_and_capture_restores_previous(self):
-        trail = enable_audit()
-        assert audit_enabled() and get_audit() is trail
-        with audit_capture() as inner:
-            assert get_audit() is inner and inner is not trail
-        assert get_audit() is trail
-        disable_audit()
-        assert not audit_enabled()
+        trail = AuditTrail()
+        outer = enable_telemetry(Telemetry(audit=trail))
+        assert get_telemetry().audit is trail
+        inner = AuditTrail()
+        with telemetry_capture(Telemetry(audit=inner)):
+            assert get_telemetry().audit is inner
+        assert get_telemetry() is outer and outer.audit is trail
+        disable_telemetry()
+        assert get_telemetry().audit is None
 
     def test_capture_with_null_suppresses_recording(self):
-        with audit_capture() as trail:
-            get_audit().record("outer", key=0)
-            with audit_capture(NULL_AUDIT):
-                assert not audit_enabled()
-                get_audit().record("inner", key=1)
-            get_audit().record("outer", key=2)
+        """A job-local telemetry without a trail keeps a solve out of the stream."""
+        geometry = CrossbarGeometry(rows=3, columns=3)
+        solver = CrossbarSolver(build_crossbar_netlist(geometry, WireParameters()), JartVcmModel())
+        states = DeviceStateArrays(geometry.rows, geometry.columns)
+        states.x[...] = 0.5
+        states.temperature_k[...] = 300.0
+        bias = BiasPattern(row_voltages_v={1: 0.6}, column_voltages_v={}, label="audit")
+        trail = AuditTrail()
+        with telemetry_capture(Telemetry(audit=trail)) as tel:
+            tel.audit.record("outer", key=0)
+            with telemetry_capture(Telemetry()):
+                solver.solve(bias, states)
+            tel.audit.record("outer", key=2)
         stages = [record["stage"] for record in trail.records()]
         assert stages == ["outer", "outer"]
+        with telemetry_capture(Telemetry(audit=trail)):
+            solver.solve(bias, states)
+        assert trail.records()[-1]["stage"] == "solver.operating_point"
 
     def test_unkeyed_records_get_per_stage_sequence(self):
         trail = AuditTrail()
@@ -239,7 +253,8 @@ class TestStreamsAndDiffer:
 def _run_campaign_stream(tmp_path, name, **runner_kwargs):
     spec = CampaignSpec(**{**CAMPAIGN_SPEC, "name": "stream-campaign"})
     cache = ResultCache(tmp_path / name) if runner_kwargs.pop("cached", True) else None
-    with audit_capture() as trail:
+    trail = AuditTrail()
+    with telemetry_capture(Telemetry(audit=trail)):
         report = CampaignRunner(spec, cache=cache, **runner_kwargs).run()
     assert report.counts()["ok"] == 4
     return trail.records()
@@ -260,7 +275,7 @@ class TestExecutionPathInvariance:
         assert diff_audit_streams(serial, replay)["identical"]
 
     def test_serial_jobs_do_not_leak_stage_records(self, tmp_path):
-        """In-process jobs run under NULL_AUDIT: only parent-side records."""
+        """In-process jobs run under a trail-less job telemetry: only parent-side records."""
         records = _run_campaign_stream(tmp_path, "cache-leak", workers=0, cached=False)
         assert {record["stage"] for record in records} == {"campaign.point"}
 

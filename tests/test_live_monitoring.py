@@ -1,15 +1,17 @@
 """Tests of live campaign monitoring: heartbeat files and cross-process tails.
 
 Covers the :class:`~repro.obs.live.HeartbeatWriter` file protocol (atomic
-replace, monotone ``seq``, throttling, terminal statuses), the scope/null
-idiom instrumented code uses, the runner/engine/adaptive hooks that populate
-progress fields, and — the acceptance scenario — one process running a
+replace, monotone ``seq``, throttling, terminal statuses), the telemetry
+context that carries the writer to instrumented code, the runner/engine/
+adaptive hooks that populate progress fields, the rule that campaign jobs
+(serial or forked pool workers) never write the parent's file, and — the acceptance scenario — one process running a
 campaign while a second process tails it via ``repro campaign status
 --follow`` and observes monotonically increasing progress.
 """
 
 from __future__ import annotations
 
+import signal
 import subprocess
 import sys
 import time
@@ -21,18 +23,20 @@ import numpy as np
 
 from repro.campaign import CampaignRunner, CampaignSpec, ResultCache
 from repro.campaign.cli import main
+from repro.campaign.runner import _init_worker
 from repro.montecarlo import AdaptiveConfig, AdaptiveSampler
 from repro.obs import (
-    NULL_HEARTBEAT,
+    AuditTrail,
     HeartbeatWriter,
     RunLedger,
+    Telemetry,
     disable_telemetry,
     find_heartbeats,
     follow_heartbeat,
-    get_heartbeat,
-    heartbeat_scope,
+    get_telemetry,
     read_heartbeat,
     render_heartbeat,
+    telemetry_capture,
 )
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -163,19 +167,17 @@ class TestFollowHeartbeat:
 
 class TestHeartbeatScope:
     def test_default_is_null_and_inert(self):
-        hb = get_heartbeat()
-        assert hb is NULL_HEARTBEAT
-        assert not hb.enabled
-        hb.update(done=1)
-        hb.advance()
-        hb.finish()
+        tel = get_telemetry()
+        assert not tel.enabled and tel.heartbeat is None
+        # A live telemetry carries a heartbeat only when handed one.
+        assert Telemetry().heartbeat is None
 
     def test_scope_installs_and_restores(self, tmp_path):
         writer = HeartbeatWriter(tmp_path / "hb.json")
-        with heartbeat_scope(writer) as scoped:
-            assert scoped is writer
-            assert get_heartbeat() is writer
-        assert get_heartbeat() is NULL_HEARTBEAT
+        with telemetry_capture(Telemetry(heartbeat=writer)) as tel:
+            assert get_telemetry() is tel
+            assert tel.heartbeat is writer
+        assert get_telemetry().heartbeat is None
         # The scope does not write a terminal status; the owner does.
         assert read_heartbeat(tmp_path / "hb.json")["status"] == "running"
 
@@ -211,7 +213,7 @@ class TestHeartbeatHooks:
         path = tmp_path / "hb.json"
         writer = HeartbeatWriter(path, min_interval_s=0.0)
         spec = CampaignSpec.from_json(spec_path)
-        with heartbeat_scope(writer):
+        with telemetry_capture(Telemetry(heartbeat=writer)):
             CampaignRunner(spec, workers=2).run()
         writer.finish()
         state = read_heartbeat(path)
@@ -228,7 +230,7 @@ class TestHeartbeatHooks:
         CampaignRunner(spec, cache=cache).run()
         path = tmp_path / "hb.json"
         writer = HeartbeatWriter(path, min_interval_s=0.0)
-        with heartbeat_scope(writer):
+        with telemetry_capture(Telemetry(heartbeat=writer)):
             CampaignRunner(spec, cache=cache).run()
         writer.finish()
         state = read_heartbeat(path)
@@ -244,13 +246,66 @@ class TestHeartbeatHooks:
             return rng.uniform(size=n) < 0.5, None
 
         config = AdaptiveConfig(batch_size=32, n_max=64, target_half_width=1e-4)
-        with heartbeat_scope(writer):
+        with telemetry_capture(Telemetry(heartbeat=writer)):
             AdaptiveSampler(config, evaluate).run()
         writer.finish()
         state = read_heartbeat(path)
         assert state["samples"] == 64
         assert state["batches"] == 2
         assert "ci_half_width" in state and "estimate" in state
+
+
+#: One adaptive Monte-Carlo point: its sampler would report samples/batches
+#: to any heartbeat it could reach.
+ADAPTIVE_MC_SPEC = dict(
+    name="live-adaptive",
+    kind="montecarlo",
+    experiment="montecarlo",
+    simulation={"geometry": {"rows": 3, "columns": 3}},
+    attack={"aggressors": [[1, 1]], "victim": [1, 2], "max_pulses": 500000},
+    montecarlo={
+        "n_samples": 8,
+        "seed": 3,
+        "adaptive": {"batch_size": 8, "n_max": 16, "target_half_width": 0.2},
+        "distributions": [
+            {"path": "device.series_resistance_ohm", "kind": "normal",
+             "mean": 1.0, "sigma": 0.05, "relative": True}
+        ],
+    },
+    axes=[{"path": "attack.pulse.length_s", "values": [3e-8]}],
+)
+
+
+class TestJobsNeverWriteHeartbeat:
+    def test_init_worker_drops_inherited_heartbeat_and_audit(self, tmp_path):
+        """A forked worker inherits the parent's telemetry; the initializer
+        must replace it with a fresh one that carries neither observer."""
+        handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
+        writer = HeartbeatWriter(tmp_path / "hb.json")
+        try:
+            with telemetry_capture(Telemetry(audit=AuditTrail(), heartbeat=writer)):
+                _init_worker(True, None)
+                tel = get_telemetry()
+                assert tel.enabled
+                assert tel.heartbeat is None and tel.audit is None
+        finally:
+            for sig, handler in handlers.items():
+                signal.signal(sig, handler)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_adaptive_campaign_job_reports_points_not_samples(self, tmp_path, workers):
+        path = tmp_path / "hb.json"
+        writer = HeartbeatWriter(path, min_interval_s=0.0)
+        spec = CampaignSpec(**ADAPTIVE_MC_SPEC)
+        with telemetry_capture(Telemetry(heartbeat=writer)):
+            report = CampaignRunner(spec, workers=workers).run()
+        writer.finish()
+        assert report.counts()["ok"] == 1
+        state = read_heartbeat(path)
+        # Every update merges into the file's state, so a single job-side
+        # write would have left these keys behind.
+        assert "samples" not in state and "batches" not in state
+        assert state["done"] == state["total"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Covers each detector (non-finite guard, underflow canary, residual
 blowup/stall, iteration pressure, condition proxy), the telemetry signals
 they emit, the instrumentation wired through the crossbar solver, and the
-disabled-overhead contract: with the watchdog *and* audit off, the guard
-cost per solve stays under 2% of a 64x64 operating-point solve.
+disabled-overhead contract: the watchdog and the audit trail ride on the one
+telemetry context, so with telemetry off a solve reads that context once and
+the guard cost stays under 2% of a 64x64 operating-point solve.
 """
 
 from __future__ import annotations
@@ -17,24 +18,13 @@ import pytest
 from repro.circuit import BiasPattern, CrossbarSolver, build_crossbar_netlist
 from repro.config import CrossbarGeometry, WireParameters
 from repro.devices import DeviceStateArrays, JartVcmModel
-from repro.obs import (
-    NULL_WATCHDOG,
-    NumericsWatchdog,
-    disable_numerics,
-    disable_telemetry,
-    enable_numerics,
-    get_audit,
-    get_watchdog,
-    numerics_capture,
-    telemetry_capture,
-    watchdog_enabled,
-)
+import repro.circuit.solver as solver_module
+from repro.obs import Telemetry, disable_telemetry, get_telemetry, telemetry_capture
 
 
 @pytest.fixture(autouse=True)
-def _watchdog_off_after_each_test():
+def _telemetry_off_after_each_test():
     yield
-    disable_numerics()
     disable_telemetry()
 
 
@@ -54,20 +44,18 @@ def _solver_setup(rows=3):
 
 class TestDetectors:
     def test_disabled_by_default(self):
-        assert not watchdog_enabled()
-        assert get_watchdog() is NULL_WATCHDOG
-        assert NULL_WATCHDOG.check_array("s", "x", [float("nan")]) is True
-
-    def test_capture_scope_restores(self):
-        with numerics_capture() as watchdog:
-            assert get_watchdog() is watchdog and watchdog.enabled
-        assert get_watchdog() is NULL_WATCHDOG
+        tel = get_telemetry()
+        assert not tel.enabled
+        assert tel.audit is None and tel.heartbeat is None
+        # A live telemetry always carries a watchdog bound to itself.
+        live = Telemetry()
+        assert live.numerics.telemetry is live
 
     def test_nonfinite_array_counts_and_events(self):
-        watchdog = NumericsWatchdog()
-        with telemetry_capture() as tel:
-            assert watchdog.check_array("solver.solve", "v", [1.0, 2.0]) is True
-            assert watchdog.check_array("solver.solve", "v", [1.0, np.nan, np.inf]) is False
+        tel = Telemetry()
+        watchdog = tel.numerics
+        assert watchdog.check_array("solver.solve", "v", [1.0, 2.0]) is True
+        assert watchdog.check_array("solver.solve", "v", [1.0, np.nan, np.inf]) is False
         snapshot = tel.snapshot()
         assert snapshot["counters"]["numerics.checks"] == 2.0
         assert snapshot["counters"]["numerics.nonfinite"] == 1.0
@@ -76,53 +64,53 @@ class TestDetectors:
         assert event["nan"] == 1 and event["inf"] == 1 and event["size"] == 3
 
     def test_integer_arrays_are_skipped(self):
-        watchdog = NumericsWatchdog()
-        with telemetry_capture() as tel:
-            assert watchdog.check_array("s", "ints", np.arange(4)) is True
+        tel = Telemetry()
+        watchdog = tel.numerics
+        assert watchdog.check_array("s", "ints", np.arange(4)) is True
         assert "numerics.checks" not in tel.snapshot()["counters"]
 
     def test_subnormal_underflow_is_counted_not_failed(self):
-        watchdog = NumericsWatchdog()
         tiny = np.finfo(np.float64).tiny
-        with telemetry_capture() as tel:
-            assert watchdog.check_array("s", "x", [1.0, tiny / 4, tiny / 2]) is True
+        tel = Telemetry()
+        watchdog = tel.numerics
+        assert watchdog.check_array("s", "x", [1.0, tiny / 4, tiny / 2]) is True
         assert tel.snapshot()["counters"]["numerics.underflow"] == 2.0
 
     def test_residual_blowup_detected_with_step(self):
-        watchdog = NumericsWatchdog()
-        with telemetry_capture() as tel:
-            assert watchdog.check_residuals("solver.solve", [1e-3, 1e-6, 1e-2]) is False
+        tel = Telemetry()
+        watchdog = tel.numerics
+        assert watchdog.check_residuals("solver.solve", [1e-3, 1e-6, 1e-2]) is False
         event = tel.events["numerics.residual_anomaly"][-1]
         assert event["kind"] == "blowup" and event["step"] == 2
         assert tel.snapshot()["counters"]["numerics.residual_anomalies"] == 1.0
 
     def test_residual_stall_detected(self):
-        watchdog = NumericsWatchdog()
-        with telemetry_capture() as tel:
-            assert watchdog.check_residuals("s", [1e-3, 5e-4, 1e-3]) is False
+        tel = Telemetry()
+        watchdog = tel.numerics
+        assert watchdog.check_residuals("s", [1e-3, 5e-4, 1e-3]) is False
         assert tel.events["numerics.residual_anomaly"][-1]["kind"] == "stall"
 
     def test_contracting_residuals_pass(self):
-        watchdog = NumericsWatchdog()
-        with telemetry_capture() as tel:
-            assert watchdog.check_residuals("s", [1e-3, 1e-5, 1e-9]) is True
-            assert watchdog.check_residuals("s", [1e-3]) is True
+        tel = Telemetry()
+        watchdog = tel.numerics
+        assert watchdog.check_residuals("s", [1e-3, 1e-5, 1e-9]) is True
+        assert watchdog.check_residuals("s", [1e-3]) is True
         assert "numerics.residual_anomalies" not in tel.snapshot()["counters"]
 
     def test_iteration_pressure(self):
-        watchdog = NumericsWatchdog()
-        with telemetry_capture() as tel:
-            assert watchdog.check_iterations("s", 10, 100) is True
-            assert watchdog.check_iterations("s", 95, 100) is False
-            assert watchdog.check_iterations("s", 95, 0) is True
+        tel = Telemetry()
+        watchdog = tel.numerics
+        assert watchdog.check_iterations("s", 10, 100) is True
+        assert watchdog.check_iterations("s", 95, 100) is False
+        assert watchdog.check_iterations("s", 95, 0) is True
         assert tel.snapshot()["counters"]["numerics.iteration_pressure"] == 1.0
         event = tel.events["numerics.iteration_pressure"][-1]
         assert event["iterations"] == 95 and event["limit"] == 100
 
     def test_condition_proxy_gauge(self):
-        watchdog = NumericsWatchdog()
-        with telemetry_capture() as tel:
-            proxy = watchdog.gauge_condition("solver.jacobian", [1e-3, 0.0, 1e3])
+        tel = Telemetry()
+        watchdog = tel.numerics
+        proxy = watchdog.gauge_condition("solver.jacobian", [1e-3, 0.0, 1e3])
         assert proxy == pytest.approx(1e6)
         assert tel.snapshot()["gauges"]["numerics.condition_proxy.solver.jacobian"][
             "value"
@@ -133,7 +121,7 @@ class TestDetectors:
 class TestSolverIntegration:
     def test_healthy_solve_emits_checks_and_condition_gauge(self):
         solver, bias, states = _solver_setup()
-        with telemetry_capture() as tel, numerics_capture():
+        with telemetry_capture() as tel:
             solver.solve(bias, states)
         snapshot = tel.snapshot()
         assert snapshot["counters"]["numerics.checks"] >= 2.0
@@ -143,39 +131,39 @@ class TestSolverIntegration:
             for name in snapshot["gauges"]
         )
 
-    def test_watchdog_off_emits_nothing(self):
-        solver, bias, states = _solver_setup()
-        with telemetry_capture() as tel:
-            solver.solve(bias, states)
-        assert not any(
-            name.startswith("numerics.") for name in tel.snapshot()["counters"]
-        )
 
 
 class TestDisabledOverhead:
-    def test_disabled_watchdog_and_audit_cost_under_two_percent_of_a_solve(self):
-        """The opt-out contract for the PR's new guards, mirroring the
-        telemetry bound: watchdog + audit off must cost <2% of a 64x64
-        solve at a generous 100-guards-per-solve budget."""
-        disable_numerics()
+    def test_disabled_watchdog_and_audit_cost_under_two_percent_of_a_solve(self, monkeypatch):
+        """The opt-out contract, mirroring the telemetry bound: with telemetry
+        off, watchdog and audit cost one context read per solve, and that
+        guard stays <2% of a 64x64 solve even at 100 guards per solve."""
+        disable_telemetry()
         solver, bias, states = _solver_setup(rows=64)
         solver.solve(bias, states)  # warm-up: structure + first factorisation
 
+        reads = []
+
+        def counting_get_telemetry():
+            reads.append(1)
+            return get_telemetry()
+
+        monkeypatch.setattr(solver_module, "get_telemetry", counting_get_telemetry)
         loops = 3
         start = time.perf_counter()
         for _ in range(loops):
             solver.solve(bias, states)
         solve_s = (time.perf_counter() - start) / loops
+        assert len(reads) == loops, "CrossbarSolver.solve must read the context once per call"
 
         guards = 10_000
         start = time.perf_counter()
         for _ in range(guards):
-            watchdog = get_watchdog()
-            if watchdog.enabled:  # pragma: no cover - watchdog is off here
-                watchdog.check_iterations("never", 0, 1)
-            audit = get_audit()
-            if audit.enabled:  # pragma: no cover - audit is off here
-                audit.record("never")
+            tel = get_telemetry()
+            if tel.enabled:  # pragma: no cover - telemetry is off here
+                tel.numerics.check_iterations("never", 0, 1)
+                if tel.audit is not None:
+                    tel.audit.record("never")
         guard_s = (time.perf_counter() - start) / guards
 
         overhead = (100 * guard_s) / solve_s

@@ -30,6 +30,7 @@ from repro.obs import (
     load_baselines,
     load_bench_records,
     load_history,
+    numerics_counts,
     parse_openmetrics,
     render_diff,
     render_metrics,
@@ -55,6 +56,24 @@ CAMPAIGN_SPEC = dict(
     simulation={"geometry": {"rows": 3, "columns": 3}},
     attack={"aggressors": [[1, 1]], "victim": [1, 2]},
     axes=[{"path": "attack.pulse.length_s", "values": [30e-9, 50e-9, 70e-9, 90e-9]}],
+)
+
+
+#: One small Monte-Carlo population on the same crossbar.
+MC_SPEC = dict(
+    name="ledger-mc",
+    kind="montecarlo",
+    experiment="montecarlo",
+    simulation={"geometry": {"rows": 3, "columns": 3}},
+    attack={"aggressors": [[1, 1]], "victim": [1, 2], "max_pulses": 500_000},
+    montecarlo={
+        "n_samples": 8,
+        "seed": 3,
+        "distributions": [
+            {"path": "device.series_resistance_ohm", "kind": "normal",
+             "mean": 1.0, "sigma": 0.05, "relative": True},
+        ],
+    },
 )
 
 
@@ -121,6 +140,17 @@ class TestRunLedger:
         with open(ledger.index_path, "a", encoding="utf-8") as handle:
             handle.write('{"torn wri\n')
         assert [e.run_id for e in ledger.entries()] == [entry.run_id]
+
+    def test_numerics_counts_reads_snapshot_counters(self):
+        snapshot = _snapshot(**{"numerics.checks": 12.0, "numerics.underflow": 3.0})
+        assert numerics_counts(snapshot) == {
+            "checks": 12,
+            "nonfinite": 0,
+            "residual_anomalies": 0,
+            "iteration_pressure": 0,
+            "underflow": 3,
+        }
+        assert not any(numerics_counts({}).values())
 
     def test_index_counters_are_promoted(self, tmp_path):
         ledger = RunLedger(tmp_path)
@@ -432,6 +462,21 @@ class TestObsCli:
         assert payload["manifest"]["versions"]["repro"]
         # The root CLI span was sealed before persisting.
         assert payload["open_spans"] == 0
+
+    def test_mc_run_ledger_entry_records_numerics_health(self, tmp_path, capsys):
+        spec = tmp_path / "mc.json"
+        CampaignSpec(**MC_SPEC).to_json(spec)
+        obs = tmp_path / "obs"
+        assert main(["mc", "run", str(spec), "--rows", "2", "--obs-dir", str(obs)]) == 0
+        capsys.readouterr()
+        payload = RunLedger(obs).load_snapshot("latest")
+        assert payload["counters"]["numerics.checks"] > 0
+        assert main(["obs", "show", "latest", "--obs-dir", str(obs)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        numerics = [line for line in lines if line.startswith("numerics: ")]
+        assert len(numerics) == 1
+        for field in ("nonfinite=0", "residual_anomalies=", "iteration_pressure=", "underflow="):
+            assert field in numerics[0]
 
     def test_no_obs_skips_recording(self, tmp_path, spec_path, capsys):
         obs = tmp_path / "obs"
