@@ -45,7 +45,7 @@ def test_bench_campaign_serial(benchmark):
 
 def test_bench_campaign_pooled(benchmark):
     spec = small_grid()
-    report = run_once(benchmark, lambda: CampaignRunner(spec, workers=2, chunksize=2).run())
+    report = run_once(benchmark, lambda: CampaignRunner(spec, workers=2).run())
     print()
     pooled = _report_throughput("pooled(2)", report)
     assert all(record.ok for record in report.records)

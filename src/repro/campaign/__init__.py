@@ -9,9 +9,8 @@ into reusable machinery:
 * :class:`~repro.campaign.runner.CampaignRunner` — serial or
   multiprocessing execution with per-job error capture and timeouts,
 * :class:`~repro.campaign.cache.ResultCache` — a content-addressed on-disk
-  cache that makes re-runs incremental and interrupted campaigns resumable;
-  it doubles as the facade over the concurrent-safe shared result store
-  (:mod:`repro.store`) when one lives at the cache root,
+  cache that makes re-runs incremental and interrupted campaigns resumable,
+  held in a concurrent-safe shared result store (:mod:`repro.store`),
 * :mod:`~repro.campaign.aggregate` — reduction of job records back into
   :class:`~repro.experiments.base.ExperimentResult` tables and sweep-level
   summary statistics.
@@ -37,7 +36,7 @@ from .aggregate import (
     summarise,
     to_experiment_result,
 )
-from .cache import CACHE_BACKENDS, ResultCache
+from .cache import ResultCache
 from .runner import (
     CampaignReport,
     CampaignRunner,
@@ -63,7 +62,6 @@ __all__ = [
     "execute_attack_point",
     "execute_montecarlo_point",
     "attack_result_to_dict",
-    "CACHE_BACKENDS",
     "ResultCache",
     "to_experiment_result",
     "ensure_complete",

@@ -2,276 +2,77 @@
 
 Every campaign point hashes its materialised configuration together with the
 library version (:func:`repro.campaign.spec.point_key`); the cache stores one
-result payload per key.
+result payload per key in a :class:`~repro.store.ResultStore`: a
+crash-consistent sqlite index over checksummed, content-addressed payload
+files, safe for concurrent writer processes, with advisory point leases
+(``cache.store.leases``) so concurrent campaigns partition a sweep instead of
+duplicating it.  A damaged entry reads as a miss and is quarantined to
+``quarantine/<key>.corrupt``, so the point is recomputed.
 
-Two backends live behind one API:
-
-* **legacy** — the original directory of ``<key>.json`` files.  Writes go
-  through a temp-file-plus-rename so a crash mid-write can never leave a
-  truncated entry behind; unreadable entries are treated as misses and
-  quarantined to ``<key>.corrupt``.
-* **store** — a :class:`~repro.store.ResultStore`: a crash-consistent sqlite
-  index over checksummed content-addressed payloads, safe for multiple
-  concurrent writer processes, with advisory point leases
-  (:meth:`ResultCache.lease_manager`) so concurrent campaigns partition a
-  sweep instead of duplicating it.
-
-``ResultCache`` is the compatibility facade: store directories are
-auto-detected (``backend="auto"``, the default), ``backend="store"``
-creates one, and a store that cannot be opened — read-only root, locked-out
-or damaged index — **degrades to the legacy per-file path with a warning**
-rather than failing the campaign.
+Opening a cache raises :class:`~repro.errors.StoreUnavailableError` when the
+root cannot host a store, and when it still holds a per-file cache of
+``<key>.json`` entries: ``repro store migrate DIR`` converts such a directory,
+and no store is ever built on top of one.  The CLI turns either error into a
+warning and runs without a cache.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
-import string
-import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
-from ..errors import CampaignError
-from ..utils.logging import get_logger
-
-logger = get_logger("campaign.cache")
-
-_KEY_ALPHABET = set(string.hexdigits)
-
-#: Accepted ``backend`` arguments of :class:`ResultCache`.
-CACHE_BACKENDS = ("auto", "legacy", "store")
+from ..errors import CampaignError, StoreUnavailableError
+from ..store import DEFAULT_LEASE_TTL_S, ResultStore, is_store_dir
+from ..store.store import is_hex_key
 
 
-def _umask_mode(base: int = 0o666) -> int:
-    """``base`` masked by the process umask (os.umask is read-by-set)."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return base & ~mask
+def _checked(key: str) -> str:
+    if not is_hex_key(key):
+        raise CampaignError(f"invalid cache key {key!r}; expected a hex digest")
+    return key
 
 
 class ResultCache:
-    """Result files keyed by content hash, legacy per-file or store-backed."""
+    """Campaign results keyed by content hash, held in one :class:`~repro.store.ResultStore`.
+
+    ``backend`` only accepts ``"store"``, the one backend there is.
+    """
 
     def __init__(
         self,
         root: Union[str, Path],
-        backend: str = "auto",
+        backend: str = "store",
         lease_ttl_s: Optional[float] = None,
     ):
-        if backend not in CACHE_BACKENDS:
-            raise CampaignError(
-                f"unknown cache backend {backend!r}; expected one of {CACHE_BACKENDS}"
-            )
+        if backend != "store":
+            raise CampaignError(f"unknown cache backend {backend!r}; the result store is the only one")
         self.root = Path(root)
-        if self.root.exists() and not self.root.is_dir():
-            raise CampaignError(f"result cache root {self.root} exists and is not a directory")
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.store: Optional[Any] = None
-        # Imported lazily so the legacy path never pays for (or depends on)
-        # the store package's sqlite machinery.
-        from ..store import DEFAULT_LEASE_TTL_S, ResultStore, StoreUnavailableError, is_store_dir
-
-        if backend == "store" or (backend == "auto" and is_store_dir(self.root)):
-            try:
-                self.store = ResultStore(
-                    self.root,
-                    lease_ttl_s=lease_ttl_s if lease_ttl_s is not None else DEFAULT_LEASE_TTL_S,
-                )
-            except StoreUnavailableError as exc:
-                logger.warning(
-                    "shared result store at %s unavailable (%s); "
-                    "degrading to the legacy per-file cache",
-                    self.root,
-                    exc,
-                )
-                from ..obs import get_telemetry
-
-                tel = get_telemetry()
-                if tel.enabled:
-                    tel.count("store.degraded")
-
-    @property
-    def backend(self) -> str:
-        """The active backend: ``"store"`` or ``"legacy"``."""
-        return "store" if self.store is not None else "legacy"
-
-    # ------------------------------------------------------------------
-    # key/path handling
-    # ------------------------------------------------------------------
-
-    def path_for(self, key: str) -> Path:
-        """Filesystem path of one cache entry (legacy layout)."""
-        if not key or not set(key) <= _KEY_ALPHABET:
-            raise CampaignError(f"invalid cache key {key!r}; expected a hex digest")
-        return self.root / f"{key}.json"
-
-    # ------------------------------------------------------------------
-    # read/write
-    # ------------------------------------------------------------------
+        if not is_store_dir(self.root) and any(is_hex_key(path.stem) for path in self.root.glob("*.json")):
+            raise StoreUnavailableError(
+                f"{self.root} holds a legacy per-file result cache; "
+                f"convert it with `repro store migrate {self.root}`"
+            )
+        self.store = ResultStore(
+            self.root, lease_ttl_s=lease_ttl_s if lease_ttl_s is not None else DEFAULT_LEASE_TTL_S
+        )
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Return the cached payload for ``key``, or ``None`` on a miss.
 
-        A corrupt entry counts as a miss so that a damaged cache degrades to
-        recomputation instead of failing the campaign — and it is
-        quarantined so the recomputed result can land cleanly and the
-        evidence survives for inspection.  The store backend detects damage
-        by checksum (torn-but-parseable payloads included); the legacy
-        backend by parseability (``<key>.json`` → ``<key>.corrupt``).
+        A damaged entry (checksum mismatch, missing or unparseable payload)
+        counts as a miss, so a damaged cache degrades to recomputation
+        instead of failing the campaign; the store quarantines it so the
+        recomputed result can land cleanly and the evidence survives.
         """
-        self.path_for(key)  # validate the key uniformly across backends
-        if self.store is not None:
-            return self.store.get(key)
-        path = self.path_for(key)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            payload = None
-        if not isinstance(payload, dict):
-            self._quarantine(path)
-            return None
-        return payload
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt entry aside (``.json`` → ``.corrupt``) and count it."""
-        with contextlib.suppress(OSError):
-            os.replace(path, path.with_suffix(".corrupt"))
-        from ..obs import get_telemetry
-
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("cache.corrupt_entries")
+        return self.store.get(_checked(key))
 
     def put(self, key: str, payload: Dict[str, Any]) -> Path:
-        """Atomically store ``payload`` under ``key``; returns the entry path.
+        """Publish ``payload`` under ``key``; returns the payload path.
 
-        The temp file name is unique per writer so concurrent campaigns
-        sharing one cache cannot clobber each other's in-flight writes; the
-        final ``os.replace`` makes last-writer-wins the worst case.  Entries
-        are published at the process umask's permissions (not ``mkstemp``'s
-        private 0600), so a shared cache stays readable by other users.
+        Raises :class:`~repro.errors.StoreError` when the publish fails.
         """
-        path = self.path_for(key)
-        if self.store is not None:
-            return self.store.put(key, payload, spec_name=payload.get("spec_name"))
-        text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-        fd, tmp_name = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=self.root)
-        try:
-            os.fchmod(fd, _umask_mode())
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
-        return path
-
-    def delete(self, key: str) -> bool:
-        """Drop one entry; returns True if it existed."""
-        path = self.path_for(key)
-        if self.store is not None:
-            return self.store.delete(key)
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            return False
-        return True
-
-    def clear(self) -> int:
-        """Drop every entry (quarantined ``.corrupt`` files included).
-
-        Returns the number of live entries removed; quarantine files are
-        swept alongside so a cleared cache directory is genuinely empty
-        instead of accumulating stale evidence forever.
-        """
-        if self.store is not None:
-            return self.store.clear()
-        removed = 0
-        for path in self._entry_paths():
-            path.unlink(missing_ok=True)
-            removed += 1
-        for path in self.root.glob("*.corrupt"):
-            path.unlink(missing_ok=True)
-        return removed
-
-    # ------------------------------------------------------------------
-    # concurrency (store backend only)
-    # ------------------------------------------------------------------
-
-    def lease_manager(self) -> Optional[Any]:
-        """The store's advisory point leases, or None on the legacy backend.
-
-        The campaign runner uses this to claim pending points before
-        computing them, so N concurrent runs of one spec partition the
-        sweep; the legacy backend has no shared index worth coordinating
-        over, so it returns None and the runner skips leasing.
-        """
-        return self.store.leases if self.store is not None else None
-
-    def hold_write_lock(self, duration_s: float) -> None:
-        """Chaos-harness hook: hold the store's index write lock (no-op legacy)."""
-        if self.store is not None:
-            self.store.hold_write_lock(duration_s)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    def _entry_paths(self) -> List[Path]:
-        return sorted(self.root.glob("*.json"))
-
-    def keys(self) -> List[str]:
-        """All keys currently stored."""
-        if self.store is not None:
-            return self.store.keys()
-        return [path.stem for path in self._entry_paths()]
-
-    def contains(self, key: str) -> bool:
-        """True if an entry for ``key`` exists."""
-        if self.store is not None:
-            return self.store.contains(key)
-        return self.path_for(key).exists()
+        return self.store.put(_checked(key), payload, spec_name=payload.get("spec_name"))
 
     def stats(self) -> Dict[str, Any]:
-        """Entry count, total size, and quarantined-entry count of the cache."""
-        if self.store is not None:
-            return self.store.stats()
-        paths = self._entry_paths()
-        total_bytes = 0
-        entries = 0
-        for path in paths:
-            try:
-                total_bytes += path.stat().st_size
-            except OSError:
-                # Raced a concurrent delete between glob and stat: the entry
-                # is gone, which is indistinguishable from never-globbed.
-                continue
-            entries += 1
-        return {
-            "root": str(self.root),
-            "backend": "legacy",
-            "entries": entries,
-            "bytes": total_bytes,
-            "corrupt": len(list(self.root.glob("*.corrupt"))),
-        }
-
-    def __contains__(self, key: str) -> bool:
-        return self.contains(key)
-
-    def __len__(self) -> int:
-        if self.store is not None:
-            return len(self.store)
-        return len(self._entry_paths())
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.keys())
-
-    def __repr__(self) -> str:
-        return f"ResultCache({str(self.root)!r}, backend={self.backend!r}, entries={len(self)})"
+        """Entry count, total size, quarantined-entry and lease counts."""
+        return self.store.stats()

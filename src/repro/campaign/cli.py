@@ -4,8 +4,7 @@ Subcommands::
 
     repro run-fig {2a,3a,3b,3c,3d} [--save DIR] [--chart] [--workers N] [--cache DIR]
     repro campaign run SPEC.json [--workers N] [--cache DIR] [--no-cache]
-                                 [--store] [--lease-ttl S]
-                                 [--timeout S] [--chunksize N] [--shard-size N]
+                                 [--lease-ttl S] [--timeout S] [--shard-size N]
                                  [--retries N] [--retry-delay S] [--max-crashes N]
                                  [--inject-faults SPEC] [--save DIR] [--json]
     repro campaign status SPEC.json [--cache DIR]
@@ -43,14 +42,15 @@ first SIGINT/SIGTERM drains bookkeeping and exits 130 with every finished
 point cached, and ``--inject-faults`` arms the deterministic chaos harness
 (:mod:`repro.faults.inject`) used to test all of the above.
 
-``campaign run --store`` promotes the cache to the concurrent-safe shared
-result store (:mod:`repro.store`): a crash-consistent sqlite index over
-checksummed payloads plus advisory point leases, so N simultaneous runs of
-one spec partition the sweep instead of duplicating it (store directories
-are auto-detected afterwards, no flag needed).  The ``repro store`` group
-operates on such a directory: ``verify`` re-hashes every entry (``--repair``
-quarantines damage), ``gc`` sweeps orphan payloads / temp files / stale
-leases, and ``migrate`` converts a legacy per-file cache in place.
+Every result cache is a concurrent-safe shared result store
+(:mod:`repro.store`): a crash-consistent sqlite index over checksummed
+payloads plus advisory point leases, so N simultaneous runs of one spec
+partition the sweep instead of duplicating it.  A cache directory that
+cannot host a store costs the cache, not the command: the run warns and
+proceeds without one.  The ``repro store`` group operates on a store
+directory: ``verify`` re-hashes every entry (``--repair`` quarantines
+damage), ``gc`` sweeps orphan payloads / temp files / stale leases, and
+``migrate`` converts an old per-file cache directory in place.
 
 ``mc run`` evaluates one Monte-Carlo cell population from a
 ``kind="montecarlo"`` spec (``--export-cells`` dumps the per-cell sampled
@@ -95,7 +95,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..errors import CampaignInterrupted, ReproError
+from ..errors import CampaignInterrupted, ReproError, StoreError
 from ..faults import FAULTS_ENV, FaultPlan, RetryPolicy
 from ..obs import (
     BASELINES_FILENAME,
@@ -111,6 +111,7 @@ from ..obs import (
     diff_snapshots,
     follow_heartbeat,
     gate_passed,
+    get_telemetry,
     load_baselines,
     load_bench_records,
     new_run_id,
@@ -184,19 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cache", metavar="DIR", default=None, help=f"cache directory (default {DEFAULT_CACHE_DIR})")
     run.add_argument("--no-cache", action="store_true", help="disable the result cache entirely")
     run.add_argument(
-        "--store", action="store_true",
-        help="use the concurrent-safe shared result store at the cache directory "
-        "(sqlite index + point leases; store directories are auto-detected afterwards)",
-    )
-    run.add_argument(
         "--lease-ttl", type=float, default=None, metavar="S",
-        help="point-lease lifetime before other processes may steal it (store backend; default 600)",
+        help="point-lease lifetime before other processes may steal it (default 600)",
     )
     run.add_argument("--timeout", type=float, default=None, metavar="S", help="per-job timeout in seconds")
-    run.add_argument(
-        "--chunksize", type=int, default=1,
-        help="jobs handed to a worker at a time (no effect with --timeout: jobs then dispatch singly)",
-    )
     run.add_argument(
         "--shard-size", type=int, default=None, metavar="N",
         help="materialise and dispatch N points at a time (overrides the spec; 0 = all at once)",
@@ -515,16 +507,26 @@ def _load_spec(path: str) -> CampaignSpec:
 def _open_cache(
     cache_dir: Optional[str],
     disabled: bool = False,
-    backend: str = "auto",
     lease_ttl_s: Optional[float] = None,
 ) -> Optional[ResultCache]:
+    """The result cache at ``cache_dir`` (default ``.repro-cache``), or None.
+
+    A store that cannot be opened — unusable root or index, or a per-file
+    cache awaiting ``repro store migrate`` — costs the cache, not the
+    command: it logs a warning, counts ``store.degraded`` and returns None.
+    """
     if disabled:
         return None
-    return ResultCache(
-        cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR,
-        backend=backend,
-        lease_ttl_s=lease_ttl_s,
-    )
+    try:
+        return ResultCache(
+            cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR, lease_ttl_s=lease_ttl_s
+        )
+    except StoreError as exc:
+        logger.warning("running without a result cache: %s", exc)
+        tel = get_telemetry()
+        if tel.enabled:
+            tel.count("store.degraded")
+        return None
 
 
 def _command_label(args: argparse.Namespace) -> str:
@@ -679,7 +681,7 @@ def _cmd_run_fig(args: argparse.Namespace) -> int:
     if args.figure in CAMPAIGN_FIGURES:
         kwargs["workers"] = args.workers
         if args.cache:
-            kwargs["cache"] = ResultCache(args.cache)
+            kwargs["cache"] = _open_cache(args.cache)
     elif args.workers or args.cache:
         print(f"note: --workers/--cache only apply to figures {'/'.join(CAMPAIGN_FIGURES)}; ignored")
     result = experiment(**kwargs)
@@ -717,18 +719,12 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         FaultPlan.parse(args.inject_faults)  # reject a bad spec before any work runs
     if args.lease_ttl is not None and args.lease_ttl <= 0:
         raise ReproError("--lease-ttl must be positive")
-    cache = _open_cache(
-        args.cache,
-        disabled=args.no_cache,
-        backend="store" if args.store else "auto",
-        lease_ttl_s=args.lease_ttl,
-    )
+    cache = _open_cache(args.cache, disabled=args.no_cache, lease_ttl_s=args.lease_ttl)
     runner = CampaignRunner(
         spec,
         cache=cache,
         workers=args.workers,
         timeout_s=args.timeout,
-        chunksize=args.chunksize,
         retry=retry,
         max_crashes=args.max_crashes,
     )
@@ -808,7 +804,10 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     if cache is not None:
         corrupt = cache.stats().get("corrupt", 0)
         if corrupt:
-            print(f"  quarantined cache entries: {corrupt} (*.corrupt files under {cache.root})")
+            print(
+                f"  quarantined cache entries: {corrupt} "
+                f"(*.corrupt files under {cache.store.quarantine_dir})"
+            )
     state = _latest_spec_heartbeat(args, spec.name)
     if state is not None:
         parts = [
@@ -1079,7 +1078,7 @@ def _cmd_mc_map(args: argparse.Namespace) -> int:
             montecarlo=spec.montecarlo,
             name=spec.name,
             workers=args.workers,
-            cache=ResultCache(args.cache) if args.cache else None,
+            cache=_open_cache(args.cache) if args.cache else None,
         )
         mc_map.result.metadata.setdefault(
             "manifest", build_manifest(extra={"kind": "mc_map", "spec": spec.name, "adaptive": False})
@@ -1223,8 +1222,8 @@ def _audit_divergence_context(
     if not key:
         return
     try:
-        payload_a = ResultCache(cache_a).get(key)
-        payload_b = ResultCache(cache_b).get(key)
+        payload_a = _open_store(cache_a).get(key)
+        payload_b = _open_store(cache_b).get(key)
     except ReproError:
         return
     if payload_a is None or payload_b is None:
@@ -1340,13 +1339,14 @@ def _cmd_obs_check_bench(args: argparse.Namespace) -> int:
 
 
 def _open_store(root: str):
+    """The existing result store at ``root``; never creates one."""
     from ..store import ResultStore, is_store_dir
 
     root_path = Path(root)
     if not is_store_dir(root_path):
         raise ReproError(
-            f"{root} is not a shared result store (no index.sqlite); "
-            "convert a legacy cache with `repro store migrate`"
+            f"{root} is not a result store (no index.sqlite); "
+            f"convert an old per-file cache with `repro store migrate {root}`"
         )
     return ResultStore(root_path)
 
@@ -1408,7 +1408,8 @@ def _cmd_store_migrate(args: argparse.Namespace) -> int:
     else:
         print(
             f"migrated {report['root']}: {report['migrated']} legacy entries converted, "
-            f"{report['quarantined']} quarantined, {report['entries']} entries in the store"
+            f"{report['quarantined']} quarantined, {report['skipped']} other file(s) left in place, "
+            f"{report['entries']} entries in the store"
         )
     return 0
 

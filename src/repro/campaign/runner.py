@@ -39,14 +39,12 @@ from ..errors import CampaignError, CampaignInterrupted, StoreError
 from ..faults import (
     RetryPolicy,
     ShutdownFlag,
-    corrupt_cache_entry,
     fire_point_faults,
     graceful_shutdown,
     hold_store_lock,
     is_retryable,
     perturb_result,
     set_current_attempt,
-    should_corrupt_cache,
     should_hold_lock,
     should_perturb_result,
     should_tear_write,
@@ -405,18 +403,14 @@ class CampaignRunner:
     deterministic.  ``max_crashes`` bounds how many times a point may take a
     worker down with it before it is quarantined with a ``"crashed"`` record.
 
-    ``chunksize`` is accepted for backward compatibility but jobs are now
-    dispatched individually so each one has its own start sentinel, deadline
-    and crash attribution.
-
-    With a *store-backed* cache (see :mod:`repro.store`), pending points are
+    With a cache (a :mod:`repro.store` result store), pending points are
     claimed through advisory leases before computing: N concurrent runs of
     one spec partition the sweep instead of duplicating it.  Points another
     process holds are deferred — this run polls for their published result,
     reclaims the lease if the holder releases without publishing, and steals
     it if the holder goes stale (dead pid or lapsed deadline).  Steals and
-    claim conflicts are counted in :attr:`resilience`; legacy caches skip
-    leasing entirely.
+    claim conflicts are counted in :attr:`resilience`; runs without a cache
+    skip leasing entirely.
     """
 
     def __init__(
@@ -425,7 +419,6 @@ class CampaignRunner:
         cache: Optional[ResultCache] = None,
         workers: Optional[int] = 0,
         timeout_s: Optional[float] = None,
-        chunksize: int = 1,
         job_fn: Callable[[JobPayload], JobRecord] = run_campaign_job,
         retry: Optional[RetryPolicy] = None,
         max_crashes: int = 3,
@@ -436,15 +429,12 @@ class CampaignRunner:
             raise CampaignError("workers must be >= 0")
         if timeout_s is not None and timeout_s <= 0:
             raise CampaignError("timeout_s must be positive")
-        if chunksize < 1:
-            raise CampaignError("chunksize must be >= 1")
         if max_crashes < 1:
             raise CampaignError("max_crashes must be >= 1")
         self.spec = spec
         self.cache = cache
         self.workers = workers
         self.timeout_s = timeout_s
-        self.chunksize = chunksize
         self.job_fn = job_fn
         self.retry = retry
         self.max_crashes = max_crashes
@@ -452,7 +442,7 @@ class CampaignRunner:
         self.resilience: Dict[str, int] = dict(_ZERO_RESILIENCE)
         self._shutdown: Optional[ShutdownFlag] = None
         self._used_pool = False
-        #: Active lease manager (store-backed caches only); set per run.
+        #: Active lease manager of the cache's store; set per run.
         self._leases: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -478,7 +468,7 @@ class CampaignRunner:
         used_pool = self.workers >= 2 or self.timeout_s is not None
         self._used_pool = used_pool
         self.resilience = dict(_ZERO_RESILIENCE)
-        self._leases = self.cache.lease_manager() if self.cache is not None else None
+        self._leases = self.cache.store.leases if self.cache is not None else None
         records: Dict[int, JobRecord] = {}
         cache_hits = failed = 0
         if hb is not None:
@@ -685,7 +675,7 @@ class CampaignRunner:
         return self._iter_serial(payloads)
 
     # ------------------------------------------------------------------
-    # point leasing (store-backed caches)
+    # point leasing
     # ------------------------------------------------------------------
 
     def _claim_shard(
@@ -699,7 +689,7 @@ class CampaignRunner:
         :meth:`_await_deferred`.  *Raced* records cover the window between
         our cache miss and the claim: the holder published in the meantime,
         so the point is a cache hit after all and the fresh lease is dropped.
-        Without leases (legacy cache, no cache) everything is claimed.
+        Without a cache there are no leases and everything is claimed.
         """
         if self._leases is None:
             return list(pending), [], []
@@ -1178,7 +1168,7 @@ class CampaignRunner:
         # before this point publishes, so concurrent writers exercise the
         # seeded "database is locked" retries.  Inert without $REPRO_FAULTS.
         if should_hold_lock(record.index):
-            hold_store_lock(self.cache)
+            hold_store_lock(self.cache.store)
         try:
             path = self.cache.put(
                 record.key,
@@ -1205,9 +1195,7 @@ class CampaignRunner:
             if tel.enabled:
                 tel.count("store.publish_failures")
             return
-        # Chaos harness hooks: damage the freshly written entry so the next
-        # reader exercises the quarantine paths.  Inert without $REPRO_FAULTS.
-        if should_corrupt_cache(record.index):
-            corrupt_cache_entry(path)
+        # Chaos harness hook: damage the freshly written entry so the next
+        # reader exercises the quarantine path.  Inert without $REPRO_FAULTS.
         if should_tear_write(record.index):
             tear_payload(path)

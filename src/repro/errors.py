@@ -59,9 +59,9 @@ class StoreError(CampaignError):
 
 class StoreUnavailableError(StoreError):
     """The shared result store cannot be opened (read-only root, locked-out
-    index, unusable sqlite).  Callers holding a legacy fallback — notably the
-    :class:`~repro.campaign.cache.ResultCache` facade — degrade to the
-    per-file path with a warning instead of failing the campaign."""
+    index, unusable sqlite), or a result cache directory still holds per-file
+    entries awaiting ``repro store migrate``.  The CLI turns it into a warning
+    and runs the command without a cache instead of failing it."""
 
 
 class FaultInjectionError(ReproError):

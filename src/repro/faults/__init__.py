@@ -36,13 +36,11 @@ from .inject import (
     InjectedFatalFault,
     InjectedFault,
     active_plan,
-    corrupt_cache_entry,
     current_attempt,
     fire_point_faults,
     hold_store_lock,
     perturb_result,
     set_current_attempt,
-    should_corrupt_cache,
     should_hold_lock,
     should_perturb_result,
     should_tear_write,
@@ -67,7 +65,6 @@ __all__ = [
     "RetryPolicy",
     "ShutdownFlag",
     "active_plan",
-    "corrupt_cache_entry",
     "current_attempt",
     "fire_point_faults",
     "graceful_shutdown",
@@ -77,7 +74,6 @@ __all__ = [
     "register_retryable",
     "retryable_types",
     "set_current_attempt",
-    "should_corrupt_cache",
     "should_hold_lock",
     "should_perturb_result",
     "should_tear_write",

@@ -28,13 +28,10 @@ it effectively permanent).  Actions:
 ``kill``
     SIGKILL the current process — in a pool worker this simulates the OOM
     killer; exercises crash detection, re-dispatch and quarantine.
-``corrupt-cache``
-    Truncate the point's cache entry right after it is written; exercises
-    the cache-quarantine path on the next run.
 ``torn-write``
     Tear the point's just-published payload file in half (the index row and
-    its checksum stay intact); exercises the shared store's checksum
-    detection and quarantine path in a concurrent reader.
+    its checksum stay intact); exercises the result store's checksum
+    detection and quarantine path on the next read.
 ``lock-hold``
     Hold the shared store's index write lock for ``lock=S`` seconds (default
     0.25) right before the point publishes; exercises the seeded
@@ -75,7 +72,6 @@ FAULT_ACTIONS = (
     "fatal",
     "hang",
     "kill",
-    "corrupt-cache",
     "torn-write",
     "lock-hold",
     "perturb",
@@ -306,18 +302,6 @@ def fire_point_faults(index: int, attempt: Optional[int] = None) -> None:
         raise InjectedFault(f"injected transient fault at point {index} (attempt {attempt})")
 
 
-def should_corrupt_cache(index: int) -> bool:
-    """Whether the ``corrupt-cache`` action fires for this point's entry."""
-    plan = active_plan()
-    return plan is not None and plan.should("corrupt-cache", index)
-
-
-def corrupt_cache_entry(path: Union[str, Path]) -> None:
-    """Overwrite a just-written cache entry with a truncated payload."""
-    _count("corrupt-cache")
-    Path(path).write_text('{"status": "ok", "result": {"truncated', encoding="utf-8")
-
-
 def should_tear_write(index: int) -> bool:
     """Whether the ``torn-write`` action fires for this point's payload."""
     plan = active_plan()
@@ -327,10 +311,10 @@ def should_tear_write(index: int) -> bool:
 def tear_payload(path: Union[str, Path]) -> None:
     """Truncate a just-published payload file to half its bytes.
 
-    Against the shared store this leaves an index row whose checksum no
-    longer matches the payload — the torn write a crash mid-``write()``
-    could produce on a non-atomic filesystem — so the next reader must
-    *detect* (not merely fail-to-parse) and quarantine it.
+    This leaves an index row whose checksum no longer matches the payload
+    — the torn write a crash mid-``write()`` could produce on a non-atomic
+    filesystem — so the next reader must *detect* (not merely
+    fail-to-parse) and quarantine it.
     """
     _count("torn-write")
     path = Path(path)

@@ -17,9 +17,10 @@ once.
   :meth:`~repro.store.store.ResultStore.gc` — the operational trio behind
   ``repro store migrate|verify|gc``.
 
-:class:`~repro.campaign.cache.ResultCache` fronts this package as a
-compatibility facade: store directories are auto-detected, and a store that
-cannot be opened degrades to the legacy per-file path with a warning.
+:class:`~repro.campaign.cache.ResultCache` is the campaign-facing front of
+one :class:`~repro.store.store.ResultStore`; every result cache is a store.
+The CLI turns a store that cannot be opened into a warning and a run without
+a cache.
 """
 
 from ..errors import StoreError, StoreUnavailableError

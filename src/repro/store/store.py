@@ -11,18 +11,19 @@ A :class:`ResultStore` is a directory multiple processes can read, write and
 
 Every entry row records the SHA-256 of the exact payload bytes, so a torn
 or bit-rotted payload is *detected* — not merely unparseable-JSON-detected —
-and quarantined through the same degrade-to-recompute path the legacy cache
-uses.  Publishing is write-payload-then-index: a crash between the two
-leaves an orphan payload (swept by :meth:`ResultStore.gc`), never an index
-row pointing at garbage; a SIGKILL mid-index-commit is sqlite WAL's problem,
-which is exactly why the index is sqlite.
+quarantined, and read as a miss so the point is recomputed.  Publishing is
+write-payload-then-index: a crash between the two leaves an orphan payload
+(swept by :meth:`ResultStore.gc`), never an index row pointing at garbage; a
+SIGKILL mid-index-commit is sqlite WAL's problem, which is exactly why the
+index is sqlite.
 
 Payloads are content-addressed: identical results share one file, and a
 replaced entry simply re-points its row (the old payload becomes garbage for
 :meth:`gc`).  :meth:`verify` re-hashes every live payload and reports
 checksum failures, missing payloads, orphans and lease states;
-:func:`migrate_legacy_cache` converts a legacy per-file
-:class:`~repro.campaign.cache.ResultCache` directory in place.
+:func:`migrate_legacy_cache` converts an old per-file cache directory in
+place.  :class:`~repro.campaign.cache.ResultCache` is the campaign-facing
+front of this class.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import contextlib
 import hashlib
 import json
 import os
+import string
 import tempfile
 import time
 from pathlib import Path
@@ -50,10 +52,17 @@ PAYLOADS_DIRNAME = "payloads"
 LEASES_DIRNAME = "leases"
 QUARANTINE_DIRNAME = "quarantine"
 
+_HEX_DIGITS = frozenset(string.hexdigits)
+
 
 def is_store_dir(root: Union[str, Path]) -> bool:
     """Whether ``root`` looks like a :class:`ResultStore` directory."""
     return (Path(root) / INDEX_FILENAME).is_file()
+
+
+def is_hex_key(text: str) -> bool:
+    """Whether ``text`` is a non-empty run of hex digits, the point-key alphabet."""
+    return bool(text) and set(text) <= _HEX_DIGITS
 
 
 def _umask_mode(base: int = 0o666) -> int:
@@ -67,19 +76,26 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _modified_after(path: Path, cutoff_s: float) -> bool:
+    """Whether ``path`` changed after ``cutoff_s`` (a vanished file counts as new)."""
+    try:
+        return path.stat().st_mtime > cutoff_s
+    except OSError:
+        return True
+
+
 class ResultStore:
     """A shared, checksummed, leasable result store rooted at one directory.
 
-    The read/write surface mirrors :class:`~repro.campaign.cache.ResultCache`
-    (``get``/``put``/``delete``/``clear``/``keys``/``contains``/``stats``),
-    so the cache can front it as a compatibility facade.  On top of that it
-    exposes the concurrency machinery: :attr:`leases` for cooperative point
-    claiming, :meth:`verify`/:meth:`gc` for offline hygiene, and
+    Reads and writes go through ``get``/``put``/``delete``/``clear``/
+    ``keys``/``contains``/``stats``; on top of that it exposes the
+    concurrency machinery: :attr:`leases` for cooperative point claiming,
+    :meth:`verify`/:meth:`gc` for offline hygiene, and
     :meth:`hold_write_lock` for the chaos harness.
 
     Raises :class:`~repro.errors.StoreUnavailableError` from the constructor
-    when the root cannot host a store (unwritable, index unusable); callers
-    with a legacy path degrade instead of failing.
+    when the root cannot host a store (unwritable, index unusable); the CLI
+    then warns and runs without a cache.
     """
 
     def __init__(
@@ -161,23 +177,28 @@ class ResultStore:
         honouring the process umask so shared caches stay multi-user
         readable), index row second (``BEGIN IMMEDIATE`` upsert).  A crash
         between the two leaves only an orphan payload for :meth:`gc`.
+        Filesystem errors (full disk, permissions, a vanished temp file)
+        raise :class:`~repro.errors.StoreError`.
         """
         text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
         data = text.encode("utf-8")
         sha = _sha256(data)
         path = self.payload_path(sha)
-        if not path.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(prefix=f"{sha[:12]}.", suffix=".tmp", dir=path.parent)
-            try:
-                os.fchmod(fd, _umask_mode())
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(tmp_name, path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp_name)
-                raise
+        try:
+            if not path.exists():
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp_name = tempfile.mkstemp(prefix=f"{sha[:12]}.", suffix=".tmp", dir=path.parent)
+                try:
+                    os.fchmod(fd, _umask_mode())
+                    with os.fdopen(fd, "wb") as handle:
+                        handle.write(data)
+                    os.replace(tmp_name, path)
+                except BaseException:
+                    with contextlib.suppress(OSError):
+                        os.unlink(tmp_name)
+                    raise
+        except OSError as exc:
+            raise StoreError(f"cannot write the payload of {key} under {self.root}: {exc}") from exc
         self.index.upsert(key, sha, len(data), spec_name=spec_name)
         return path
 
@@ -213,10 +234,9 @@ class ResultStore:
         return self.index.lookup(key) is not None
 
     def stats(self) -> Dict[str, Any]:
-        """Entry/byte/quarantine counts, shaped like the legacy cache's."""
+        """Entry, byte, quarantined-entry and lease counts."""
         return {
             "root": str(self.root),
-            "backend": "store",
             "entries": self.index.count(),
             "bytes": self.index.total_bytes(),
             "corrupt": len(list(self.quarantine_dir.glob("*"))),
@@ -245,11 +265,10 @@ class ResultStore:
     def _quarantine(
         self, key: str, row: Dict[str, Any], data: Optional[bytes], reason: str
     ) -> None:
-        """Move a damaged entry aside: evidence into ``quarantine/``, row out.
+        """Move a damaged entry aside: evidence to ``quarantine/<key>.corrupt``, row out.
 
-        Mirrors the legacy cache's ``<key>.corrupt`` rename so operators
-        find one convention everywhere; counts both the store-level
-        checksum-failure counter and the legacy corrupt-entries counter.
+        Counted once as ``cache.corrupt_entries``, the counter the run
+        ledger's resilience summary reads.
         """
         target = self.quarantine_dir / f"{key}.corrupt"
         if data is not None:
@@ -262,7 +281,6 @@ class ResultStore:
             self.index.remove(key)
         tel = get_telemetry()
         if tel.enabled:
-            tel.count("store.checksum_failures")
             tel.count("cache.corrupt_entries")
         logger.warning("store %s: quarantined entry %s (%s)", self.root, key, reason)
 
@@ -331,17 +349,24 @@ class ResultStore:
         Orphans are payload files no index row references — the debris of a
         crash between payload write and index commit, or of replaced
         entries.  Never touches live data, so it is safe to run while
-        campaigns are active (a payload written *after* the hash snapshot is
-        not an orphan candidate; the snapshot is taken first).
+        campaigns are active: temp files and unreferenced payloads younger
+        than the lease TTL are left alone, because they may belong to a
+        publish in flight (a runner publishes while it holds a lease, and a
+        lease older than its TTL can be stolen anyway).
         """
+        cutoff_s = time.time() - self.leases.ttl_s
         referenced = self.index.referenced_hashes()
         swept = {"orphan_payloads": 0, "tmp_files": 0, "stale_leases": 0}
         for path in list(self.payloads_dir.glob("*/*.json")):
-            if path.stem not in referenced and path.stem not in self.index.referenced_hashes():
+            if path.stem in referenced or _modified_after(path, cutoff_s):
+                continue
+            if path.stem not in self.index.referenced_hashes():
                 with contextlib.suppress(OSError):
                     os.unlink(path)
                     swept["orphan_payloads"] += 1
         for path in list(self.payloads_dir.glob("*/*.tmp")):
+            if _modified_after(path, cutoff_s):
+                continue
             with contextlib.suppress(OSError):
                 os.unlink(path)
                 swept["tmp_files"] += 1
@@ -371,22 +396,27 @@ class ResultStore:
 def migrate_legacy_cache(
     root: Union[str, Path], lease_ttl_s: float = DEFAULT_LEASE_TTL_S
 ) -> Dict[str, Any]:
-    """Convert a legacy per-file :class:`ResultCache` directory in place.
+    """Convert a legacy per-file result cache directory in place.
 
     Every readable ``<key>.json`` entry is published into a fresh store at
     the same root (content-addressed payload + index row) and the legacy
     file removed; unparseable legacy entries move to ``quarantine/``; legacy
-    ``<key>.corrupt`` quarantine files move along unchanged.  Idempotent —
-    re-running on a migrated (or partially migrated) directory only
-    processes what is left.
+    ``<key>.corrupt`` quarantine files move along unchanged.  Only files
+    whose stem is a hex key are legacy entries: any other ``*.json`` file
+    (a spec, an export) stays in place and is counted as ``skipped``.
+    Idempotent — re-running on a migrated (or partially migrated) directory
+    only processes what is left.
     """
     root = Path(root)
     if not root.is_dir():
         raise StoreError(f"cannot migrate {root}: not a directory")
     store = ResultStore(root, lease_ttl_s=lease_ttl_s)
-    report = {"root": str(root), "migrated": 0, "quarantined": 0, "already_store": 0}
+    report = {"root": str(root), "migrated": 0, "quarantined": 0, "skipped": 0}
     for path in sorted(root.glob("*.json")):
         key = path.stem
+        if not is_hex_key(key):
+            report["skipped"] += 1
+            continue
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):

@@ -243,7 +243,7 @@ def make_crosstalk_operator(
 ) -> CrosstalkOperator:
     """Build the cheapest exact operator the coupling model supports.
 
-    ``backend="auto"`` probes :meth:`CouplingModel.kernel`: stationary models
+    The ``"auto"`` backend probes :meth:`CouplingModel.kernel`: stationary models
     get the stencil path when the kernel has at most ``stencil_max_taps``
     non-zero taps and the FFT path otherwise; models without a kernel fall
     back to the dense table.  Explicit ``"fft"``/``"stencil"`` backends raise

@@ -287,7 +287,7 @@ class TestExecutionPathInvariance:
         obs = tmp_path / "obs"
         cmd = [
             sys.executable, "-m", "repro", "campaign", "run", str(spec_path),
-            "--store", "--cache", str(store), "--obs-dir", str(obs), "--audit",
+            "--cache", str(store), "--obs-dir", str(obs), "--audit",
         ]
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
         procs = [subprocess.Popen(cmd, env=env, cwd=tmp_path) for _ in range(2)]
@@ -396,7 +396,7 @@ class TestSatelliteCliSurfaces:
         spec_path = _spec_file(tmp_path)
         store = tmp_path / "store"
         argv = [
-            "campaign", "run", str(spec_path), "--store", "--cache", str(store),
+            "campaign", "run", str(spec_path), "--cache", str(store),
             "--obs-dir", str(tmp_path / "obs"),
         ]
         assert main(argv) == 0

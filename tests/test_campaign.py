@@ -185,18 +185,18 @@ class TestResultCache:
         assert cache.get(key) is None
         cache.put(key, {"status": "ok", "result": {"pulses": 5}})
         assert cache.get(key) == {"status": "ok", "result": {"pulses": 5}}
-        assert key in cache and len(cache) == 1 and cache.keys() == [key]
+        assert len(cache.store) == 1 and cache.store.keys() == [key]
 
     def test_corrupt_entry_degrades_to_miss_and_quarantines(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "cd" * 32
-        cache.put(key, {"status": "ok"})
-        cache.path_for(key).write_text("{not json", encoding="utf-8")
+        path = cache.put(key, {"status": "ok"})
+        path.write_text("{not json", encoding="utf-8")
         assert cache.get(key) is None
-        # The bad file is renamed aside, not left to poison the next run.
-        assert not cache.path_for(key).exists()
-        assert cache.path_for(key).with_suffix(".corrupt").exists()
-        assert key not in cache
+        # The bad payload is moved aside, not left to poison the next run.
+        assert not path.exists()
+        assert (cache.store.quarantine_dir / f"{key}.corrupt").exists()
+        assert not cache.store.contains(key)
         assert cache.stats()["corrupt"] == 1
         # A recompute can re-populate the same key.
         cache.put(key, {"status": "ok", "result": {"pulses": 9}})
@@ -213,7 +213,7 @@ class TestResultCache:
             cache.put(f"{index:064x}", {"status": "ok"})
         stats = cache.stats()
         assert stats["entries"] == 3 and stats["bytes"] > 0
-        assert cache.clear() == 3 and len(cache) == 0
+        assert cache.store.clear() == 3 and len(cache.store) == 0
 
     def test_root_must_be_a_directory(self, tmp_path):
         target = tmp_path / "occupied"
@@ -226,7 +226,7 @@ class TestCampaignRunner:
     def test_parallel_results_are_bit_identical_to_serial(self):
         spec = small_spec()
         serial = CampaignRunner(spec, workers=0).run()
-        parallel = CampaignRunner(spec, workers=2, chunksize=2).run()
+        parallel = CampaignRunner(spec, workers=2).run()
         assert all(record.ok for record in serial.records)
         assert [r.result for r in serial.records] == [r.result for r in parallel.records]
         assert [r.key for r in serial.records] == [r.key for r in parallel.records]
@@ -240,7 +240,7 @@ class TestCampaignRunner:
         assert second.cached_count == 4 and second.computed_count == 0
         assert [r.result for r in first.records] == [r.result for r in second.records]
         # Drop one entry: only that point is recomputed (resume semantics).
-        cache.delete(first.records[1].key)
+        cache.store.delete(first.records[1].key)
         third = CampaignRunner(spec, cache=cache).run()
         assert third.cached_count == 3 and third.computed_count == 1
         assert [r.result for r in third.records] == [r.result for r in first.records]
@@ -280,8 +280,6 @@ class TestCampaignRunner:
             CampaignRunner(spec, workers=-1)
         with pytest.raises(CampaignError):
             CampaignRunner(spec, timeout_s=0.0)
-        with pytest.raises(CampaignError):
-            CampaignRunner(spec, chunksize=0)
 
     def test_status_reports_cache_coverage(self, tmp_path):
         spec = small_spec()

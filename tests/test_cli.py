@@ -97,7 +97,7 @@ class TestCampaignRun:
         out = capsys.readouterr().out
         assert code == 0
         assert "12 ok (12 cached)" in out
-        assert len(ResultCache(cache_dir)) == 12
+        assert len(ResultCache(cache_dir).store) == 12
 
     def test_json_report_and_save_exports(self, spec_path, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
@@ -156,7 +156,7 @@ class TestRunFig:
         cache_dir = tmp_path / "cache"
         assert main(["run-fig", "3a", "--cache", str(cache_dir)]) == 0
         capsys.readouterr()
-        assert len(ResultCache(cache_dir)) == 10
+        assert len(ResultCache(cache_dir).store) == 10
         assert main(["run-fig", "3a", "--workers", "2", "--cache", str(cache_dir)]) == 0
         capsys.readouterr()
 
@@ -200,7 +200,7 @@ class TestMonteCarloCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "flip probability" in out
-        assert len(ResultCache(cache_dir)) == 4
+        assert len(ResultCache(cache_dir).store) == 4
         assert (save_dir / "montecarlo.json").exists()
         # Second run is served from the cache.
         assert main(["mc", "map", str(mc_spec_path), "--cache", str(cache_dir)]) == 0
@@ -259,7 +259,7 @@ class TestMonteCarloCommands:
             "--cache", str(cache_dir), "--shard-size", "2",
         ]) == 0
         assert "12 points" in capsys.readouterr().out
-        assert len(ResultCache(cache_dir)) == 12
+        assert len(ResultCache(cache_dir).store) == 12
 
     def test_mc_commands_reject_attack_kind_specs(self, spec_path, capsys):
         assert main(["mc", "run", str(spec_path)]) == 1

@@ -11,7 +11,6 @@ with bit-identical resilience counters across two seeded runs.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess
@@ -38,7 +37,7 @@ from repro.faults import (
     is_retryable,
     register_retryable,
     retryable_types,
-    should_corrupt_cache,
+    should_tear_write,
 )
 from repro.obs import RunLedger, resilience_counts
 
@@ -196,10 +195,10 @@ class TestRetryableRegistry:
 
 class TestFaultPlan:
     def test_parse_round_trip(self):
-        spec = "raise@1x2;kill@4;corrupt-cache~0.5;seed=7;hang=2"
+        spec = "raise@1x2;kill@4;torn-write~0.5;seed=7;hang=2"
         plan = FaultPlan.parse(spec)
         assert plan.seed == 7 and plan.hang_s == 2.0
-        assert [r.action for r in plan.rules] == ["raise", "kill", "corrupt-cache"]
+        assert [r.action for r in plan.rules] == ["raise", "kill", "torn-write"]
         assert plan.rules[0] == FaultRule(action="raise", indices=(1,), times=2)
         assert FaultPlan.parse(plan.to_spec()) == plan
 
@@ -256,11 +255,11 @@ class TestFaultPlan:
         with pytest.raises(InjectedFatalFault):
             fire_point_faults(3, attempt=0)
 
-    def test_should_corrupt_cache(self, monkeypatch):
-        assert not should_corrupt_cache(0)
-        monkeypatch.setenv(FAULTS_ENV, "corrupt-cache@0")
-        assert should_corrupt_cache(0)
-        assert not should_corrupt_cache(1)
+    def test_should_tear_write(self, monkeypatch):
+        assert not should_tear_write(0)
+        monkeypatch.setenv(FAULTS_ENV, "torn-write@0")
+        assert should_tear_write(0)
+        assert not should_tear_write(1)
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +368,7 @@ class TestWorkerCrashRecovery:
         assert sorted(r.index for r in report.records) == [0, 1, 2, 3, 4]
         # Survivors are cached; the quarantined point is not.
         cache = ResultCache(tmp_path / "cache-a")
-        assert len(cache) == 4
+        assert len(cache.store) == 4
 
     def test_chaos_counters_are_bit_identical_across_runs(self, monkeypatch, tmp_path):
         """Acceptance: two runs of the same seeded schedule agree exactly."""
@@ -413,13 +412,13 @@ class TestCacheCorruption:
     def test_injected_corruption_is_quarantined_on_next_run(self, monkeypatch, tmp_path):
         spec = chaos_spec()
         cache_dir = tmp_path / "cache"
-        monkeypatch.setenv(FAULTS_ENV, "corrupt-cache@0")
+        monkeypatch.setenv(FAULTS_ENV, "torn-write@0")
         first = CampaignRunner(spec, cache=ResultCache(cache_dir), workers=0, job_fn=_chaos_job).run()
         assert first.counts()["ok"] == 5
         key0 = {r.index: r for r in first.records}[0].key
         cache = ResultCache(cache_dir)
-        with pytest.raises(ValueError):
-            json.loads(cache.path_for(key0).read_text(encoding="utf-8"))
+        report = cache.store.verify()
+        assert report["checksum_failures"] == 1 and report["bad_keys"] == [key0]
 
         monkeypatch.delenv(FAULTS_ENV)
         second = CampaignRunner(spec, cache=ResultCache(cache_dir), workers=0, job_fn=_chaos_job).run()
@@ -427,8 +426,9 @@ class TestCacheCorruption:
         assert counts["ok"] == 5 and counts["cached"] == 4  # point 0 recomputed
         cache = ResultCache(cache_dir)
         assert cache.stats()["corrupt"] == 1
-        assert cache.path_for(key0).exists()  # rewritten by the recompute
-        assert cache.path_for(key0).with_suffix(".corrupt").exists()
+        assert cache.get(key0) is not None  # rewritten by the recompute
+        assert (cache.store.quarantine_dir / f"{key0}.corrupt").exists()
+        assert cache.store.verify()["clean"]
 
 
 # ----------------------------------------------------------------------
@@ -475,7 +475,7 @@ class TestGracefulShutdown:
                 runner.run()
         finally:
             timer.cancel()
-        finished = len(ResultCache(cache_dir))
+        finished = len(ResultCache(cache_dir).store)
         assert 1 <= finished < 6  # partial progress survived
 
         # A rerun of the same spec picks up exactly where the first stopped.
@@ -513,7 +513,7 @@ class TestCliInterruption:
         )
         try:
             # Interrupt once real progress is on disk.
-            assert _wait_for(lambda: len(list(cache.glob("*.json"))) >= 2, timeout_s=60)
+            assert _wait_for(lambda: len(list(cache.glob("payloads/*/*.json"))) >= 2, timeout_s=60)
             child.send_signal(signal.SIGINT)
             _, stderr = child.communicate(timeout=60)
         finally:
@@ -522,7 +522,7 @@ class TestCliInterruption:
                 child.wait(timeout=10)
         assert child.returncode == 130, f"stderr:\n{stderr}"
         assert "interrupted" in stderr
-        finished = len(list(cache.glob("*.json")))
+        finished = len(ResultCache(cache).store)
         assert 2 <= finished < 40
 
         entries = RunLedger(obs).entries()
@@ -533,7 +533,7 @@ class TestCliInterruption:
             argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, cwd=tmp_path, env=env, text=True, timeout=300
         )
         assert done.returncode == 0, f"output:\n{done.stdout}"
-        assert len(list(cache.glob("*.json"))) == 40
+        assert len(ResultCache(cache).store) == 40
         entries = RunLedger(obs).entries()
         assert entries[-1].status == "ok"
 

@@ -1,8 +1,9 @@
 """Tests for the concurrent-safe shared result store (repro.store).
 
 Covers the sqlite index, the advisory lease protocol, checksum detection
-and quarantine, verify/gc/migrate, the ResultCache facade (auto-detection
-and graceful degradation), runner leasing, and — the acceptance bar —
+and quarantine, verify/gc/migrate, the ResultCache front (refusal of
+unusable and per-file cache directories, the CLI's run without a cache,
+best-effort publishing), runner leasing, and — the acceptance bar —
 multi-process contention: an N-writer stress test with no lost updates and
 two concurrent ``campaign run`` processes partitioning one sweep with zero
 duplicated computations.
@@ -10,6 +11,7 @@ duplicated computations.
 
 from __future__ import annotations
 
+import errno
 import json
 import multiprocessing
 import os
@@ -25,7 +27,8 @@ import pytest
 from repro.campaign import CampaignRunner, CampaignSpec, ResultCache
 from repro.campaign.runner import JobRecord
 from repro.cli import main
-from repro.errors import CampaignError, StoreError
+from repro.errors import CampaignError, StoreError, StoreUnavailableError
+from repro.obs import Telemetry, telemetry_capture
 from repro.store import (
     DEFAULT_LEASE_TTL_S,
     INDEX_FILENAME,
@@ -68,6 +71,14 @@ def fake_job(payload):
         result={"index": index},
         duration_s=0.0,
     )
+
+
+def write_legacy_entry(root: Path, key: str, payload) -> Path:
+    """One ``<key>.json`` entry of the per-file cache layout the store replaced."""
+    root.mkdir(parents=True, exist_ok=True)
+    path = root / f"{key}.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
 
 
 def dead_pid() -> int:
@@ -267,6 +278,26 @@ class TestResultStore:
         assert swept == {"orphan_payloads": 1, "tmp_files": 1, "stale_leases": 1}
         assert store.get(KEY_A)["result"]["pulses"] == 7  # live data untouched
 
+    def test_gc_spares_a_publish_in_flight(self, tmp_path, monkeypatch):
+        """A gc between put's temp write and its rename, or between the rename
+        and the index commit, must not sweep the entry being published."""
+        store = ResultStore(tmp_path)
+        replace, upsert = os.replace, store.index.upsert
+
+        def gc_first(step):
+            def wrapped(*args, **kwargs):
+                store.gc()
+                return step(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr("repro.store.store.os.replace", gc_first(replace))
+        monkeypatch.setattr(store.index, "upsert", gc_first(upsert))
+        store.put(KEY_A, PAYLOAD)
+        monkeypatch.undo()
+        assert store.get(KEY_A)["result"]["pulses"] == 7
+        assert store.verify()["clean"]
+
     def test_clear_empties_entries_and_quarantine(self, tmp_path):
         store = ResultStore(tmp_path)
         path = store.put(KEY_A, PAYLOAD)
@@ -281,42 +312,51 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         store.put(KEY_A, PAYLOAD)
         stats = store.stats()
-        assert stats["backend"] == "store" and stats["entries"] == 1
-        assert stats["bytes"] > 0 and stats["corrupt"] == 0
+        assert set(stats) == {"root", "entries", "bytes", "corrupt", "leases"}
+        assert stats["entries"] == 1 and stats["bytes"] > 0 and stats["corrupt"] == 0
 
 
 # ----------------------------------------------------------------------
-# ResultCache facade
+# ResultCache front
 # ----------------------------------------------------------------------
 
 
 class TestResultCacheFacade:
-    def test_fresh_directory_defaults_to_legacy(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.backend == "legacy"
-        assert cache.lease_manager() is None
-
-    def test_store_backend_is_auto_detected_afterwards(self, tmp_path):
-        ResultCache(tmp_path, backend="store").put(KEY_A, PAYLOAD)
+    def test_fresh_directory_opens_a_store(self, tmp_path):
+        (tmp_path / "spec.json").write_text("{}", encoding="utf-8")  # not a cache entry
+        ResultCache(tmp_path).put(KEY_A, PAYLOAD)
         assert is_store_dir(tmp_path)
-        cache = ResultCache(tmp_path)  # no flag needed the second time
-        assert cache.backend == "store"
-        assert cache.get(KEY_A)["result"]["pulses"] == 7
-        assert cache.lease_manager() is not None
+        assert ResultCache(tmp_path).get(KEY_A)["result"]["pulses"] == 7
 
     def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(CampaignError):
-            ResultCache(tmp_path, backend="parquet")
+        for backend in ("parquet", "legacy", "auto"):
+            with pytest.raises(CampaignError):
+                ResultCache(tmp_path, backend=backend)
 
-    def test_unusable_store_degrades_to_legacy_with_warning(self, tmp_path, caplog):
+    def test_unusable_store_is_refused(self, tmp_path):
         (tmp_path / INDEX_FILENAME).mkdir()  # sqlite cannot open a directory
-        with caplog.at_level("WARNING", logger="repro.campaign.cache"):
-            cache = ResultCache(tmp_path, backend="store")
-        assert cache.backend == "legacy"
-        assert any("degrading" in message for message in caplog.messages)
-        # The legacy path still works end to end.
-        cache.put(KEY_A, PAYLOAD)
-        assert cache.get(KEY_A)["result"]["pulses"] == 7
+        with pytest.raises(StoreUnavailableError):
+            ResultCache(tmp_path)
+
+    def test_per_file_cache_directory_is_refused_untouched(self, tmp_path):
+        write_legacy_entry(tmp_path, KEY_A, PAYLOAD)
+        with pytest.raises(StoreUnavailableError, match=f"repro store migrate {tmp_path}"):
+            ResultCache(tmp_path)
+        assert [path.name for path in tmp_path.iterdir()] == [f"{KEY_A}.json"]
+
+    def test_failed_publish_degrades_instead_of_crashing(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("repro.store.store.os.replace", full_disk)
+        with telemetry_capture(Telemetry()) as tel:
+            report = CampaignRunner(small_spec(), cache=cache, job_fn=fake_job).run()
+        assert report.counts()["ok"] == 3
+        assert tel.snapshot()["counters"]["store.publish_failures"] == 3
+        assert len(cache.store) == 0
+        assert list(cache.store.payloads_dir.glob("*/*")) == []  # no temp files left
 
     def test_store_keys_are_validated_like_legacy_keys(self, tmp_path):
         cache = ResultCache(tmp_path, backend="store")
@@ -325,42 +365,14 @@ class TestResultCacheFacade:
         with pytest.raises(CampaignError):
             cache.put("not-hex!", PAYLOAD)
 
-    def test_legacy_stats_tolerates_concurrent_deletion(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path)
-        cache.put(KEY_A, PAYLOAD)
-        cache.put(KEY_B, PAYLOAD)
-        original = Path.stat
-        victim = cache.path_for(KEY_A)
-
-        def racing_stat(self, *args, **kwargs):
-            if self == victim:
-                # Another process deleted the entry between glob and stat.
-                raise FileNotFoundError(str(self))
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "stat", racing_stat)
-        stats = cache.stats()
-        assert stats["entries"] == 1 and stats["bytes"] > 0
-
-    def test_legacy_clear_removes_quarantined_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(KEY_A, PAYLOAD)
-        cache.path_for(KEY_B).write_text("not json", encoding="utf-8")
-        assert cache.get(KEY_B) is None  # quarantined to .corrupt
-        assert cache.clear() == 1
-        assert list(tmp_path.glob("*.corrupt")) == []
-        assert list(tmp_path.glob("*.json")) == []
-
     def test_put_honours_process_umask(self, tmp_path):
         previous = os.umask(0o022)
         try:
-            for backend in ("legacy", "store"):
-                cache = ResultCache(tmp_path / backend, backend=backend)
-                path = cache.put(KEY_A, PAYLOAD)
-                mode = stat.S_IMODE(path.stat().st_mode)
-                # mkstemp's private 0600 must not leak through: group/other
-                # keep read access so a shared cache stays shared.
-                assert mode == 0o644, f"{backend}: {oct(mode)}"
+            path = ResultCache(tmp_path).put(KEY_A, PAYLOAD)
+            mode = stat.S_IMODE(path.stat().st_mode)
+            # mkstemp's private 0600 must not leak through: group/other
+            # keep read access so a shared cache stays shared.
+            assert mode == 0o644, oct(mode)
         finally:
             os.umask(previous)
 
@@ -372,21 +384,23 @@ class TestResultCacheFacade:
 
 class TestMigrateLegacyCache:
     def test_migrates_entries_and_quarantine_in_place(self, tmp_path):
-        legacy = ResultCache(tmp_path)
-        legacy.put(KEY_A, PAYLOAD)
-        legacy.put(KEY_B, {"status": "ok", "result": {"x": 1}})
+        write_legacy_entry(tmp_path, KEY_A, PAYLOAD)
+        write_legacy_entry(tmp_path, KEY_B, {"status": "ok", "result": {"x": 1}})
         (tmp_path / "cc33.json").write_text("torn{", encoding="utf-8")
         (tmp_path / "dd44.corrupt").write_text("old evidence", encoding="utf-8")
+        # JSON files that are not cache entries stay where they are.
+        (tmp_path / "spec.json").write_text('{"name": "s"}', encoding="utf-8")
+        (tmp_path / "results.json").write_text("[1, 2]", encoding="utf-8")
         report = migrate_legacy_cache(tmp_path)
         assert report["migrated"] == 2 and report["quarantined"] == 2
-        assert report["entries"] == 2
+        assert report["skipped"] == 2 and report["entries"] == 2
         migrated = ResultCache(tmp_path)
-        assert migrated.backend == "store"
         assert migrated.get(KEY_A)["result"]["pulses"] == 7
-        assert list(tmp_path.glob("*.json")) == []  # legacy files consumed
+        assert migrated.store.keys() == [KEY_A, KEY_B]
+        assert sorted(path.name for path in tmp_path.glob("*.json")) == ["results.json", "spec.json"]
 
     def test_migration_is_idempotent(self, tmp_path):
-        ResultCache(tmp_path).put(KEY_A, PAYLOAD)
+        write_legacy_entry(tmp_path, KEY_A, PAYLOAD)
         first = migrate_legacy_cache(tmp_path)
         second = migrate_legacy_cache(tmp_path)
         assert first["migrated"] == 1 and second["migrated"] == 0
@@ -507,7 +521,7 @@ class TestStoreCli:
         assert main(["store", "verify", str(store_dir)]) == 0
 
     def test_verify_rejects_non_store_directory(self, tmp_path, capsys):
-        ResultCache(tmp_path).put(KEY_A, PAYLOAD)  # legacy, no index
+        write_legacy_entry(tmp_path, KEY_A, PAYLOAD)  # per-file cache, no index
         assert main(["store", "verify", str(tmp_path)]) == 1
         assert "repro store migrate" in capsys.readouterr().err
 
@@ -523,15 +537,55 @@ class TestStoreCli:
         spec_path = tmp_path / "spec.json"
         spec.to_json(spec_path)
         cache_dir = tmp_path / "cache"
-        # Seed a legacy cache through a real (fake-job) run.
-        runner = CampaignRunner(spec, cache=ResultCache(cache_dir), job_fn=fake_job)
-        runner.run()
+        for point in spec.iter_points():
+            write_legacy_entry(
+                cache_dir, point.key, {"status": "ok", "result": {"index": point.index}}
+            )
         assert main(["store", "migrate", str(cache_dir)]) == 0
         capsys.readouterr()
         # The migrated store answers the same spec without recomputing.
         rerun = CampaignRunner(spec, cache=ResultCache(cache_dir), job_fn=fake_job)
         report = rerun.run()
-        assert report.cached_count == 3 and rerun.cache.backend == "store"
+        assert report.cached_count == 3
+
+    def test_campaign_status_points_at_the_quarantine_dir(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        small_spec(name="status-spec").to_json(spec_path)
+        cache_dir = tmp_path / "cache"
+        store = ResultStore(cache_dir)
+        store.put(KEY_A, PAYLOAD).write_bytes(b"torn")
+        assert store.get(KEY_A) is None  # quarantined
+        store.close()
+        assert main(["campaign", "status", str(spec_path), "--cache", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert f"quarantined cache entries: 1 (*.corrupt files under {cache_dir / 'quarantine'})" in out
+
+    @pytest.mark.parametrize("damage", ["per-file entries", "unusable index"])
+    def test_campaign_run_without_a_usable_store_runs_uncached(
+        self, tmp_path, capsys, caplog, damage
+    ):
+        spec_path = tmp_path / "spec.json"
+        small_spec(name="uncached-spec").to_json(spec_path)
+        cache_dir = tmp_path / "cache"
+        if damage == "per-file entries":
+            write_legacy_entry(cache_dir, KEY_A, PAYLOAD)
+        else:
+            (cache_dir / INDEX_FILENAME).mkdir(parents=True)  # sqlite cannot open a directory
+        before = {path.name: path.read_bytes() for path in cache_dir.glob("*.json")}
+        telemetry = tmp_path / "telemetry.json"
+        with caplog.at_level("WARNING", logger="repro.campaign.cli"):
+            code = main([
+                "campaign", "run", str(spec_path), "--cache", str(cache_dir), "--no-obs",
+                "--telemetry", str(telemetry),
+            ])
+        assert code == 0
+        assert "3 points, 3 ok (0 cached)" in capsys.readouterr().out
+        assert "running without a result cache" in caplog.text
+        assert json.loads(telemetry.read_text())["counters"]["store.degraded"] == 1
+        if damage == "per-file entries":
+            assert f"repro store migrate {cache_dir}" in caplog.text
+            assert [path.name for path in cache_dir.iterdir()] == [f"{KEY_A}.json"]
+            assert {path.name: path.read_bytes() for path in cache_dir.glob("*.json")} == before
 
 
 # ----------------------------------------------------------------------
@@ -623,8 +677,7 @@ class TestMultiProcessContention:
 
         # The shared store holds exactly one result per point, verified clean.
         store_cache = ResultCache(store_dir)
-        assert store_cache.backend == "store"
-        assert len(store_cache) == total
+        assert len(store_cache.store) == total
         assert store_cache.store.verify()["clean"]
 
         # Bit-identical to a serial single-process run of the same spec.
