@@ -1,17 +1,19 @@
 """SOLVER SCALING — sparse vectorized nodal solver vs. the seed dense loop.
 
 For a ladder of square crossbars this benchmark solves one mixed-state write
-operating point through the array-native sparse :class:`CrossbarSolver` (cold
-and warm-started) and, up to ``REPRO_BENCH_SOLVER_REFERENCE_MAX``, through
-the seed dense per-device-loop :class:`ReferenceCrossbarSolver`, checking
-element-for-element agreement and reporting the speedup.  A large
-sparse-only solve (``REPRO_BENCH_SOLVER_LARGE``, default 256x256) proves the
-practical ceiling.
+operating point through the array-native sparse :class:`CrossbarSolver` (cold,
+then warm-started against the held LU factor) and, up to
+``REPRO_BENCH_SOLVER_REFERENCE_MAX``, through the seed dense per-device-loop
+:class:`ReferenceCrossbarSolver`, checking element-for-element agreement and
+reporting the speedup.  A large sparse-only solve
+(``REPRO_BENCH_SOLVER_LARGE``, default 256x256) proves the practical
+ceiling.  Every row records the LU factorizations and triangular solves its
+cold solve performed, read from telemetry.
 
 Acceptance bars enforced here:
 
-* the sparse path must actually be used above the dense crossover (CI's
-  smoke run fails if it silently falls back to dense),
+* a warm re-solve must perform 0 factorizations (it steps against the
+  factor the cold solve left),
 * every fast solve must finish under ``REPRO_BENCH_SOLVER_CEILING_S``,
 * wherever the reference is measured at >= 64x64 the speedup must be >= 10x
   (measured ~2000x warm on a laptop-class core).
@@ -35,15 +37,9 @@ import numpy as np
 from conftest import run_once, write_bench_json
 
 from repro.circuit import CrossbarSolver, ReferenceCrossbarSolver, build_crossbar_netlist, write_bias
-from repro.circuit.solver import DENSE_CROSSOVER_NODES
 from repro.config import CrossbarGeometry
 from repro.devices import DeviceStateArrays, JartVcmModel
 from repro.obs import get_telemetry
-
-
-def _dense_solve_count() -> float:
-    """The telemetry counter of linear solves that took the dense path."""
-    return get_telemetry().counters.get("solver.linear.dense", 0.0)
 
 SIZES = [int(s) for s in os.environ.get("REPRO_BENCH_SOLVER_SIZES", "8,16,32,64").split(",") if s]
 REFERENCE_MAX = int(os.environ.get("REPRO_BENCH_SOLVER_REFERENCE_MAX", "64"))
@@ -54,6 +50,8 @@ CEILING_S = float(os.environ.get("REPRO_BENCH_SOLVER_CEILING_S", "120"))
 REQUIRED_SPEEDUP = 10.0
 #: Agreement budget between the sparse and the seed path.
 RTOL = 1e-9
+#: Telemetry counters (``solver.<name>``) recorded per row.
+LINEAR_ALGEBRA = ("factorizations", "triangular_solves")
 
 
 def _case(size: int):
@@ -71,39 +69,39 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
+def _counted_solve(solver, bias, states):
+    """One timed solve and the factorizations / triangular solves it ran."""
+    counters = get_telemetry().counters
+    before = {name: counters.get(f"solver.{name}", 0.0) for name in LINEAR_ALGEBRA}
+    op, elapsed = _timed(lambda: solver.solve(bias, states))
+    counts = {name: counters.get(f"solver.{name}", 0.0) - before[name] for name in LINEAR_ALGEBRA}
+    return op, elapsed, counts
+
+
+def _cold_and_warm(size: int, solver, bias, states) -> tuple:
+    """Cold and warm solve; the warm one must step on the held factor."""
+    op, cold_s, cold = _counted_solve(solver, bias, states)
+    assert cold_s < CEILING_S, f"{size}x{size} cold solve took {cold_s:.1f}s (ceiling {CEILING_S}s)"
+    _, warm_s, warm = _counted_solve(solver, bias, states)
+    assert warm["factorizations"] == 0, (
+        f"{size}x{size}: a warm re-solve refactored {warm['factorizations']:.0f} time(s)"
+    )
+    return op, {
+        "size": size,
+        "nodes": solver.netlist.node_count,
+        "devices": size * size,
+        "cold_s": cold_s,
+        "warm_s": warm_s,
+        "iterations": op.iterations,
+        **cold,
+        "warm_triangular_solves": warm["triangular_solves"],
+    }
+
+
 def _solve_size(size: int, with_reference: bool) -> dict:
     netlist, states, bias = _case(size)
     model = JartVcmModel()
-    solver = CrossbarSolver(netlist, model)
-    dense_before = _dense_solve_count()
-    fast_op, cold_s = _timed(lambda: solver.solve(bias, states))
-    _, warm_s = _timed(lambda: solver.solve(bias, states))
-    dense_solves = _dense_solve_count() - dense_before
-
-    row = {
-        "size": size,
-        "nodes": netlist.node_count,
-        "devices": size * size,
-        "backend": solver.last_backend,
-        "cold_s": cold_s,
-        "warm_s": warm_s,
-        "iterations": fast_op.iterations,
-        "dense_linear_solves": dense_solves,
-    }
-
-    assert cold_s < CEILING_S, f"{size}x{size} cold solve took {cold_s:.1f}s (ceiling {CEILING_S}s)"
-    if netlist.node_count > DENSE_CROSSOVER_NODES:
-        assert solver.last_backend == "sparse", (
-            f"{size}x{size} ({netlist.node_count} nodes) fell back to the "
-            f"{solver.last_backend} backend — the sparse path must engage above "
-            f"{DENSE_CROSSOVER_NODES} nodes"
-        )
-        # The same bar asserted from telemetry: not one linear solve of this
-        # size may have taken the dense fallback.
-        assert dense_solves == 0, (
-            f"{size}x{size}: telemetry recorded {dense_solves:.0f} dense linear "
-            f"solve(s) above the {DENSE_CROSSOVER_NODES}-node crossover"
-        )
+    fast_op, row = _cold_and_warm(size, CrossbarSolver(netlist, model), bias, states)
 
     if with_reference:
         reference = ReferenceCrossbarSolver(netlist, model)
@@ -115,8 +113,8 @@ def _solve_size(size: int, with_reference: bool) -> dict:
             fast_op.device_currents_a, ref_op.device_currents_a, rtol=RTOL, atol=1e-15
         )
         row["reference_s"] = reference_s
-        row["speedup_cold"] = reference_s / cold_s
-        row["speedup_warm"] = reference_s / warm_s
+        row["speedup_cold"] = reference_s / row["cold_s"]
+        row["speedup_warm"] = reference_s / row["warm_s"]
     return row
 
 
@@ -129,24 +127,9 @@ def test_bench_solver_scaling(benchmark):
         # The practical-ceiling demonstration is the benchmarked quantity.
         netlist, states, bias = _case(LARGE_SIZE)
         solver = CrossbarSolver(netlist, JartVcmModel())
-        dense_before = _dense_solve_count()
-        start = time.perf_counter()
-        large_op = run_once(benchmark, lambda: solver.solve(bias, states))
-        large_s = time.perf_counter() - start
+        large_op, row = run_once(benchmark, lambda: _cold_and_warm(LARGE_SIZE, solver, bias, states))
         assert large_op.residual_a < solver.residual_tolerance_a
-        assert solver.last_backend == "sparse"
-        assert _dense_solve_count() == dense_before, "large solve took the dense fallback"
-        assert large_s < CEILING_S
-        rows.append(
-            {
-                "size": LARGE_SIZE,
-                "nodes": netlist.node_count,
-                "devices": LARGE_SIZE * LARGE_SIZE,
-                "backend": solver.last_backend,
-                "cold_s": large_s,
-                "iterations": large_op.iterations,
-            }
-        )
+        rows.append(row)
     else:
         run_once(benchmark, lambda: None)
 
@@ -154,10 +137,9 @@ def test_bench_solver_scaling(benchmark):
     for row in rows:
         line = (
             f"solver {row['size']:>4}x{row['size']:<4} nodes={row['nodes']:>7} "
-            f"backend={row['backend']:<6} cold={row['cold_s'] * 1e3:9.1f}ms"
+            f"lu={row['factorizations']:.0f}/{row['triangular_solves']:.0f} "
+            f"cold={row['cold_s'] * 1e3:9.1f}ms warm={row['warm_s'] * 1e3:8.1f}ms"
         )
-        if "warm_s" in row:
-            line += f" warm={row['warm_s'] * 1e3:8.1f}ms"
         if "reference_s" in row:
             line += (
                 f" seed={row['reference_s'] * 1e3:9.1f}ms"

@@ -13,7 +13,7 @@ README = Path(__file__).with_name("README.md")
 
 setup(
     name="neurohammer-repro",
-    version="1.11.0",
+    version="1.12.0",
     description=(
         "Reproduction of 'NeuroHammer: Inducing Bit-Flips in Memristive "
         "Crossbar Memories' (DATE 2022): electro-thermal crossbar simulation, "
@@ -26,8 +26,7 @@ setup(
     packages=find_packages(where="src"),
     package_dir={"": "src"},
     python_requires=">=3.10",
-    # scipy powers the sparse nodal solver; the solver degrades gracefully to
-    # its dense backend when scipy is unavailable.
+    # scipy powers the sparse LU nodal solver and the FFT crosstalk operator.
     install_requires=["numpy>=1.20", "scipy>=1.8"],
     extras_require={
         "test": ["pytest>=7", "pytest-benchmark>=4", "hypothesis>=6"],

@@ -5,25 +5,28 @@ solves the framework needs: given driver voltages, wire resistances and the
 (nonlinear, state- and temperature-dependent) memristive devices, find all
 node voltages such that Kirchhoff's current law holds at every node.
 
-The solver performs damped Newton-Raphson iterations, exactly as the original
-dense implementation did (kept as
+The solver performs damped Newton-Raphson iterations on the same equations
+as the original dense implementation (kept as
 :class:`repro.circuit.reference.ReferenceCrossbarSolver` for validation and
 benchmarking), but every per-device Python loop has been replaced by
-array-native code:
+array-native code, and the Jacobian is factored far less often than once per
+iteration:
 
 * all device currents and small-signal conductances are evaluated in one call
   through the model's :meth:`~repro.devices.base.MemristorModel.batched`
   interface (NumPy kernels for the shipped models);
 * the Jacobian is assembled from index arrays precomputed once per netlist —
   the constant linear (wire + driver) stamps live in a cached CSR data
-  vector, and the per-iteration device stamps are scattered into their CSR
-  slots with vectorized fancy indexing;
-* the linear system is solved with ``scipy.sparse.linalg.spsolve``; below a
-  crossover size (or when SciPy is unavailable) a dense ``numpy.linalg.solve``
-  over the same stamp data is used instead, which is faster for tiny systems.
+  vector, and the device stamps are scattered into their CSR slots with
+  vectorized fancy indexing;
+* the Jacobian is factored with ``scipy.sparse.linalg.splu`` and the factor
+  is kept; each iteration is a chord (modified-Newton) step, one pair of
+  triangular solves of the KCL residual vector against the held factor (see
+  :class:`CrossbarSolver` for when it refactors and when a solve stops).
 
-The KCL residual check reuses the device currents already evaluated for the
-stamps of the same iteration instead of recomputing them per device.
+The KCL residual vector is both the convergence check and the right-hand
+side of the step; it reuses the device currents already evaluated for the
+iteration instead of recomputing them per device.
 """
 
 from __future__ import annotations
@@ -33,16 +36,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
-
-try:  # SciPy is an optional accelerator: without it the dense path is used.
-    from scipy import sparse as _sparse
-    from scipy.sparse.linalg import spsolve as _spsolve
-
-    _HAVE_SCIPY = True
-except Exception:  # pragma: no cover - exercised only on scipy-less installs
-    _sparse = None
-    _spsolve = None
-    _HAVE_SCIPY = False
+from scipy import sparse
+from scipy.sparse.linalg import SuperLU, splu
 
 from ..devices.base import (
     BatchedDeviceModel,
@@ -66,8 +61,14 @@ Cell = Tuple[int, int]
 #: array-native container or the legacy per-cell mapping.
 StateLike = Union[DeviceStateArrays, Mapping[Cell, DeviceState]]
 
-#: Below this node count the dense linear solve beats the sparse machinery.
-DENSE_CROSSOVER_NODES = 500
+#: A step larger than this fraction of the previous one means the held factor
+#: no longer tracks the Jacobian: the next iteration refactors.
+REFACTOR_CONTRACTION = 0.3
+
+#: A solve may end on a chord step only when the step is below this fraction
+#: of ``voltage_tolerance_v``; a linearly contracting iteration leaves an
+#: error of the order of its last step.
+CHORD_STOP_FRACTION = 1e-5
 
 
 class NodeVoltageMap(MappingABC):
@@ -110,7 +111,7 @@ class OperatingPoint:
     device_currents_a: np.ndarray
     #: Per-cell dissipated power [W].
     device_powers_w: np.ndarray
-    #: Newton iterations used.
+    #: Iterations used (chord and Newton steps).
     iterations: int
     #: Largest KCL residual at convergence [A].
     residual_a: float
@@ -134,15 +135,32 @@ class OperatingPoint:
 
 
 class CrossbarSolver:
-    """Damped Newton nodal-analysis solver over a crossbar netlist.
+    """Damped chord-Newton nodal-analysis solver over a crossbar netlist.
+
+    The solver holds one sparse LU factor (``splu``, minimum-degree ordering
+    on ``A^T + A``) of the last Jacobian it assembled.  Every iteration steps
+    by the held factor's solve of the KCL residual vector.  Device
+    conductances are evaluated and the Jacobian assembled and refactored at
+    the present iterate only when
+
+    * there is no factor yet,
+    * the driver stamps of the bias (its driven-line set) differ from the
+      ones the factor was built with, or
+    * the previous step shrank by less than :data:`REFACTOR_CONTRACTION`
+      relative to the one before it.
+
+    The factor lives as long as the solver, so it carries across solves —
+    Picard iterations, attack phases, the sampled arrays of one batch — but
+    never across crossbars.  A solve converges when the KCL residual is
+    below ``residual_tolerance_a`` and the last step is below
+    ``voltage_tolerance_v`` if it was a Newton step (factor built at its
+    iterate), or below :data:`CHORD_STOP_FRACTION` of that if it was a chord
+    step.
 
     Args:
         netlist: The expanded crossbar netlist.
         model: Scalar device model; its :meth:`batched` kernel evaluates all
             devices per iteration in one call.
-        backend: ``"auto"`` (sparse above :data:`DENSE_CROSSOVER_NODES` when
-            SciPy is available, dense otherwise), ``"sparse"`` or ``"dense"``.
-        dense_crossover_nodes: Node-count threshold of the ``"auto"`` choice.
     """
 
     def __init__(
@@ -153,13 +171,7 @@ class CrossbarSolver:
         voltage_tolerance_v: float = 1e-7,
         residual_tolerance_a: float = 1e-9,
         max_step_v: float = 0.5,
-        backend: str = "auto",
-        dense_crossover_nodes: int = DENSE_CROSSOVER_NODES,
     ):
-        if backend not in ("auto", "sparse", "dense"):
-            raise ConfigurationError(f"unknown solver backend {backend!r}")
-        if backend == "sparse" and not _HAVE_SCIPY:
-            raise ConfigurationError("the sparse solver backend requires scipy")
         self.netlist = netlist
         self.model = model
         self.max_iterations = max_iterations
@@ -169,14 +181,10 @@ class CrossbarSolver:
         self._index: Dict[str, int] = netlist.node_index
         self._last_solution: Optional[np.ndarray] = None
         self._batched: BatchedDeviceModel = model.batched()
-
-        n = netlist.node_count
-        if backend == "auto":
-            self._use_sparse = _HAVE_SCIPY and n > dense_crossover_nodes
-        else:
-            self._use_sparse = backend == "sparse"
-        #: Backend used by the most recent linear solve ("sparse" or "dense").
-        self.last_backend: Optional[str] = None
+        #: Held LU factor of the last assembled Jacobian and the driver
+        #: conductances it was assembled with.
+        self._factor: Optional[SuperLU] = None
+        self._factor_g: Optional[np.ndarray] = None
 
         self._dev_w, self._dev_b, self._dev_rows, self._dev_cols = netlist.device_index_arrays
         self._assemble_structure()
@@ -188,10 +196,10 @@ class CrossbarSolver:
 
         The nodal matrix is the sum of three contributions: the constant wire
         resistor stamps, the per-solve driver Norton conductances (diagonal
-        only) and the per-iteration device companion conductances.  All three
-        are expressed as entries of one fixed COO template whose mapping onto
-        CSR data slots is computed here once; each iteration then only fills
-        a data vector — no Python loops, no re-sorting.
+        only) and the device companion conductances.  All three are
+        expressed as entries of one fixed COO template whose mapping onto CSR
+        data slots is computed here once; each assembly then only fills a
+        data vector — no Python loops, no re-sorting.
         """
         n = self.netlist.node_count
         res_a, res_b, res_g = self.netlist.resistor_index_arrays
@@ -212,7 +220,6 @@ class CrossbarSolver:
         unique_keys, inverse = np.unique(keys, return_inverse=True)
 
         self._nnz = int(unique_keys.size)
-        self._flat_index = unique_keys
         self._csr_indices = (unique_keys % n).astype(np.int32)
         self._csr_indptr = np.searchsorted(
             unique_keys, np.arange(n + 1, dtype=np.int64) * n
@@ -237,15 +244,10 @@ class CrossbarSolver:
 
         get_telemetry().count("solver.jacobian.structure_builds")
 
-        if _HAVE_SCIPY:
-            self._linear_operator = _sparse.csr_matrix(
-                (self._base_data.copy(), self._csr_indices.copy(), self._csr_indptr.copy()),
-                shape=(n, n),
-            )
-        else:
-            dense = np.zeros(n * n)
-            dense[self._flat_index] = self._base_data
-            self._linear_operator = dense.reshape(n, n)
+        self._linear_operator = sparse.csr_matrix(
+            (self._base_data.copy(), self._csr_indices.copy(), self._csr_indptr.copy()),
+            shape=(n, n),
+        )
 
     def _driver_stamps(self, bias: BiasPattern) -> Tuple[np.ndarray, np.ndarray]:
         """Norton-equivalent driver stamps: (diagonal conductance, current)."""
@@ -319,9 +321,14 @@ class CrossbarSolver:
         else:
             voltages = np.zeros(n)
 
+        if self._factor_g is not None and not np.array_equal(extra_g, self._factor_g):
+            self._factor = None  # the driven-line set changed
+
         dev_w, dev_b = self._dev_w, self._dev_b
-        iterations = 0
+        iterations = factorizations = 0
         prev_step = np.inf
+        stop_step = self.voltage_tolerance_v
+        refactor = False
         converged = False
         residual = np.inf
         tel = get_telemetry()
@@ -329,19 +336,24 @@ class CrossbarSolver:
         for solve_count in range(self.max_iterations + 1):
             branch_v = voltages[dev_w] - voltages[dev_b]
             currents = self._batched.current(branch_v, x_arr, t_arr)
-            residual = self._kcl_residual(voltages, extra_g, driver_currents, currents)
+            kcl = self._kcl_residual(voltages, extra_g, driver_currents, currents)
+            residual = float(np.abs(kcl).max())
             if residual_trajectory is not None:
                 residual_trajectory.append(residual)
-            if prev_step < self.voltage_tolerance_v and residual < self.residual_tolerance_a:
+            if prev_step < stop_step and residual < self.residual_tolerance_a:
                 converged = True
                 break
             if solve_count == self.max_iterations:
                 break
-            conductances = self._batched.conductance(branch_v, x_arr, t_arr)
-            equivalent = currents - conductances * branch_v
-            new_voltages = self._solve_linear(extra_g, driver_currents, conductances, equivalent, tel)
-            step = new_voltages - voltages
-            max_step = float(np.abs(step).max()) if step.size else 0.0
+            newton = refactor or self._factor is None
+            if newton:
+                conductances = self._batched.conductance(branch_v, x_arr, t_arr)
+                self._factorize(extra_g, conductances, tel)
+                factorizations += 1
+            step = self._factor.solve(kcl)
+            max_step = float(np.abs(step).max())
+            refactor = max_step > REFACTOR_CONTRACTION * prev_step
+            stop_step = self.voltage_tolerance_v * (1.0 if newton else CHORD_STOP_FRACTION)
             if max_step > self.max_step_v:
                 step *= self.max_step_v / max_step
             voltages = voltages + step
@@ -351,11 +363,9 @@ class CrossbarSolver:
         if tel.enabled:
             tel.count("solver.solves")
             tel.count("solver.iterations", iterations)
-            if iterations:
-                # Every Newton iteration ran one linear solve on this backend
-                # and scattered into the precomputed CSR slots.
-                tel.count(f"solver.linear.{self.last_backend}", iterations)
-                tel.count("solver.jacobian.reuses", iterations)
+            # Every iteration is one triangular solve against the held factor.
+            tel.count("solver.triangular_solves", iterations)
+            tel.count("solver.factorizations", factorizations)
             if warm_started:
                 tel.count("solver.warm_starts")
             tel.observe("solver.residual_a", residual)
@@ -389,15 +399,8 @@ class CrossbarSolver:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _solve_linear(
-        self,
-        extra_g: np.ndarray,
-        driver_currents: np.ndarray,
-        conductances: np.ndarray,
-        equivalent: np.ndarray,
-        tel: Any,
-    ) -> np.ndarray:
-        """Assemble the companion-model system and solve it once."""
+    def _factorize(self, extra_g: np.ndarray, conductances: np.ndarray, tel: Any) -> None:
+        """Assemble the Jacobian at the present iterate and hold its LU factor."""
         n = self.netlist.node_count
         data = self._base_data.copy()
         data[self._diag_slots] += extra_g
@@ -412,29 +415,16 @@ class CrossbarSolver:
             np.subtract.at(data, self._slot_wb, conductances)
             np.subtract.at(data, self._slot_bw, conductances)
 
-        rhs = driver_currents.copy()
-        if self._unique_dev_nodes:
-            rhs[self._dev_w] -= equivalent
-            rhs[self._dev_b] += equivalent
-        else:  # pragma: no cover
-            np.subtract.at(rhs, self._dev_w, equivalent)
-            np.add.at(rhs, self._dev_b, equivalent)
-
         if tel.enabled:
             # Stamp-magnitude spread of the assembled Jacobian data: a cheap
             # conditioning proxy that drifts with the true condition number.
             tel.numerics.gauge_condition("solver.jacobian", data)
 
-        if self._use_sparse:
-            self.last_backend = "sparse"
-            matrix = _sparse.csr_matrix(
-                (data, self._csr_indices, self._csr_indptr), shape=(n, n)
-            )
-            return np.asarray(_spsolve(matrix, rhs))
-        self.last_backend = "dense"
-        dense = np.zeros(n * n)
-        dense[self._flat_index] = data
-        return np.linalg.solve(dense.reshape(n, n), rhs)
+        # The nodal matrix is exactly symmetric, so its CSR arrays are also
+        # its CSC arrays.
+        jacobian = sparse.csc_matrix((data, self._csr_indices, self._csr_indptr), shape=(n, n))
+        self._factor = splu(jacobian, permc_spec="MMD_AT_PLUS_A")
+        self._factor_g = extra_g
 
     def _kcl_residual(
         self,
@@ -442,11 +432,12 @@ class CrossbarSolver:
         extra_g: np.ndarray,
         driver_currents: np.ndarray,
         device_currents: np.ndarray,
-    ) -> float:
-        """Maximum KCL residual of the present voltage vector [A].
+    ) -> np.ndarray:
+        """KCL residual vector of the present voltages [A]: net current into
+        each node, and the right-hand side of the Newton step.
 
-        Reuses the device currents evaluated for this iteration's stamps
-        instead of recomputing them per device.
+        Reuses the device currents evaluated for this iteration instead of
+        recomputing them per device.
         """
         residual = driver_currents - extra_g * voltages - self._linear_operator @ voltages
         if self._unique_dev_nodes:
@@ -455,7 +446,7 @@ class CrossbarSolver:
         else:  # pragma: no cover
             np.subtract.at(residual, self._dev_w, device_currents)
             np.add.at(residual, self._dev_b, device_currents)
-        return float(np.abs(residual).max())
+        return residual
 
     def _operating_point(
         self,

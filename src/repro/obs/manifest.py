@@ -52,7 +52,7 @@ def build_manifest(
     """Assemble a reproducibility manifest.
 
     ``backends`` names the numerical paths actually taken at runtime
-    (e.g. ``{"solver": "sparse", "crosstalk": "fft"}``); ``extra`` merges
+    (e.g. ``{"crosstalk": "fft"}``); ``extra`` merges
     caller-specific keys (mode, sample counts) at the top level.
     """
     manifest: Dict[str, Any] = {

@@ -187,14 +187,19 @@ class HeatSolver:
         self.model = model
         self.ambient_temperature_k = ambient_temperature_k
         self._assembler = _FiniteVolumeAssembler(model)
-        self._matrix: Optional[sparse.csr_matrix] = None
+        self._factor: Optional[sparse_linalg.SuperLU] = None
         self._sink_rhs: Optional[np.ndarray] = None
 
     # -- assembly (cached) --------------------------------------------------
 
-    def _build_system(self) -> Tuple[sparse.csr_matrix, np.ndarray]:
-        if self._matrix is not None:
-            return self._matrix, self._sink_rhs
+    def _build_system(self) -> Tuple[sparse_linalg.SuperLU, np.ndarray]:
+        """LU factor of the heat-conduction matrix and the heat-sink RHS.
+
+        The matrix depends only on the voxel model, so it is assembled and
+        factored once and every power injection is one triangular solve.
+        """
+        if self._factor is not None:
+            return self._factor, self._sink_rhs
         asm = self._assembler
         matrix = asm.assemble_laplacian(self.model.kappa).tolil()
         sink_rhs = np.zeros(asm.size)
@@ -213,15 +218,15 @@ class HeatSolver:
         diag[flat] += ghost_flat
         matrix.setdiag(diag)
         sink_rhs[flat] += ghost_flat * self.ambient_temperature_k
-        self._matrix = matrix.tocsr()
+        self._factor = sparse_linalg.splu(matrix.tocsc())
         self._sink_rhs = sink_rhs
-        return self._matrix, self._sink_rhs
+        return self._factor, self._sink_rhs
 
     # -- public API ----------------------------------------------------------
 
     def solve(self, power_sources_w: Mapping[Cell, float]) -> TemperatureField:
         """Solve for the temperature field with per-cell filament power injection."""
-        matrix, sink_rhs = self._build_system()
+        factor, sink_rhs = self._build_system()
         rhs = sink_rhs.copy()
         for cell, power_w in power_sources_w.items():
             if power_w < 0:
@@ -233,7 +238,7 @@ class HeatSolver:
                 raise GeometryError(f"cell {cell!r} not present in the voxel model")
             indices = np.flatnonzero(mask.ravel())
             rhs[indices] += power_w / len(indices)
-        values = sparse_linalg.spsolve(matrix, rhs)
+        values = factor.solve(rhs)
         if not np.all(np.isfinite(values)):
             raise ConvergenceError("heat solve produced non-finite temperatures")
         field = values.reshape(self.model.shape)
@@ -243,9 +248,8 @@ class HeatSolver:
         """Solve for the temperature field given a per-voxel heat source [W]."""
         if joule_heating_w.shape != self.model.shape:
             raise GeometryError("joule heating field shape does not match the voxel model")
-        matrix, sink_rhs = self._build_system()
-        rhs = sink_rhs + joule_heating_w.ravel()
-        values = sparse_linalg.spsolve(matrix, rhs)
+        factor, sink_rhs = self._build_system()
+        values = factor.solve(sink_rhs + joule_heating_w.ravel())
         if not np.all(np.isfinite(values)):
             raise ConvergenceError("heat solve produced non-finite temperatures")
         return TemperatureField(self.model, values.reshape(self.model.shape), self.ambient_temperature_k)
@@ -293,7 +297,7 @@ class HeatSolver:
         rhs = keep_diag @ (-(csr[:, fixed_flat] @ fixed_vals_flat))
         rhs[fixed_flat] = fixed_vals_flat
         system = keep_diag @ csr @ keep_diag + sparse.diags(1.0 - keep) + 1e-12 * keep_diag
-        solution = sparse_linalg.spsolve(system.tocsr(), rhs)
+        solution = sparse_linalg.splu(system.tocsc()).solve(rhs)
         if not np.all(np.isfinite(solution)):
             raise ConvergenceError("potential solve produced non-finite values")
         potential = solution.reshape(self.model.shape)

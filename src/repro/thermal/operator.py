@@ -36,16 +36,7 @@ import abc
 from typing import Optional, Tuple
 
 import numpy as np
-
-try:  # SciPy's pocketfft is faster and pads to 5-smooth sizes; optional.
-    from scipy import fft as _fft_module
-
-    _next_fast_len = _fft_module.next_fast_len
-except Exception:  # pragma: no cover - exercised only on scipy-less installs
-    _fft_module = np.fft
-
-    def _next_fast_len(target: int, real: bool = True) -> int:
-        return int(target)
+from scipy import fft
 
 from ..config import CrossbarGeometry
 from ..errors import ConfigurationError
@@ -149,14 +140,14 @@ class FftCrosstalkOperator(KernelCrosstalkOperator):
         # [0, 3N-3]), and with L >= 2N-1 every alias n +- L falls outside
         # that support.  This halves the padded transform size versus the
         # full-linear (3N-2) padding.
-        self._fft_shape = (_next_fast_len(2 * rows - 1), _next_fast_len(2 * cols - 1))
-        self._kernel_fft = _fft_module.rfft2(self.kernel, s=self._fft_shape)
+        self._fft_shape = (fft.next_fast_len(2 * rows - 1), fft.next_fast_len(2 * cols - 1))
+        self._kernel_fft = fft.rfft2(self.kernel, s=self._fft_shape)
         self._out_slice = (slice(rows - 1, 2 * rows - 1), slice(cols - 1, 2 * cols - 1))
 
     def apply(self, rises_k: np.ndarray) -> np.ndarray:
-        spectrum = _fft_module.rfft2(rises_k, s=self._fft_shape)
+        spectrum = fft.rfft2(rises_k, s=self._fft_shape)
         spectrum *= self._kernel_fft
-        full = _fft_module.irfft2(spectrum, s=self._fft_shape)
+        full = fft.irfft2(spectrum, s=self._fft_shape)
         return np.ascontiguousarray(full[self._out_slice])
 
     @property

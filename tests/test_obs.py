@@ -389,13 +389,17 @@ class TestInstrumentation:
         with telemetry_capture() as tel:
             solver = CrossbarSolver(netlist, JartVcmModel())
             solver.solve(bias, states)
+            first_factorizations = tel.counters["solver.factorizations"]
             solver.solve(bias, states)
         snapshot = tel.snapshot()
         counters = snapshot["counters"]
         assert counters["solver.solves"] == 2.0
         assert counters["solver.iterations"] >= 2.0
         assert counters["solver.jacobian.structure_builds"] == 1.0
-        assert counters[f"solver.linear.{solver.last_backend}"] == counters["solver.iterations"]
+        assert counters["solver.triangular_solves"] == counters["solver.iterations"]
+        assert first_factorizations >= 1.0
+        # The identical second solve steps against the held factor.
+        assert counters["solver.factorizations"] == first_factorizations
         assert counters["solver.warm_starts"] == 1.0
         assert snapshot["histograms"]["solver.residual_a"]["count"] == 2
 
@@ -523,13 +527,13 @@ class TestManifest:
                 pass
         manifest = build_manifest(
             seed=42,
-            backends={"solver": "sparse"},
+            backends={"crosstalk": "fft"},
             telemetry_snapshot=tel.snapshot(),
             extra={"kind": "unit"},
         )
         assert manifest["schema"] == 1
         assert manifest["seed"] == 42
-        assert manifest["backends"] == {"solver": "sparse"}
+        assert manifest["backends"] == {"crosstalk": "fft"}
         assert manifest["versions"]["repro"]
         assert manifest["versions"]["numpy"]
         assert manifest["python"]
