@@ -14,18 +14,37 @@ cells at once:
 * :func:`time_to_switch_batch` / :func:`pulses_to_switch_batch` — the adaptive
   state-ODE integrators of :mod:`repro.devices.kinetics`.
 
-The batched functions follow the scalar control flow *per lane* (same step
-sizes, same thermal-refresh policy, same fixed-point damping and termination
-rules); only the innermost interface-current root solve swaps the scalar's
-bisection for an equally-precise Newton descent.  Each lane therefore
-reproduces the scalar trajectory to floating-point noise; the test suite
-validates element-for-element agreement within 1e-9 relative tolerance.
+Every quantity is computed once, where its inputs last changed:
+
+* **Lane constants** (filament area and A*·area, q·e·μ, plug and
+  plug-plus-series resistance, field coefficient, activation energies over
+  k_B) depend on the parameters only.  The kernel derives them at construction and
+  :meth:`~VectorizedJartVcm.take` carries them with the lanes.
+* **Prepared bias** (:class:`PreparedBias`): the validity guard, the state
+  clamp, the ohmic resistance and the interface barrier depend on (V, x) but
+  not on the temperature.  :meth:`~VectorizedJartVcm.prepare` computes them
+  once; :meth:`PreparedBias.solve` then runs the one Newton routine of the
+  interface current at any lane temperatures.
+* **Call-scoped warm start.**  Within one self-heating fixed point only the
+  temperature moves between iterates, so each iterate's Newton starts from
+  the previous iterate's root (capped by the cold over-estimate), and
+  :func:`time_to_switch_batch` takes the rate of a freshly solved lane from
+  the current that solve returned.  Roots live in local variables of one
+  call and never on the kernel: a result never depends on which calls ran
+  before it.
+
+What stays per lane is the scalar control flow: the same step sizes, the
+same thermal-refresh policy, the same fixed-point damping and termination
+rules.  Only the innermost interface-current root solve swaps the scalar's
+bisection for an equally-precise Newton descent, so each lane reproduces the
+scalar trajectory to floating-point noise; the test suite validates
+element-for-element agreement within 1e-9 relative tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -46,15 +65,17 @@ logger = get_logger("montecarlo.vectorized")
 ArrayLike = Union[float, np.ndarray]
 
 #: Iteration cap of the Newton interface-current solve; the monotone convex
-#: residual converges in ~5 iterations, the cap is a backstop only.
+#: residual converges in ~6 iterations from a cold start and ~4 from a warm
+#: one, the cap is a backstop only.
 _MAX_NEWTON_STEPS = 80
 
 #: Newton termination: no lane moved by more than ~1 ulp of its coordinate.
 _NEWTON_RTOL = 4e-16
-_NEWTON_ATOL = 1e-300
 
 #: Overflow guard of the sinh field term (matches the scalar model).
 _MAX_FIELD_ARGUMENT = 50.0
+
+_PARAMETER_NAMES = tuple(f.name for f in fields(JartVcmParameters))
 
 
 def _lanes(value: ArrayLike, n: int, name: str) -> np.ndarray:
@@ -67,14 +88,102 @@ def _lanes(value: ArrayLike, n: int, name: str) -> np.ndarray:
     return array.copy()
 
 
+class PreparedBias:
+    """The temperature-independent half of the current solve, per lane.
+
+    Built by :meth:`VectorizedJartVcm.prepare` for one (V, x) per lane.  It
+    holds the bias sign, the bias magnitude and the ohmic resistance scaled
+    by the interface nonlinearity voltage (``|V| / v_nl`` and
+    ``r_ohmic / v_nl``), the interface barrier over k_B, and the lane
+    constant A*·area of the thermionic saturation current.
+    """
+
+    __slots__ = ("sign", "scaled_magnitude", "scaled_ohmic", "barrier_k", "richardson_area")
+
+    def __init__(self, sign, scaled_magnitude, scaled_ohmic, barrier_k, richardson_area):
+        self.sign = sign
+        self.scaled_magnitude = scaled_magnitude
+        self.scaled_ohmic = scaled_ohmic
+        self.barrier_k = barrier_k
+        self.richardson_area = richardson_area
+
+    def take(self, lanes: np.ndarray) -> "PreparedBias":
+        """The prepared bias of the given lanes."""
+        return PreparedBias(*(getattr(self, name)[lanes] for name in self.__slots__))
+
+    def solve(
+        self, temperature_k: np.ndarray, start: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Lane currents [A] and interface roots ``w`` at the given temperatures.
+
+        The per-lane root equation is the scalar model's
+        (``v_nl * asinh(I / i_sat) + I * r_ohmic = |V|``), but instead of
+        sixty bisection steps the root is located by Newton iteration in the
+        interface coordinate ``w = asinh(I / i_sat)``, where the residual
+
+            g(w) = w + a * sinh(w) - b,   a = r_ohmic * i_sat / v_nl,  b = |V| / v_nl,
+
+        is strictly increasing and *convex* for w >= 0.  Both ``b`` and
+        ``asinh(b / a)`` over-estimate the root (each drops one of the two
+        positive terms); the iteration starts from their minimum, or from
+        ``start`` where that is lower.  From above the root Newton descends
+        monotonically; from a start in [0, root] its first step lands on the
+        convex side (the tangent lies below g) at no more than ``b``, and the
+        descent follows.  Since a warm start may begin below the root, the
+        iteration stops once no lane moved by more than ~1 ulp in *either*
+        direction.  Both solvers resolve the root orders of magnitude beyond
+        the 1e-9 agreement budget of this module (the scalar bracket ends
+        2^-60 wide).
+        """
+        temperature = np.maximum(temperature_k, 1.0)
+        i_sat = self.richardson_area * temperature**2 * np.exp(-self.barrier_k / temperature)
+        a = self.scaled_ohmic * i_sat
+        b = self.scaled_magnitude
+        w = np.minimum(b, np.arcsinh(b / a))
+        if start is not None:
+            np.minimum(w, start, out=w)
+        step = np.empty_like(w)
+        slope = np.empty_like(w)
+        for _ in range(_MAX_NEWTON_STEPS):
+            np.sinh(w, out=step)
+            step *= a
+            step += w
+            step -= b
+            np.cosh(w, out=slope)
+            slope *= a
+            slope += 1.0
+            step /= slope
+            w -= step
+            # Converged once no lane moved by more than ~1 ulp (zero-bias
+            # lanes start exactly at w = 0 with zero residual).
+            np.abs(step, out=step)
+            if not np.count_nonzero(step > _NEWTON_RTOL * w):
+                break
+        return self.sign * i_sat * np.sinh(w), w
+
+
 class VectorizedJartVcm:
     """The JART-style VCM model over a population of cells.
 
     Every physical parameter is a lane array of shape ``(n,)``; lanes are
     fully independent, so one call evaluates ``n`` distinct sampled devices.
     Built from a nominal :class:`~repro.devices.jart_vcm.JartVcmParameters`
-    plus per-field override arrays (sampled values).
+    plus per-field override arrays (sampled values).  The parameter-only
+    lane constants of :data:`LANE_CONSTANTS` are derived once, here.
     """
+
+    #: Lane arrays derived from the parameters alone (see :meth:`_derive`).
+    LANE_CONSTANTS = (
+        "area_m2",
+        "richardson_area",
+        "charge_mobility",
+        "disc_span_per_m3",
+        "plug_ohm",
+        "plug_series_ohm",
+        "field_k_per_v",
+        "set_activation_k",
+        "reset_activation_k",
+    )
 
     def __init__(
         self,
@@ -86,15 +195,15 @@ class VectorizedJartVcm:
             raise DeviceModelError("population size must be at least 1")
         self.n = int(n)
         base = base if base is not None else JartVcmParameters()
-        names = {f.name for f in fields(JartVcmParameters)}
         overrides = dict(overrides or {})
-        unknown = set(overrides) - names
+        unknown = set(overrides) - set(_PARAMETER_NAMES)
         if unknown:
             raise DeviceModelError(f"unknown device parameter overrides {sorted(unknown)}")
-        for name in names:
+        for name in _PARAMETER_NAMES:
             value = overrides.get(name, getattr(base, name))
             setattr(self, name, _lanes(value, self.n, f"device.{name}"))
         self._validate()
+        self._derive()
 
     def _validate(self) -> None:
         """Element-wise mirror of ``JartVcmParameters.__post_init__``."""
@@ -114,19 +223,43 @@ class VectorizedJartVcm:
         if np.any(self.set_rate_prefactor_per_s <= 0) or np.any(self.reset_rate_prefactor_per_s <= 0):
             raise DeviceModelError("kinetic prefactors must be positive in every lane")
 
+    def _derive(self) -> None:
+        """The parameter-only lane constants of :data:`LANE_CONSTANTS`."""
+        self.area_m2 = np.pi * self.filament_radius_m**2
+        self.richardson_area = RICHARDSON_A_PER_M2K2 * self.area_m2
+        # q·e·μ: times a vacancy concentration, the conductivity of a region.
+        self.charge_mobility = self.charge_number * ELEMENTARY_CHARGE_C * self.electron_mobility_m2_per_vs
+        self.disc_span_per_m3 = self.n_disc_max_per_m3 - self.n_disc_min_per_m3
+        self.plug_ohm = self.plug_length_m / (self.charge_mobility * self.n_plug_per_m3 * self.area_m2)
+        self.plug_series_ohm = self.plug_ohm + self.series_resistance_ohm
+        self.field_k_per_v = (
+            self.hop_distance_m
+            * self.charge_number
+            * ELEMENTARY_CHARGE_C
+            / (2.0 * BOLTZMANN_J_PER_K * self.disc_length_m)
+        )
+        self.set_activation_k = self.activation_energy_ev / BOLTZMANN_EV_PER_K
+        self.reset_activation_k = self.reset_activation_energy_ev / BOLTZMANN_EV_PER_K
+
     # ------------------------------------------------------------------
     # lane management
     # ------------------------------------------------------------------
 
     def take(self, indices: np.ndarray) -> "VectorizedJartVcm":
-        """The population restricted to the given lanes (ascending indices)."""
-        if len(indices) == self.n:
-            # Ascending unique indices covering every lane are the identity.
+        """The population restricted to the given lanes, in the given order.
+
+        ``indices`` is an integer index array (repeats allowed) or a boolean
+        lane mask; the lane constants travel with their lanes.
+        """
+        indices = np.asarray(indices)
+        if indices.dtype == bool:
+            indices = np.flatnonzero(indices)
+        if indices.shape == (self.n,) and np.array_equal(indices, np.arange(self.n)):
             return self
         subset = object.__new__(VectorizedJartVcm)
-        subset.n = int(len(indices))
-        for f in fields(JartVcmParameters):
-            setattr(subset, f.name, getattr(self, f.name)[indices])
+        subset.n = int(indices.size)
+        for name in _PARAMETER_NAMES + self.LANE_CONSTANTS:
+            setattr(subset, name, getattr(self, name)[indices])
         return subset
 
     def scalar_parameters(self, index: int) -> JartVcmParameters:
@@ -136,124 +269,35 @@ class VectorizedJartVcm:
         a :class:`~repro.devices.jart_vcm.JartVcmModel` per cell.
         """
         values = {}
-        for f in fields(JartVcmParameters):
-            value = getattr(self, f.name)[index]
-            values[f.name] = int(value) if f.name == "charge_number" else float(value)
+        for name in _PARAMETER_NAMES:
+            value = getattr(self, name)[index]
+            values[name] = int(value) if name == "charge_number" else float(value)
         return JartVcmParameters(**values)
-
-    # ------------------------------------------------------------------
-    # derived quantities (mirroring JartVcmModel)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def clamp_state(x: np.ndarray) -> np.ndarray:
-        return np.clip(x, 0.0, 1.0)
-
-    @property
-    def filament_area_m2(self) -> np.ndarray:
-        return np.pi * self.filament_radius_m**2
-
-    @property
-    def field_coefficient_k_per_v(self) -> np.ndarray:
-        return (
-            self.hop_distance_m
-            * self.charge_number
-            * ELEMENTARY_CHARGE_C
-            / (2.0 * BOLTZMANN_J_PER_K * self.disc_length_m)
-        )
-
-    def disc_concentration(self, x: np.ndarray) -> np.ndarray:
-        x = self.clamp_state(x)
-        return self.n_disc_min_per_m3 + x * (self.n_disc_max_per_m3 - self.n_disc_min_per_m3)
-
-    def disc_resistance(self, x: np.ndarray) -> np.ndarray:
-        sigma = (
-            self.charge_number
-            * ELEMENTARY_CHARGE_C
-            * self.electron_mobility_m2_per_vs
-            * self.disc_concentration(x)
-        )
-        return self.disc_length_m / (sigma * self.filament_area_m2)
-
-    def plug_resistance(self) -> np.ndarray:
-        sigma = (
-            self.charge_number * ELEMENTARY_CHARGE_C * self.electron_mobility_m2_per_vs * self.n_plug_per_m3
-        )
-        return self.plug_length_m / (sigma * self.filament_area_m2)
-
-    def ohmic_resistance(self, x: np.ndarray) -> np.ndarray:
-        return self.disc_resistance(x) + self.plug_resistance() + self.series_resistance_ohm
-
-    def interface_saturation_current(self, x: np.ndarray, temperature_k: np.ndarray) -> np.ndarray:
-        barrier_ev = self.barrier_height_ev - self.barrier_lowering_ev * self.clamp_state(x)
-        thermionic = RICHARDSON_A_PER_M2K2 * temperature_k**2 * self.filament_area_m2
-        return thermionic * np.exp(-barrier_ev / (BOLTZMANN_EV_PER_K * temperature_k))
 
     # ------------------------------------------------------------------
     # electrical characteristic
     # ------------------------------------------------------------------
 
-    def current(self, voltage_v: np.ndarray, x: np.ndarray, temperature_k: np.ndarray) -> np.ndarray:
-        """Lane currents [A]: the scalar model's root equation, solved batched.
-
-        The per-lane root equation is identical to ``JartVcmModel.current``
-        (``v_nl * asinh(I / i_sat) + I * r_ohmic = magnitude``), but instead
-        of sixty bisection steps the root is located by Newton iteration in
-        the interface coordinate ``w = asinh(I / i_sat)``, where the residual
-
-            f(w) = v_nl * w + r_ohmic * i_sat * sinh(w) - magnitude
-
-        is strictly increasing and *convex* for w >= 0.  Both ``magnitude /
-        v_nl`` and ``asinh(magnitude / (r_ohmic * i_sat))`` over-estimate the
-        root (each drops one of the two positive terms), so starting from
-        their minimum puts Newton on the convex side: the iteration descends
-        monotonically onto the root — globally convergent without
-        safeguarding — and stalls at ~1 ulp within a handful of steps.  Both
-        solvers resolve the root orders of magnitude beyond the 1e-9
-        agreement budget of this module (the scalar bracket ends 2^-60 wide).
-        """
-        if np.any(np.abs(voltage_v) > 10.0):
-            raise DeviceModelError("cell voltage outside the model validity range [-10, 10] V in a lane")
-        sign = np.where(voltage_v > 0.0, 1.0, -1.0)
+    def prepare(self, voltage_v: np.ndarray, x: np.ndarray) -> PreparedBias:
+        """The temperature-independent part of the current solve at (V, x)."""
         magnitude = np.abs(voltage_v)
-        x = self.clamp_state(x)
-        temperature = np.maximum(temperature_k, 1.0)
-        r_ohmic = self.ohmic_resistance(x)
-        i_sat = self.interface_saturation_current(x, temperature)
-        v_nl = self.interface_voltage_v
+        if (magnitude > 10.0).any():
+            raise DeviceModelError("cell voltage outside the model validity range [-10, 10] V in a lane")
+        x = np.minimum(np.maximum(x, 0.0), 1.0)
+        concentration = self.n_disc_min_per_m3 + x * self.disc_span_per_m3
+        disc_ohm = self.disc_length_m / (self.charge_mobility * concentration * self.area_m2)
+        barrier_ev = self.barrier_height_ev - self.barrier_lowering_ev * x
+        return PreparedBias(
+            sign=np.where(voltage_v > 0.0, 1.0, -1.0),
+            scaled_magnitude=magnitude / self.interface_voltage_v,
+            scaled_ohmic=(disc_ohm + self.plug_series_ohm) / self.interface_voltage_v,
+            barrier_k=barrier_ev / BOLTZMANN_EV_PER_K,
+            richardson_area=self.richardson_area,
+        )
 
-        ohmic_sat = r_ohmic * i_sat
-        w = np.minimum(magnitude / v_nl, np.arcsinh(magnitude / ohmic_sat))
-        sinh_w = np.empty_like(w)
-        cosh_w = np.empty_like(w)
-        residual = np.empty_like(w)
-        slope = np.empty_like(w)
-        step = np.empty_like(w)
-        for _ in range(_MAX_NEWTON_STEPS):
-            np.sinh(w, out=sinh_w)
-            np.cosh(w, out=cosh_w)
-            # f(w) = v_nl * w + ohmic_sat * sinh(w) - magnitude
-            np.multiply(ohmic_sat, sinh_w, out=residual)
-            residual += v_nl * w
-            residual -= magnitude
-            # f'(w) = v_nl + ohmic_sat * cosh(w)
-            np.multiply(ohmic_sat, cosh_w, out=slope)
-            slope += v_nl
-            np.divide(residual, slope, out=step)
-            w -= step
-            # Converged once no lane moved by more than ~1 ulp (zero-bias
-            # lanes start exactly at w = 0 with zero residual).
-            if not np.any(step > _NEWTON_RTOL * w + _NEWTON_ATOL):
-                break
-        return sign * i_sat * np.sinh(w)
-
-    def driving_voltage(
-        self, voltage_v: np.ndarray, x: np.ndarray, temperature_k: np.ndarray
-    ) -> np.ndarray:
-        """Voltage available to drive ion migration [V] (signed), per lane."""
-        current_a = self.current(voltage_v, x, temperature_k)
-        series = self.plug_resistance() + self.series_resistance_ohm
-        return voltage_v - current_a * series
+    def current(self, voltage_v: np.ndarray, x: np.ndarray, temperature_k: np.ndarray) -> np.ndarray:
+        """Lane currents [A]: the scalar model's root equation, solved batched."""
+        return self.prepare(voltage_v, x).solve(temperature_k)[0]
 
     # ------------------------------------------------------------------
     # switching kinetics
@@ -263,21 +307,22 @@ class VectorizedJartVcm:
         self, voltage_v: np.ndarray, x: np.ndarray, temperature_k: np.ndarray
     ) -> np.ndarray:
         """dx/dt per lane — thermally activated, field-accelerated hopping."""
+        return self._rate(voltage_v, x, temperature_k, self.current(voltage_v, x, temperature_k))
+
+    def _rate(
+        self, voltage_v: np.ndarray, x: np.ndarray, temperature_k: np.ndarray, current_a: np.ndarray
+    ) -> np.ndarray:
+        """dx/dt per lane, given the lane currents at (V, x, T)."""
         temperature = np.maximum(temperature_k, 1.0)
-        v_drive = self.driving_voltage(voltage_v, x, temperature)
+        # The drive is the cell voltage minus the plug and series drops.
+        v_drive = voltage_v - current_a * self.plug_series_ohm
         field_argument = np.minimum(
-            self.field_coefficient_k_per_v * np.abs(v_drive) / temperature, _MAX_FIELD_ARGUMENT
+            self.field_k_per_v * np.abs(v_drive) / temperature, _MAX_FIELD_ARGUMENT
         )
         field_term = np.sinh(field_argument)
-        set_rate = (
-            self.set_rate_prefactor_per_s
-            * np.exp(-self.activation_energy_ev / (BOLTZMANN_EV_PER_K * temperature))
-            * field_term
-        )
+        set_rate = self.set_rate_prefactor_per_s * np.exp(-self.set_activation_k / temperature) * field_term
         reset_rate = (
-            self.reset_rate_prefactor_per_s
-            * np.exp(-self.reset_activation_energy_ev / (BOLTZMANN_EV_PER_K * temperature))
-            * field_term
+            self.reset_rate_prefactor_per_s * np.exp(-self.reset_activation_k / temperature) * field_term
         )
         rate = np.where(voltage_v > 0.0, set_rate, -reset_rate)
         # Saturation at the state bounds and the zero-bias dead zone, exactly
@@ -477,6 +522,10 @@ def solve_operating_point_batch(
     ``raise_on_failure=False`` runaway lanes are reported through the
     ``converged`` mask instead of raising, letting population studies keep
     the healthy lanes.
+
+    The bias is prepared once per call; each iterate's Newton starts from
+    the previous iterate's root, and a lane that converges retires by
+    dropping out of the few prepared arrays.
     """
     n = model.n
     voltage = _lanes(voltage_v, n, "voltage_v")
@@ -484,27 +533,41 @@ def solve_operating_point_batch(
     ambient = _lanes(ambient_temperature_k, n, "ambient_temperature_k")
     crosstalk = _lanes(crosstalk_temperature_k, n, "crosstalk_temperature_k")
 
+    prepared = model.prepare(voltage, x)
     temperature = ambient + crosstalk
-    rth = model.rth_eff_k_per_w
+    # Every lane's last interface root, written when the lane settles or
+    # when the iteration cap stops it: the warm start of the final solve.
+    roots = np.empty(n)
     damping = 0.6
     done = np.zeros(n, dtype=bool)
+    # The still-iterating lanes and their slices of the per-lane inputs; an
+    # infinite root makes the first solve start cold.
+    lanes = np.arange(n)
+    bias, lane_voltage, lane_rth = prepared, voltage, model.rth_eff_k_per_w
+    lane_base, lane_temperature = temperature.copy(), temperature.copy()
+    w = np.full(n, np.inf)
     for _ in range(max_iterations):
-        if not done.any():
-            # Fast path while every lane is still iterating (the common case:
-            # similar devices converge after similar iteration counts).
-            sub, active = model, slice(None)
-        else:
-            lanes = np.flatnonzero(~done)
+        current, w = bias.solve(lane_temperature, start=w)
+        power = np.abs(lane_voltage * current)
+        target = lane_base + lane_rth * power
+        new_temperature = lane_temperature + damping * (target - lane_temperature)
+        converged_now = np.abs(new_temperature - lane_temperature) < tolerance_k
+        lane_temperature = new_temperature
+        if converged_now.any():
+            settled = lanes[converged_now]
+            done[settled] = True
+            temperature[settled] = lane_temperature[converged_now]
+            roots[settled] = w[converged_now]
+            keep = ~converged_now
+            lanes = lanes[keep]
             if lanes.size == 0:
                 break
-            sub, active = model.take(lanes), lanes
-        current = sub.current(voltage[active], x[active], temperature[active])
-        power = np.abs(voltage[active] * current)
-        target = ambient[active] + crosstalk[active] + rth[active] * power
-        new_temperature = temperature[active] + damping * (target - temperature[active])
-        converged_now = np.abs(new_temperature - temperature[active]) < tolerance_k
-        temperature[active] = new_temperature
-        done[active] = converged_now
+            bias, w = bias.take(keep), w[keep]
+            lane_voltage, lane_rth = lane_voltage[keep], lane_rth[keep]
+            lane_base, lane_temperature = lane_base[keep], lane_temperature[keep]
+    else:
+        temperature[lanes] = lane_temperature
+        roots[lanes] = w
 
     if not done.all():
         failed = np.flatnonzero(~done)
@@ -519,7 +582,7 @@ def solve_operating_point_batch(
 
     # Final recompute at the settled temperature, as the scalar solver does on
     # its converged return.
-    current = model.current(voltage, x, temperature)
+    current, _ = prepared.solve(temperature, start=roots)
     power = np.abs(voltage * current)
     return BatchOperatingPoint(
         voltage_v=voltage,
@@ -566,7 +629,9 @@ def time_to_switch_batch(
     Every lane follows the scalar integrator's control flow: the same
     adaptive step bound, the same lazy thermal refresh (re-solve once the
     state moved by a quarter step bound), the same termination rules.  Lanes
-    retire independently; the loop runs until the last lane finishes.
+    retire independently; the loop runs until the last lane finishes.  A
+    lane whose state has not moved since its last operating-point solve
+    takes its rate from the current that solve returned.
     """
     n = model.n
     voltage = _lanes(voltage_v, n, "voltage_v")
@@ -590,6 +655,9 @@ def time_to_switch_batch(
         model, voltage, x, ambient, crosstalk, raise_on_failure=raise_on_failure
     )
     temperature = initial.filament_temperature_k.copy()
+    # Each lane's current from its last operating-point solve: the current
+    # at (V, x, T) for as long as the state stays where that solve saw it.
+    solved_current = initial.current_a.copy()
     converged = initial.converged.copy()
     x_at_last_thermal_solve = x.copy()
 
@@ -602,11 +670,13 @@ def time_to_switch_batch(
         if idx.size == 0:
             break
         steps[idx] += 1
+        sub = model.take(idx)
 
-        refresh = idx[np.abs(x[idx] - x_at_last_thermal_solve[idx]) > 0.25 * max_dx_per_step]
-        if refresh.size:
+        due = np.abs(x[idx] - x_at_last_thermal_solve[idx]) > 0.25 * max_dx_per_step
+        if due.any():
+            refresh = idx[due]
             solved = solve_operating_point_batch(
-                model.take(refresh),
+                sub.take(due),
                 voltage[refresh],
                 x[refresh],
                 ambient[refresh],
@@ -614,6 +684,7 @@ def time_to_switch_batch(
                 raise_on_failure=raise_on_failure,
             )
             temperature[refresh] = solved.filament_temperature_k
+            solved_current[refresh] = solved.current_a
             x_at_last_thermal_solve[refresh] = x[refresh]
             lost = refresh[~solved.converged]
             if lost.size:
@@ -622,9 +693,16 @@ def time_to_switch_batch(
                 idx = np.flatnonzero(active)
                 if idx.size == 0:
                     break
+                sub = model.take(idx)
 
-        sub = model.take(idx)
-        rate = sub.state_derivative(voltage[idx], x[idx], temperature[idx])
+        lane_voltage, lane_x, lane_temperature = voltage[idx], x[idx], temperature[idx]
+        current = solved_current[idx]
+        moved = lane_x != x_at_last_thermal_solve[idx]
+        if moved.any():
+            current[moved] = sub.take(moved).current(
+                lane_voltage[moved], lane_x[moved], lane_temperature[moved]
+            )
+        rate = sub._rate(lane_voltage, lane_x, lane_temperature, current)
         moving = ((rate > 0.0) & towards_set[idx]) | ((rate < 0.0) & ~towards_set[idx])
         blocked = (rate == 0.0) | ~moving
         # The bias cannot move these lanes towards the target at all: the

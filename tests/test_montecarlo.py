@@ -10,6 +10,8 @@ control flow per lane.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +19,13 @@ from hypothesis import strategies as st
 
 from repro.attack import WorstCaseCornerScenario, YieldScenario
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.devices import JartVcmModel, pulses_to_switch, solve_operating_point, time_to_switch
+from repro.devices import (
+    JartVcmModel,
+    JartVcmParameters,
+    pulses_to_switch,
+    solve_operating_point,
+    time_to_switch,
+)
 from repro.errors import CampaignError, DeviceModelError, MonteCarloError
 from repro.montecarlo import (
     MapAxis,
@@ -189,6 +197,149 @@ class TestVectorizedModel:
         model = sampled_model(seed=0, n=2)
         with pytest.raises(DeviceModelError):
             model.current(np.array([0.5, 11.0]), np.zeros(2), np.full(2, 300.0))
+
+
+def assert_same_lanes(taken: VectorizedJartVcm, direct: VectorizedJartVcm) -> None:
+    """Every parameter and lane constant of two kernels is bit-identical."""
+    assert taken.n == direct.n
+    names = [f.name for f in fields(JartVcmParameters)] + list(VectorizedJartVcm.LANE_CONSTANTS)
+    for name in names:
+        np.testing.assert_array_equal(getattr(taken, name), getattr(direct, name), err_msg=name)
+
+
+def taken_directly(model: VectorizedJartVcm, lanes) -> VectorizedJartVcm:
+    """A kernel built from scratch with the parameters of the given lanes."""
+    overrides = {f.name: getattr(model, f.name)[lanes] for f in fields(JartVcmParameters)}
+    return VectorizedJartVcm(len(overrides["series_resistance_ohm"]), overrides=overrides)
+
+
+def lane_state(obj) -> dict:
+    """A copy of everything an object stores, to show that calls store nothing."""
+    return {name: np.copy(value) for name, value in vars(obj).items()}
+
+
+def assert_same_state(after: dict, before: dict) -> None:
+    assert after.keys() == before.keys()
+    for name, value in before.items():
+        np.testing.assert_array_equal(after[name], value, err_msg=name)
+
+
+class TestPreparedKernel:
+    """Lane constants, the prepared-bias Newton and its call-scoped warm start."""
+
+    @pytest.mark.parametrize(
+        "lanes",
+        [[2, 1, 0], [0, 0, 0], [True, False, True]],
+        ids=["permutation", "repeats", "mask"],
+    )
+    def test_take_returns_the_requested_lanes(self, lanes):
+        model = VectorizedJartVcm(
+            3,
+            overrides={
+                "series_resistance_ohm": [600.0, 650.0, 700.0],
+                "filament_radius_m": [14e-9, 15e-9, 16e-9],
+                "activation_energy_ev": [1.1, 1.2, 1.3],
+            },
+        )
+        taken = model.take(np.asarray(lanes))
+        assert taken is not model
+        assert_same_lanes(taken, taken_directly(model, np.asarray(lanes)))
+
+    def test_take_of_every_lane_in_order_is_the_identity(self):
+        model = sampled_model(seed=2, n=5)
+        assert model.take(np.arange(5)) is model
+        assert model.take(np.ones(5, dtype=bool)) is model
+
+    def test_lane_constants_after_take_match_a_direct_build(self):
+        rng = np.random.default_rng(8)
+        n = 16
+        base = JartVcmParameters()
+        overrides = {
+            name: getattr(base, name) * rng.normal(1.0, 0.05, n)
+            for name in (
+                "filament_radius_m", "disc_length_m", "plug_length_m", "n_plug_per_m3",
+                "electron_mobility_m2_per_vs", "series_resistance_ohm", "hop_distance_m",
+                "activation_energy_ev", "reset_activation_energy_ev",
+            )
+        }
+        model = VectorizedJartVcm(n, overrides=overrides)
+        lanes = rng.permutation(n)[:9]
+        assert_same_lanes(model.take(lanes), taken_directly(model, lanes))
+
+    def test_warm_start_below_the_root_converges_to_the_cold_root(self):
+        n = 64
+        model = sampled_model(seed=6, n=n)
+        rng = np.random.default_rng(6)
+        prepared = model.prepare(rng.uniform(-1.2, 1.2, n), rng.uniform(0.0, 1.0, n))
+        temperature = rng.uniform(250.0, 1000.0, n)
+        cold_current, cold_root = prepared.solve(temperature)
+        assert (cold_root > 0.0).all()
+        for fraction in (0.0, 0.5, 0.9, 0.999):
+            current, root = prepared.solve(temperature, start=fraction * cold_root)
+            assert relative_error(root, cold_root).max() < 1e-12
+            assert relative_error(current, cold_current).max() < 1e-12
+
+    def test_lanes_between_refreshes_agree_with_scalar(self):
+        """A step too short to refresh the temperature re-solves its current.
+
+        With a step bound of 1 each lane aims for the target in one step; where
+        rounding leaves it a hair short, the next step starts from a state
+        that moved (by less than a quarter bound) since the last solve.
+        """
+        n = 64
+        model = sampled_model(seed=31, n=n)
+        rng = np.random.default_rng(31)
+        voltage = rng.uniform(0.45, 0.6, n)
+        crosstalk = rng.uniform(40.0, 90.0, n)
+        batch = time_to_switch_batch(
+            model, voltage, 0.0, 0.1, crosstalk_temperature_k=crosstalk, max_dx_per_step=1.0
+        )
+        assert (batch.steps == 2).any() and (batch.steps == 1).any()
+        for lane in range(n):
+            scalar = time_to_switch(
+                JartVcmModel(model.scalar_parameters(lane)), float(voltage[lane]), 0.0, 0.1,
+                crosstalk_temperature_k=float(crosstalk[lane]), max_dx_per_step=1.0,
+            )
+            assert bool(batch.switched[lane]) == scalar.switched
+            assert relative_error(batch.time_s[lane], scalar.time_s).max() < RTOL
+            assert relative_error(batch.final_x[lane], scalar.final_x).max() < RTOL
+
+    def test_results_do_not_depend_on_call_history(self):
+        def workload(model):
+            op = solve_operating_point_batch(model, 1.05, 1.0, 300.0)
+            pulses = pulses_to_switch_batch(
+                model, 0.52, 50e-9, 0.0, 0.5, crosstalk_temperature_k=80.0, max_pulses=100_000
+            )
+            return (
+                op.current_a, op.filament_temperature_k, pulses.pulses,
+                pulses.stress_time_s, pulses.final_x, pulses.final_temperature_k,
+            )
+
+        first = workload(sampled_model(seed=9, n=24))
+        model = sampled_model(seed=9, n=24)
+        before = lane_state(model)
+        solve_operating_point_batch(model, 0.4, 0.3, 350.0, crosstalk_temperature_k=60.0)
+        model.current(np.full(24, 0.8), np.full(24, 0.2), np.full(24, 700.0))
+        pulses_to_switch_batch(model, 0.6, 20e-9, 0.0, 0.5, max_pulses=1000)
+        assert_same_state(lane_state(model), before)
+        for fresh, after in zip(first, workload(model)):
+            np.testing.assert_array_equal(after, fresh)
+
+    def test_shared_batched_model_does_not_depend_on_call_history(self):
+        rng = np.random.default_rng(12)
+        shape = (16, 16)
+        voltage = rng.uniform(-1.05, 1.05, shape)
+        x = rng.uniform(0.0, 1.0, shape)
+        temperature = rng.uniform(300.0, 950.0, shape)
+        fresh = JartVcmModel().batched().current(voltage, x, temperature)
+        shared = JartVcmModel()
+        batched = shared.batched()
+        before = lane_state(batched.kernel)
+        batched.current(voltage * 0.5, 1.0 - x, temperature + 200.0)
+        batched.conductance(voltage, x, temperature)
+        assert shared.batched() is batched
+        assert_same_state(lane_state(batched.kernel), before)
+        np.testing.assert_array_equal(batched.current(voltage, x, temperature), fresh)
 
 
 class TestOperatingPointBatch:
