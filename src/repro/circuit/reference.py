@@ -230,7 +230,8 @@ class ReferenceTransientSimulator(TransientSimulator):
         trace = TransientTrace()
         flips: List[BitFlipEvent] = []
         previous_bits = {
-            cell: bit_from_state(state) for cell, state in crossbar.states.items()
+            cell: bit_from_state(state, threshold=self.flip_threshold)
+            for cell, state in crossbar.states.items()
         }
         time_s = 0.0
         steps = 0

@@ -224,10 +224,10 @@ class TransientSimulator:
         trace = TransientTrace()
         flips: List[BitFlipEvent] = []
         target_cell = tuple(stop_on_flip_of) if stop_on_flip_of is not None else None
-        # Initial bits use the 0.5 decode threshold (bit_from_state's
-        # default), not self.flip_threshold — mirroring the seed engine so
-        # flip events stay element-for-element identical for any threshold.
-        previous_bits = state.x >= 0.5
+        # A flip is a crossing of flip_threshold, so the initial bits decode
+        # at that threshold too: a cell merely sitting between it and 0.5
+        # has not flipped.
+        previous_bits = state.x >= self.flip_threshold
         time_s = 0.0
         steps = 0
         stop = False

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.attack import NeuroHammer
 from repro.circuit import (
     CrossbarArray,
     ReferenceTransientSimulator,
@@ -21,7 +22,7 @@ from repro.circuit import (
     hammer_schedule,
     write_bias,
 )
-from repro.config import CrossbarGeometry, PulseConfig
+from repro.config import AttackConfig, CrossbarGeometry, PulseConfig
 
 RTOL = 1e-9
 
@@ -101,25 +102,55 @@ class TestTransientRegression:
         assert vectorized.flip_events and vectorized.flip_events[-1].cell == (1, 1)
         assert_same_run(vectorized, reference)
 
-    def test_non_default_threshold_matches_seed_engine(self):
-        """Seed quirk preserved: initial bits decode at 0.5, not flip_threshold.
+    @pytest.mark.parametrize("engine", [TransientSimulator, ReferenceTransientSimulator])
+    def test_cell_between_thresholds_has_not_flipped(self, engine):
+        """A cell between 0.5 and a 0.6 threshold idles without an event."""
+        crossbar = fresh_crossbar()
+        crossbar.set_state((1, 2), 0.55)
+        schedule = StimulusSchedule()
+        schedule.append(StimulusSegment(0.0, 1e-9, label="idle", payload=None))
+        result = engine(crossbar, flip_threshold=0.6).run(schedule)
+        assert result.flip_events == []
+        assert crossbar.get_state((1, 2)).x == pytest.approx(0.55)
 
-        With mid-range initial states and a non-default threshold the seed
-        engine reports first-step events for cells sitting between the two
-        thresholds; the vectorized engine must reproduce them exactly.
+    def test_non_default_threshold_engines_agree(self):
+        """Flips are crossings of flip_threshold, identically in both engines.
+
+        Cells parked between the 0.3 threshold and 0.5 report nothing; the
+        written cell reports one SET, at its 0.3 crossing.
         """
         crossbar_v = fresh_crossbar()
         crossbar_r = fresh_crossbar()
         for crossbar in (crossbar_v, crossbar_r):
             crossbar.set_state((0, 0), 0.4)
             crossbar.set_state((2, 2), 0.4)
-        schedule = write_schedule(crossbar_v.geometry, (1, 1), duration_s=1e-6)
+        schedule = write_schedule(crossbar_v.geometry, (1, 1))
         vectorized = TransientSimulator(crossbar_v, flip_threshold=0.3).run(schedule)
         reference = ReferenceTransientSimulator(crossbar_r, flip_threshold=0.3).run(
-            write_schedule(crossbar_r.geometry, (1, 1), duration_s=1e-6)
+            write_schedule(crossbar_r.geometry, (1, 1))
         )
-        assert len(reference.flip_events) >= 2  # the between-threshold cells
+        assert [(e.cell, e.direction) for e in reference.flip_events] == [((1, 1), "set")]
+        assert reference.flip_events[0].state_x >= 0.3
         assert_same_run(vectorized, reference)
+
+    @pytest.mark.parametrize("threshold", [0.6, 0.7])
+    def test_run_transient_flips_past_a_non_default_threshold(self, threshold):
+        """Each pulse restarts the engine: a victim past 0.5 is not a flip yet.
+
+        After 12 pulses of 20 us the victim sits at x = 0.52; the 13th pulse
+        carries it over 0.6 and 0.7 alike.
+        """
+        config = AttackConfig(
+            aggressors=[(1, 1)], victim=(1, 2), pulse=PulseConfig(length_s=20e-6),
+            flip_threshold=threshold,
+        )
+        short = NeuroHammer(fresh_crossbar()).run_transient(config=config, max_pulses=12)
+        assert not short.flipped
+        assert 0.5 < short.victim_final_x < threshold
+        result = NeuroHammer(fresh_crossbar()).run_transient(config=config)
+        assert result.flipped
+        assert result.pulses == 13
+        assert result.victim_final_x >= threshold
 
     def test_idle_schedule_matches_seed_engine(self):
         crossbar_v = fresh_crossbar(lrs_cells=[(2, 2)])
