@@ -44,7 +44,7 @@ element-for-element agreement within 1e-9 relative tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -88,28 +88,27 @@ def _lanes(value: ArrayLike, n: int, name: str) -> np.ndarray:
     return array.copy()
 
 
-class PreparedBias:
+class PreparedBias(NamedTuple):
     """The temperature-independent half of the current solve, per lane.
 
-    Built by :meth:`VectorizedJartVcm.prepare` for one (V, x) per lane.  It
-    holds the bias sign, the bias magnitude and the ohmic resistance scaled
-    by the interface nonlinearity voltage (``|V| / v_nl`` and
-    ``r_ohmic / v_nl``), the interface barrier over k_B, and the lane
-    constant A*·area of the thermionic saturation current.
+    Built by :meth:`VectorizedJartVcm.prepare` for one (V, x) per lane.  The
+    bias magnitude and the ohmic resistance are scaled by the interface
+    nonlinearity voltage ``v_nl``.
     """
 
-    __slots__ = ("sign", "scaled_magnitude", "scaled_ohmic", "barrier_k", "richardson_area")
-
-    def __init__(self, sign, scaled_magnitude, scaled_ohmic, barrier_k, richardson_area):
-        self.sign = sign
-        self.scaled_magnitude = scaled_magnitude
-        self.scaled_ohmic = scaled_ohmic
-        self.barrier_k = barrier_k
-        self.richardson_area = richardson_area
+    sign: np.ndarray
+    #: ``|V| / v_nl``
+    scaled_magnitude: np.ndarray
+    #: ``r_ohmic / v_nl`` [1/A]
+    scaled_ohmic: np.ndarray
+    #: Interface barrier over k_B [K].
+    barrier_k: np.ndarray
+    #: The lane constant A*·area of the thermionic saturation current.
+    richardson_area: np.ndarray
 
     def take(self, lanes: np.ndarray) -> "PreparedBias":
         """The prepared bias of the given lanes."""
-        return PreparedBias(*(getattr(self, name)[lanes] for name in self.__slots__))
+        return PreparedBias(*(field[lanes] for field in self))
 
     def solve(
         self, temperature_k: np.ndarray, start: Optional[np.ndarray] = None
