@@ -225,8 +225,7 @@ class TransientSimulator:
         flips: List[BitFlipEvent] = []
         target_cell = tuple(stop_on_flip_of) if stop_on_flip_of is not None else None
         # A flip is a crossing of flip_threshold, so the initial bits decode
-        # at that threshold too: a cell merely sitting between it and 0.5
-        # has not flipped.
+        # at that threshold too.
         previous_bits = state.x >= self.flip_threshold
         time_s = 0.0
         steps = 0
