@@ -22,14 +22,7 @@ from .drivers import (
     read_bias,
     write_bias,
 )
-from .netlist import (
-    GROUND_NODE,
-    CrossbarNetlist,
-    CrosspointDevice,
-    DriverPort,
-    Resistor,
-    build_crossbar_netlist,
-)
+from .netlist import GROUND_NODE, CrossbarNetlist, build_crossbar_netlist
 from .pulses import (
     PulseTrain,
     RectangularPulse,
@@ -69,9 +62,6 @@ __all__ = [
     "HALF_SELECTED",
     "UNSELECTED",
     "CrossbarNetlist",
-    "CrosspointDevice",
-    "DriverPort",
-    "Resistor",
     "GROUND_NODE",
     "build_crossbar_netlist",
     "RectangularPulse",

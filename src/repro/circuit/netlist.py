@@ -5,159 +5,80 @@ word line and bit line is a resistive wire chain with one node per crosspoint
 plus a driver attachment node, and a memristive device connects the word-line
 node to the bit-line node at every crosspoint.  Drivers are attached through
 their output resistance, so line loading and IR drop are captured.
+
+A crossbar netlist is fully determined by ``(rows, columns)`` and the wire
+parameters, so it is held as index arrays computed by arithmetic.  Nodes are
+numbered chain by chain (ground is not a node):
+
+* per row ``r``: ``row_drv_r``, then ``wl_r_0 ... wl_r_{C-1}``;
+* then per column ``c``: ``col_drv_c``, then ``bl_0_c ... bl_{R-1}_c``.
+
+Each chain starts at its driver node, and a wire segment joins every pair of
+consecutive nodes of a chain.  Node names are made on demand, on the first
+lookup by name, and cached; no solver path needs them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
 from ..config import CrossbarGeometry, WireParameters
-from ..errors import GeometryError
-
-Cell = Tuple[int, int]
 
 GROUND_NODE = "gnd"
 
 
-@dataclass(frozen=True)
-class Resistor:
-    """A two-terminal linear resistor."""
-
-    name: str
-    node_a: str
-    node_b: str
-    resistance_ohm: float
-
-    def __post_init__(self) -> None:
-        if self.resistance_ohm <= 0:
-            raise GeometryError(f"resistor {self.name} must have positive resistance")
-
-    @property
-    def conductance_s(self) -> float:
-        """Conductance of the resistor [S]."""
-        return 1.0 / self.resistance_ohm
-
-
-@dataclass(frozen=True)
-class DriverPort:
-    """Attachment point of a line driver (Thevenin source)."""
-
-    name: str
-    node: str
-    #: "row" or "column".
-    line_type: str
-    line_index: int
-    series_resistance_ohm: float
-
-
-@dataclass(frozen=True)
-class CrosspointDevice:
-    """A memristive device connecting a word-line node to a bit-line node."""
-
-    cell: Cell
-    wordline_node: str
-    bitline_node: str
-
-
-@dataclass
+@dataclass(eq=False)
 class CrossbarNetlist:
-    """Fully expanded crossbar netlist."""
+    """Fully expanded crossbar netlist as index arrays.
+
+    Devices are in row-major cell order; wire segments are the word-line
+    chains row by row from the driver end, then the bit-line chains column
+    by column; driver nodes are the rows', then the columns'.
+    """
 
     geometry: CrossbarGeometry
     wires: WireParameters
-    nodes: List[str] = field(default_factory=list)
-    resistors: List[Resistor] = field(default_factory=list)
-    devices: List[CrosspointDevice] = field(default_factory=list)
-    drivers: List[DriverPort] = field(default_factory=list)
-
-    # -- node naming -------------------------------------------------------
-
-    @staticmethod
-    def wordline_node(row: int, column: int) -> str:
-        """Word-line node of a crosspoint."""
-        return f"wl_{row}_{column}"
-
-    @staticmethod
-    def bitline_node(row: int, column: int) -> str:
-        """Bit-line node of a crosspoint."""
-        return f"bl_{row}_{column}"
-
-    @staticmethod
-    def row_driver_node(row: int) -> str:
-        """Node at which the word-line driver attaches."""
-        return f"row_drv_{row}"
-
-    @staticmethod
-    def column_driver_node(column: int) -> str:
-        """Node at which the bit-line driver attaches."""
-        return f"col_drv_{column}"
-
-    # -- queries ------------------------------------------------------------
-
-    def device_at(self, cell: Cell) -> CrosspointDevice:
-        """Return the crosspoint device of a cell."""
-        self.geometry.validate_cell(*cell)
-        return self.devices[cell[0] * self.geometry.columns + cell[1]]
-
-    def driver_for(self, line_type: str, index: int) -> DriverPort:
-        """Return the driver port of a word line ("row") or bit line ("column")."""
-        for driver in self.drivers:
-            if driver.line_type == line_type and driver.line_index == index:
-                return driver
-        raise GeometryError(f"no driver for {line_type} {index}")
+    #: Per-device word-line node, bit-line node, cell row and cell column.
+    device_wordline: np.ndarray
+    device_bitline: np.ndarray
+    device_rows: np.ndarray
+    device_cols: np.ndarray
+    #: Per-segment endpoints, driver end first.
+    segment_a: np.ndarray
+    segment_b: np.ndarray
+    #: Attachment node of every line driver.
+    driver_nodes: np.ndarray
+    #: Conductance of every wire segment and of every driver output [S].
+    segment_conductance_s: float
+    driver_conductance_s: float
 
     @property
     def node_count(self) -> int:
         """Number of circuit nodes (excluding ground)."""
-        return len(self.nodes)
+        rows, columns = self.geometry.rows, self.geometry.columns
+        return rows * (columns + 1) + columns * (rows + 1)
 
-    # -- vectorized index arrays --------------------------------------------
-    #
-    # Everything the array-native solver needs is precomputed here exactly
-    # once per netlist: node-name -> index, and flat index arrays describing
-    # where every device and resistor stamps into the nodal matrix.  The
-    # caches assume the netlist is not mutated after construction (true for
-    # every netlist produced by :func:`build_crossbar_netlist`).
+    @cached_property
+    def nodes(self) -> List[str]:
+        """Node names in node-index order."""
+        rows, columns = self.geometry.rows, self.geometry.columns
+        names = []
+        for row in range(rows):
+            names.append(f"row_drv_{row}")
+            names.extend(f"wl_{row}_{column}" for column in range(columns))
+        for column in range(columns):
+            names.append(f"col_drv_{column}")
+            names.extend(f"bl_{row}_{column}" for row in range(rows))
+        return names
 
     @cached_property
     def node_index(self) -> Dict[str, int]:
         """Node name -> row index in the nodal system (ground excluded)."""
         return {name: i for i, name in enumerate(self.nodes)}
-
-    @cached_property
-    def device_index_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-device ``(wordline_idx, bitline_idx, cell_row, cell_col)`` arrays."""
-        index = self.node_index
-        count = len(self.devices)
-        wordline = np.fromiter(
-            (index[d.wordline_node] for d in self.devices), dtype=np.int64, count=count
-        )
-        bitline = np.fromiter(
-            (index[d.bitline_node] for d in self.devices), dtype=np.int64, count=count
-        )
-        rows = np.fromiter((d.cell[0] for d in self.devices), dtype=np.int64, count=count)
-        cols = np.fromiter((d.cell[1] for d in self.devices), dtype=np.int64, count=count)
-        return wordline, bitline, rows, cols
-
-    @cached_property
-    def resistor_index_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-resistor ``(node_a_idx, node_b_idx, conductance)``; -1 marks ground."""
-        index = self.node_index
-        count = len(self.resistors)
-        node_a = np.fromiter(
-            (index.get(r.node_a, -1) for r in self.resistors), dtype=np.int64, count=count
-        )
-        node_b = np.fromiter(
-            (index.get(r.node_b, -1) for r in self.resistors), dtype=np.int64, count=count
-        )
-        conductance = np.fromiter(
-            (r.conductance_s for r in self.resistors), dtype=np.float64, count=count
-        )
-        return node_a, node_b, conductance
 
 
 def build_crossbar_netlist(
@@ -172,67 +93,28 @@ def build_crossbar_netlist(
     """
     geometry = geometry if geometry is not None else CrossbarGeometry()
     wires = wires if wires is not None else WireParameters()
-    netlist = CrossbarNetlist(geometry=geometry, wires=wires)
+    rows, columns = geometry.rows, geometry.columns
+    # Word-line chains hold columns + 1 nodes each and start at node 0; the
+    # bit-line chains (rows + 1 nodes each) follow them.
+    bitline_base = rows * (columns + 1)
+    row_drivers = np.arange(rows, dtype=np.int64) * (columns + 1)
+    column_drivers = bitline_base + np.arange(columns, dtype=np.int64) * (rows + 1)
 
-    segment_r = max(wires.segment_resistance_ohm, 1e-6)
-    driver_r = max(wires.driver_resistance_ohm, 1e-3)
-
-    # Nodes.
-    for row in range(geometry.rows):
-        netlist.nodes.append(netlist.row_driver_node(row))
-        for column in range(geometry.columns):
-            netlist.nodes.append(netlist.wordline_node(row, column))
-    for column in range(geometry.columns):
-        netlist.nodes.append(netlist.column_driver_node(column))
-        for row in range(geometry.rows):
-            netlist.nodes.append(netlist.bitline_node(row, column))
-
-    # Word-line wire chains and drivers.
-    for row in range(geometry.rows):
-        previous = netlist.row_driver_node(row)
-        netlist.drivers.append(
-            DriverPort(
-                name=f"row_driver_{row}",
-                node=previous,
-                line_type="row",
-                line_index=row,
-                series_resistance_ohm=driver_r,
-            )
-        )
-        for column in range(geometry.columns):
-            node = netlist.wordline_node(row, column)
-            netlist.resistors.append(
-                Resistor(f"rw_{row}_{column}", previous, node, segment_r)
-            )
-            previous = node
-
-    # Bit-line wire chains and drivers.
-    for column in range(geometry.columns):
-        previous = netlist.column_driver_node(column)
-        netlist.drivers.append(
-            DriverPort(
-                name=f"column_driver_{column}",
-                node=previous,
-                line_type="column",
-                line_index=column,
-                series_resistance_ohm=driver_r,
-            )
-        )
-        for row in range(geometry.rows):
-            node = netlist.bitline_node(row, column)
-            netlist.resistors.append(
-                Resistor(f"rb_{row}_{column}", previous, node, segment_r)
-            )
-            previous = node
-
-    # Crosspoint devices in row-major order.
-    for row in range(geometry.rows):
-        for column in range(geometry.columns):
-            netlist.devices.append(
-                CrosspointDevice(
-                    cell=(row, column),
-                    wordline_node=netlist.wordline_node(row, column),
-                    bitline_node=netlist.bitline_node(row, column),
-                )
-            )
-    return netlist
+    cell_rows, cell_cols = np.divmod(np.arange(rows * columns, dtype=np.int64), columns)
+    segment_a = np.concatenate([
+        (row_drivers[:, None] + np.arange(columns)).ravel(),
+        (column_drivers[:, None] + np.arange(rows)).ravel(),
+    ])
+    return CrossbarNetlist(
+        geometry=geometry,
+        wires=wires,
+        device_wordline=row_drivers[cell_rows] + 1 + cell_cols,
+        device_bitline=column_drivers[cell_cols] + 1 + cell_rows,
+        device_rows=cell_rows,
+        device_cols=cell_cols,
+        segment_a=segment_a,
+        segment_b=segment_a + 1,
+        driver_nodes=np.concatenate([row_drivers, column_drivers]),
+        segment_conductance_s=1.0 / max(wires.segment_resistance_ohm, 1e-6),
+        driver_conductance_s=1.0 / max(wires.driver_resistance_ohm, 1e-3),
+    )

@@ -9,14 +9,21 @@ nodal solver and the transient stepping loop, kept verbatim so that
   honest baseline.
 
 They are **not** used by any production path.
+
+The oracle expands its own netlist: :func:`expand_crossbar_netlist` is the
+seed per-element loop over the geometry and wire parameters, emitting named
+nodes and plain element tuples.  It never reads the index arrays of
+:class:`~repro.circuit.netlist.CrossbarNetlist`, so an indexing error in the
+array-native build cannot hide in code both solvers share.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..config import CrossbarGeometry, WireParameters
 from ..devices.base import DeviceState, DeviceStateArrays, MemristorModel, bit_from_state
 from ..errors import ConvergenceError
 from .crossbar import CrossbarArray
@@ -27,6 +34,51 @@ from .solver import OperatingPoint
 from .transient import BitFlipEvent, TransientResult, TransientSimulator, TransientTrace
 
 Cell = Tuple[int, int]
+
+
+class ExpandedNetlist(NamedTuple):
+    """Per-element crossbar netlist of the seed builder."""
+
+    nodes: List[str]
+    #: ``(node_a, node_b, conductance_s)`` per wire segment.
+    segments: List[Tuple[str, str, float]]
+    #: ``(line_type, line_index, node, conductance_s)`` per line driver.
+    drivers: List[Tuple[str, int, str, float]]
+    #: ``(cell, wordline_node, bitline_node)`` per crosspoint device.
+    devices: List[Tuple[Cell, str, str]]
+
+
+def expand_crossbar_netlist(geometry: CrossbarGeometry, wires: WireParameters) -> ExpandedNetlist:
+    """The seed netlist builder: one Python iteration per node and element."""
+    segment_g = 1.0 / max(wires.segment_resistance_ohm, 1e-6)
+    driver_g = 1.0 / max(wires.driver_resistance_ohm, 1e-3)
+    expanded = ExpandedNetlist([], [], [], [])
+
+    # Word-line chains: driver node, then one node per crosspoint.
+    for row in range(geometry.rows):
+        previous = f"row_drv_{row}"
+        expanded.nodes.append(previous)
+        expanded.drivers.append(("row", row, previous, driver_g))
+        for column in range(geometry.columns):
+            node = f"wl_{row}_{column}"
+            expanded.nodes.append(node)
+            expanded.segments.append((previous, node, segment_g))
+            previous = node
+    # Bit-line chains.
+    for column in range(geometry.columns):
+        previous = f"col_drv_{column}"
+        expanded.nodes.append(previous)
+        expanded.drivers.append(("column", column, previous, driver_g))
+        for row in range(geometry.rows):
+            node = f"bl_{row}_{column}"
+            expanded.nodes.append(node)
+            expanded.segments.append((previous, node, segment_g))
+            previous = node
+    # Crosspoint devices in row-major order.
+    for row in range(geometry.rows):
+        for column in range(geometry.columns):
+            expanded.devices.append(((row, column), f"wl_{row}_{column}", f"bl_{row}_{column}"))
+    return expanded
 
 
 class ReferenceCrossbarSolver:
@@ -47,41 +99,37 @@ class ReferenceCrossbarSolver:
         self.voltage_tolerance_v = voltage_tolerance_v
         self.residual_tolerance_a = residual_tolerance_a
         self.max_step_v = max_step_v
-        self._index: Dict[str, int] = {name: i for i, name in enumerate(netlist.nodes)}
+        self._elements = expand_crossbar_netlist(netlist.geometry, netlist.wires)
+        self._index: Dict[str, int] = {name: i for i, name in enumerate(self._elements.nodes)}
         self._last_solution: Optional[np.ndarray] = None
         self._linear_matrix = self._assemble_linear_matrix()
 
     # -- assembly -----------------------------------------------------------
 
     def _assemble_linear_matrix(self) -> np.ndarray:
-        n = self.netlist.node_count
+        n = len(self._index)
         matrix = np.zeros((n, n))
-        for resistor in self.netlist.resistors:
-            g = resistor.conductance_s
-            ia = self._index.get(resistor.node_a)
-            ib = self._index.get(resistor.node_b)
-            if ia is not None:
-                matrix[ia, ia] += g
-            if ib is not None:
-                matrix[ib, ib] += g
-            if ia is not None and ib is not None:
-                matrix[ia, ib] -= g
-                matrix[ib, ia] -= g
+        for node_a, node_b, g in self._elements.segments:
+            ia = self._index[node_a]
+            ib = self._index[node_b]
+            matrix[ia, ia] += g
+            matrix[ib, ib] += g
+            matrix[ia, ib] -= g
+            matrix[ib, ia] -= g
         return matrix
 
     def _driver_stamps(self, bias: BiasPattern) -> Tuple[np.ndarray, np.ndarray]:
-        n = self.netlist.node_count
+        n = len(self._index)
         extra_g = np.zeros(n)
         currents = np.zeros(n)
-        for driver in self.netlist.drivers:
-            if driver.line_type == "row":
-                voltage = bias.row_voltage(driver.line_index)
+        for line_type, line_index, node, g in self._elements.drivers:
+            if line_type == "row":
+                voltage = bias.row_voltage(line_index)
             else:
-                voltage = bias.column_voltage(driver.line_index)
+                voltage = bias.column_voltage(line_index)
             if voltage is None:
                 continue
-            g = 1.0 / driver.series_resistance_ohm
-            idx = self._index[driver.node]
+            idx = self._index[node]
             extra_g[idx] += g
             currents[idx] += g * voltage
         return extra_g, currents
@@ -94,7 +142,7 @@ class ReferenceCrossbarSolver:
         states: Mapping[Cell, DeviceState],
         initial_guess: Optional[np.ndarray] = None,
     ) -> OperatingPoint:
-        n = self.netlist.node_count
+        n = len(self._index)
         if isinstance(states, DeviceStateArrays):
             # Accept the array-native container too, so a CrossbarArray's
             # solver can be swapped for this reference in validation runs.
@@ -109,12 +157,8 @@ class ReferenceCrossbarSolver:
             voltages = np.zeros(n)
 
         device_index = [
-            (
-                device.cell,
-                self._index[device.wordline_node],
-                self._index[device.bitline_node],
-            )
-            for device in self.netlist.devices
+            (cell, self._index[wordline], self._index[bitline])
+            for cell, wordline, bitline in self._elements.devices
         ]
 
         iterations = 0
@@ -171,10 +215,10 @@ class ReferenceCrossbarSolver:
     ) -> float:
         injection = driver_currents - extra_g * voltages
         residual = injection.copy()
-        for resistor in self.netlist.resistors:
-            ia = self._index[resistor.node_a]
-            ib = self._index[resistor.node_b]
-            current = (voltages[ia] - voltages[ib]) * resistor.conductance_s
+        for node_a, node_b, g in self._elements.segments:
+            ia = self._index[node_a]
+            ib = self._index[node_b]
+            current = (voltages[ia] - voltages[ib]) * g
             residual[ia] -= current
             residual[ib] += current
         for cell, iw, ib in device_index:
@@ -199,7 +243,7 @@ class ReferenceCrossbarSolver:
             branch_v = voltages[iw] - voltages[ib]
             device_v[cell] = branch_v
             device_i[cell] = self.model.current(branch_v, states[cell])
-        node_voltages = {name: float(voltages[self._index[name]]) for name in self.netlist.nodes}
+        node_voltages = {name: float(voltages[i]) for name, i in self._index.items()}
         node_voltages[GROUND_NODE] = 0.0
         return OperatingPoint(
             node_voltages_v=node_voltages,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Any, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -76,28 +76,28 @@ class NodeVoltageMap(MappingABC):
 
     Building an explicit dict costs O(nodes) Python work per solve — wasteful
     for a 256x256 crossbar with ~130k nodes.  This view resolves names on
-    demand and behaves like the dict the solver used to return (including the
-    implicit ground entry).
+    demand through the netlist's name index (itself built on the first lookup
+    by name) and behaves like the dict the solver used to return (including
+    the implicit ground entry).
     """
 
-    __slots__ = ("_names", "_index", "_vector")
+    __slots__ = ("_netlist", "_vector")
 
-    def __init__(self, names, index: Dict[str, int], vector: np.ndarray):
-        self._names = names
-        self._index = index
+    def __init__(self, netlist: CrossbarNetlist, vector: np.ndarray):
+        self._netlist = netlist
         self._vector = vector
 
     def __getitem__(self, name: str) -> float:
         if name == GROUND_NODE:
             return 0.0
-        return float(self._vector[self._index[name]])
+        return float(self._vector[self._netlist.node_index[name]])
 
     def __iter__(self) -> Iterator[str]:
-        yield from self._names
+        yield from self._netlist.nodes
         yield GROUND_NODE
 
     def __len__(self) -> int:
-        return len(self._names) + 1
+        return self._netlist.node_count + 1
 
 
 @dataclass
@@ -178,7 +178,6 @@ class CrossbarSolver:
         self.voltage_tolerance_v = voltage_tolerance_v
         self.residual_tolerance_a = residual_tolerance_a
         self.max_step_v = max_step_v
-        self._index: Dict[str, int] = netlist.node_index
         self._last_solution: Optional[np.ndarray] = None
         self._batched: BatchedDeviceModel = model.batched()
         #: Held LU factor of the last assembled Jacobian and the driver
@@ -186,7 +185,8 @@ class CrossbarSolver:
         self._factor: Optional[SuperLU] = None
         self._factor_g: Optional[np.ndarray] = None
 
-        self._dev_w, self._dev_b, self._dev_rows, self._dev_cols = netlist.device_index_arrays
+        self._dev_w, self._dev_b = netlist.device_wordline, netlist.device_bitline
+        self._dev_rows, self._dev_cols = netlist.device_rows, netlist.device_cols
         self._assemble_structure()
 
     # -- assembly -----------------------------------------------------------
@@ -201,15 +201,15 @@ class CrossbarSolver:
         data slots is computed here once; each assembly then only fills a
         data vector — no Python loops, no re-sorting.
         """
-        n = self.netlist.node_count
-        res_a, res_b, res_g = self.netlist.resistor_index_arrays
-        mask_a = res_a >= 0
-        mask_b = res_b >= 0
-        mask_ab = mask_a & mask_b
+        netlist = self.netlist
+        n = netlist.node_count
+        # Drivers are Norton stamps, so no wire segment touches ground.
+        seg_a, seg_b = netlist.segment_a, netlist.segment_b
+        seg_g = np.full(seg_a.size, netlist.segment_conductance_s)
 
-        lin_rows = np.concatenate([res_a[mask_a], res_b[mask_b], res_a[mask_ab], res_b[mask_ab]])
-        lin_cols = np.concatenate([res_a[mask_a], res_b[mask_b], res_b[mask_ab], res_a[mask_ab]])
-        lin_data = np.concatenate([res_g[mask_a], res_g[mask_b], -res_g[mask_ab], -res_g[mask_ab]])
+        lin_rows = np.concatenate([seg_a, seg_b, seg_a, seg_b])
+        lin_cols = np.concatenate([seg_a, seg_b, seg_b, seg_a])
+        lin_data = np.concatenate([seg_g, seg_g, -seg_g, -seg_g])
 
         diag = np.arange(n, dtype=np.int64)
         dev_w, dev_b = self._dev_w, self._dev_b
@@ -235,13 +235,6 @@ class CrossbarSolver:
         self._slot_wb = inverse[offset + 2 * nd : offset + 3 * nd]
         self._slot_bw = inverse[offset + 3 * nd : offset + 4 * nd]
 
-        # Every crosspoint of a crossbar netlist owns its word-line and
-        # bit-line node, so the scatter targets are unique and plain fancy
-        # indexing applies; fall back to the buffered ufunc otherwise.
-        self._unique_dev_nodes = (
-            np.unique(dev_w).size == nd and np.unique(dev_b).size == nd
-        )
-
         get_telemetry().count("solver.jacobian.structure_builds")
 
         self._linear_operator = sparse.csr_matrix(
@@ -250,21 +243,23 @@ class CrossbarSolver:
         )
 
     def _driver_stamps(self, bias: BiasPattern) -> Tuple[np.ndarray, np.ndarray]:
-        """Norton-equivalent driver stamps: (diagonal conductance, current)."""
-        n = self.netlist.node_count
-        extra_g = np.zeros(n)
-        currents = np.zeros(n)
-        for driver in self.netlist.drivers:
-            if driver.line_type == "row":
-                voltage = bias.row_voltage(driver.line_index)
-            else:
-                voltage = bias.column_voltage(driver.line_index)
-            if voltage is None:
-                continue  # floating line: no driver attached
-            g = 1.0 / driver.series_resistance_ohm
-            idx = self._index[driver.node]
-            extra_g[idx] += g
-            currents[idx] += g * voltage
+        """Norton-equivalent driver stamps: (diagonal conductance, current).
+
+        A floating line (``None``) gets no stamp.
+        """
+        netlist = self.netlist
+        geometry = netlist.geometry
+        line_voltages = [bias.row_voltage(row) for row in range(geometry.rows)]
+        line_voltages += [bias.column_voltage(column) for column in range(geometry.columns)]
+        driven = np.array([voltage is not None for voltage in line_voltages])
+        nodes = netlist.driver_nodes[driven]
+        g = netlist.driver_conductance_s
+        extra_g = np.zeros(netlist.node_count)
+        currents = np.zeros(netlist.node_count)
+        extra_g[nodes] += g
+        currents[nodes] += g * np.array(
+            [voltage for voltage in line_voltages if voltage is not None], dtype=float
+        )
         return extra_g, currents
 
     def _state_arrays(self, states: StateLike) -> Tuple[np.ndarray, np.ndarray]:
@@ -281,14 +276,11 @@ class CrossbarSolver:
                 arrays.x[self._dev_rows, self._dev_cols],
                 arrays.temperature_k[self._dev_rows, self._dev_cols],
             )
-        count = len(self.netlist.devices)
-        x = np.empty(count)
-        temperature = np.empty(count)
-        for k, device in enumerate(self.netlist.devices):
-            state = states[device.cell]
-            x[k] = state.x
-            temperature[k] = state.filament_temperature_k
-        return x, temperature
+        cells = [states[cell] for cell in zip(self._dev_rows.tolist(), self._dev_cols.tolist())]
+        return (
+            np.array([state.x for state in cells], dtype=float),
+            np.array([state.filament_temperature_k for state in cells], dtype=float),
+        )
 
     # -- solving --------------------------------------------------------------
 
@@ -404,16 +396,12 @@ class CrossbarSolver:
         n = self.netlist.node_count
         data = self._base_data.copy()
         data[self._diag_slots] += extra_g
-        if self._unique_dev_nodes:
-            data[self._slot_ww] += conductances
-            data[self._slot_bb] += conductances
-            data[self._slot_wb] -= conductances
-            data[self._slot_bw] -= conductances
-        else:  # pragma: no cover - crossbar netlists always have unique nodes
-            np.add.at(data, self._slot_ww, conductances)
-            np.add.at(data, self._slot_bb, conductances)
-            np.subtract.at(data, self._slot_wb, conductances)
-            np.subtract.at(data, self._slot_bw, conductances)
+        # Every crosspoint owns its word-line and bit-line node, so the
+        # scatter targets are unique and plain fancy indexing applies.
+        data[self._slot_ww] += conductances
+        data[self._slot_bb] += conductances
+        data[self._slot_wb] -= conductances
+        data[self._slot_bw] -= conductances
 
         if tel.enabled:
             # Stamp-magnitude spread of the assembled Jacobian data: a cheap
@@ -440,12 +428,8 @@ class CrossbarSolver:
         recomputing them per device.
         """
         residual = driver_currents - extra_g * voltages - self._linear_operator @ voltages
-        if self._unique_dev_nodes:
-            residual[self._dev_w] -= device_currents
-            residual[self._dev_b] += device_currents
-        else:  # pragma: no cover
-            np.subtract.at(residual, self._dev_w, device_currents)
-            np.add.at(residual, self._dev_b, device_currents)
+        residual[self._dev_w] -= device_currents
+        residual[self._dev_b] += device_currents
         return residual
 
     def _operating_point(
@@ -461,7 +445,7 @@ class CrossbarSolver:
         device_i = np.zeros_like(device_v)
         device_v[self._dev_rows, self._dev_cols] = branch_v
         device_i[self._dev_rows, self._dev_cols] = currents
-        node_voltages = NodeVoltageMap(self.netlist.nodes, self._index, voltages.copy())
+        node_voltages = NodeVoltageMap(self.netlist, voltages.copy())
         return OperatingPoint(
             node_voltages_v=node_voltages,
             device_voltages_v=device_v,

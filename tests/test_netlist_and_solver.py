@@ -11,9 +11,23 @@ from repro.circuit import (
     build_crossbar_netlist,
     write_bias,
 )
+from repro.circuit.reference import expand_crossbar_netlist
 from repro.config import CrossbarGeometry, WireParameters
 from repro.devices import DeviceState, JartVcmModel, LinearIonDriftModel
-from repro.errors import GeometryError
+
+
+def reference_indices(expanded):
+    """The seed expansion's elements as node-index arrays."""
+    index = {name: i for i, name in enumerate(expanded.nodes)}
+    return {
+        "device_wordline": [index[wordline] for _, wordline, _ in expanded.devices],
+        "device_bitline": [index[bitline] for _, _, bitline in expanded.devices],
+        "device_rows": [cell[0] for cell, _, _ in expanded.devices],
+        "device_cols": [cell[1] for cell, _, _ in expanded.devices],
+        "segment_a": [index[a] for a, _, _ in expanded.segments],
+        "segment_b": [index[b] for _, b, _ in expanded.segments],
+        "driver_nodes": [index[node] for _, _, node, _ in expanded.drivers],
+    }
 
 
 class TestNetlist:
@@ -22,39 +36,59 @@ class TestNetlist:
         rows, columns = small_geometry.rows, small_geometry.columns
         # One driver node + one crosspoint node per line element.
         assert netlist.node_count == rows * (columns + 1) + columns * (rows + 1)
-        assert len(netlist.devices) == rows * columns
-        assert len(netlist.resistors) == rows * columns * 2
-        assert len(netlist.drivers) == rows + columns
+        # Names are made on the first lookup by name, then cached.
+        assert "nodes" not in vars(netlist)
+        assert len(netlist.nodes) == netlist.node_count
+        assert netlist.nodes is netlist.nodes
+        assert netlist.device_wordline.size == netlist.device_bitline.size == rows * columns
+        assert netlist.segment_a.size == netlist.segment_b.size == rows * columns * 2
+        assert netlist.driver_nodes.size == rows + columns
 
     def test_device_lookup(self, small_geometry):
         netlist = build_crossbar_netlist(small_geometry)
-        device = netlist.device_at((1, 2))
-        assert device.cell == (1, 2)
-        assert device.wordline_node == "wl_1_2"
-        assert device.bitline_node == "bl_1_2"
+        k = 1 * small_geometry.columns + 2  # row-major device order
+        assert (netlist.device_rows[k], netlist.device_cols[k]) == (1, 2)
+        assert netlist.nodes[netlist.device_wordline[k]] == "wl_1_2"
+        assert netlist.nodes[netlist.device_bitline[k]] == "bl_1_2"
 
     def test_driver_lookup(self, small_geometry):
         netlist = build_crossbar_netlist(small_geometry)
-        driver = netlist.driver_for("row", 1)
-        assert driver.node == "row_drv_1"
-        with pytest.raises(GeometryError):
-            netlist.driver_for("row", 9)
+        assert netlist.nodes[netlist.driver_nodes[1]] == "row_drv_1"
+        assert netlist.nodes[netlist.driver_nodes[small_geometry.rows + 1]] == "col_drv_1"
+        with pytest.raises(KeyError):
+            netlist.node_index["row_drv_9"]
 
     def test_out_of_range_device_rejected(self, small_geometry):
         netlist = build_crossbar_netlist(small_geometry)
-        with pytest.raises(GeometryError):
-            netlist.device_at((5, 5))
+        with pytest.raises(KeyError):
+            netlist.node_index["wl_5_5"]
 
     def test_wire_parameters_respected(self, small_geometry):
         wires = WireParameters(segment_resistance_ohm=7.0, driver_resistance_ohm=120.0)
         netlist = build_crossbar_netlist(small_geometry, wires)
-        assert netlist.resistors[0].resistance_ohm == pytest.approx(7.0)
-        assert netlist.drivers[0].series_resistance_ohm == pytest.approx(120.0)
+        assert netlist.segment_conductance_s == pytest.approx(1.0 / 7.0)
+        assert netlist.driver_conductance_s == pytest.approx(1.0 / 120.0)
 
     def test_resistor_conductance(self, small_geometry):
-        netlist = build_crossbar_netlist(small_geometry)
-        resistor = netlist.resistors[0]
-        assert resistor.conductance_s == pytest.approx(1.0 / resistor.resistance_ohm)
+        # Ideal wires keep a finite conductance (1e-6 ohm / 1e-3 ohm floors).
+        wires = WireParameters(segment_resistance_ohm=0.0, driver_resistance_ohm=0.0)
+        netlist = build_crossbar_netlist(small_geometry, wires)
+        assert netlist.segment_conductance_s == pytest.approx(1e6)
+        assert netlist.driver_conductance_s == pytest.approx(1e3)
+
+    @pytest.mark.parametrize("rows,columns", [(1, 4), (4, 1), (3, 5), (5, 3), (5, 5)])
+    def test_matches_the_reference_expansion(self, rows, columns):
+        """Differential check against the oracle's own per-element builder."""
+        geometry = CrossbarGeometry(rows=rows, columns=columns)
+        wires = WireParameters(segment_resistance_ohm=7.0, driver_resistance_ohm=120.0)
+        netlist = build_crossbar_netlist(geometry, wires)
+        expanded = expand_crossbar_netlist(geometry, wires)
+
+        assert netlist.nodes == expanded.nodes
+        for name, expected in reference_indices(expanded).items():
+            np.testing.assert_array_equal(getattr(netlist, name), expected, err_msg=name)
+        assert {g for _, _, g in expanded.segments} == {netlist.segment_conductance_s}
+        assert {g for *_, g in expanded.drivers} == {netlist.driver_conductance_s}
 
 
 class TestSolver:
