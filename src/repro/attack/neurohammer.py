@@ -119,14 +119,9 @@ class NeuroHammer:
         crossbar: Optional[CrossbarArray] = None,
         geometry: Optional[CrossbarGeometry] = None,
         ambient_temperature_k: float = DEFAULT_AMBIENT_TEMPERATURE_K,
-        crosstalk_backend: str = "auto",
     ):
         if crossbar is None:
-            crossbar = CrossbarArray(
-                geometry=geometry,
-                ambient_temperature_k=ambient_temperature_k,
-                crosstalk_backend=crosstalk_backend,
-            )
+            crossbar = CrossbarArray(geometry=geometry, ambient_temperature_k=ambient_temperature_k)
         self.crossbar = crossbar
 
     # ------------------------------------------------------------------

@@ -65,7 +65,6 @@ class CrossbarArray:
         wires: WireParameters = None,
         coupling: CouplingModel = None,
         ambient_temperature_k: float = DEFAULT_AMBIENT_TEMPERATURE_K,
-        crosstalk_backend: str = "auto",
     ):
         self.geometry = geometry if geometry is not None else CrossbarGeometry()
         self.model = model if model is not None else JartVcmModel()
@@ -82,7 +81,7 @@ class CrossbarArray:
         self.ambient_temperature_k = ambient_temperature_k
         self.netlist: CrossbarNetlist = build_crossbar_netlist(self.geometry, self.wires)
         self.solver = CrossbarSolver(self.netlist, self.model)
-        self.hub = CrosstalkHub(coupling, ambient_temperature_k, backend=crosstalk_backend)
+        self.hub = CrosstalkHub(coupling, ambient_temperature_k)
         pristine = self.model.hrs_state(ambient_temperature_k)
         #: Array-native device state (authoritative storage).
         self.state = DeviceStateArrays(

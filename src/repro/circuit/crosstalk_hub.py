@@ -44,20 +44,11 @@ class CrosstalkHub:
 
     coupling: CouplingModel
     ambient_temperature_k: float = DEFAULT_AMBIENT_TEMPERATURE_K
-    #: Operator backend: "auto" (structured where the coupling model states
-    #: an offset kernel, dense otherwise), "fft", "stencil" or "dense".
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.ambient_temperature_k <= 0:
             raise ConfigurationError("ambient temperature must be positive")
-        self.operator: CrosstalkOperator = make_crosstalk_operator(
-            self.coupling, backend=self.backend
-        )
-        # Metric names are precomputed so the per-solve apply path does not
-        # build strings when telemetry is enabled.
-        self._apply_metric = "crosstalk.apply." + self.operator.backend
-        self._apply_single_metric = "crosstalk.apply_single." + self.operator.backend
+        self.operator: CrosstalkOperator = make_crosstalk_operator(self.coupling)
 
     @property
     def geometry(self) -> CrossbarGeometry:
@@ -102,7 +93,7 @@ class CrosstalkHub:
         """
         tel = get_telemetry()
         if tel.enabled:
-            tel.count(self._apply_metric)
+            tel.count("crosstalk.apply." + self.operator.backend)
         return self.operator.apply(self._rises(filament_temperatures_k))
 
     def additional_temperature_for(
@@ -117,7 +108,7 @@ class CrosstalkHub:
         self.geometry.validate_cell(*victim)
         tel = get_telemetry()
         if tel.enabled:
-            tel.count(self._apply_single_metric)
+            tel.count("crosstalk.apply_single." + self.operator.backend)
         return self.operator.apply_single(
             tuple(victim), self._rises(filament_temperatures_k)
         )

@@ -44,7 +44,6 @@ from .materials import (
 )
 from .network import ThermalNetworkParameters, ThermalResistanceNetwork
 from .operator import (
-    OPERATOR_BACKENDS,
     STENCIL_MAX_TAPS,
     CrosstalkOperator,
     DenseCrosstalkOperator,
@@ -98,6 +97,5 @@ __all__ = [
     "StencilCrosstalkOperator",
     "DenseCrosstalkOperator",
     "make_crosstalk_operator",
-    "OPERATOR_BACKENDS",
     "STENCIL_MAX_TAPS",
 ]

@@ -33,7 +33,7 @@ anything else falls back to the dense table.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import fft
@@ -48,9 +48,6 @@ Cell = Tuple[int, int]
 #: Kernels with at most this many non-zero taps are applied as a direct
 #: stencil; larger kernels go through the FFT path.
 STENCIL_MAX_TAPS = 32
-
-#: Backend names accepted by :func:`make_crosstalk_operator`.
-OPERATOR_BACKENDS = ("auto", "fft", "stencil", "dense")
 
 
 class CrosstalkOperator(abc.ABC):
@@ -227,20 +224,15 @@ class DenseCrosstalkOperator(CrosstalkOperator):
         return int(self._alpha.nbytes)
 
 
-def make_crosstalk_operator(
-    coupling: CouplingModel,
-    backend: str = "auto",
-    stencil_max_taps: int = STENCIL_MAX_TAPS,
-) -> CrosstalkOperator:
+def make_crosstalk_operator(coupling: CouplingModel) -> CrosstalkOperator:
     """Build the cheapest exact operator the coupling model supports.
 
-    The ``"auto"`` backend probes :meth:`CouplingModel.kernel`: stationary models
-    get the stencil path when the kernel has at most ``stencil_max_taps``
-    non-zero taps and the FFT path otherwise; models without a kernel fall
-    back to the dense table.  Explicit ``"fft"``/``"stencil"`` backends raise
-    if the model cannot state a kernel; ``"dense"`` always works.
+    Probes :meth:`CouplingModel.kernel`: stationary models get the stencil
+    path when the kernel has at most :data:`STENCIL_MAX_TAPS` non-zero taps
+    and the FFT path otherwise; models without a kernel fall back to the
+    dense table.
     """
-    operator = _build_crosstalk_operator(coupling, backend, stencil_max_taps)
+    operator = _build_crosstalk_operator(coupling)
     tel = get_telemetry()
     if tel.enabled:
         tel.count(f"crosstalk.operator.built.{operator.backend}")
@@ -251,32 +243,13 @@ def make_crosstalk_operator(
     return operator
 
 
-def _build_crosstalk_operator(
-    coupling: CouplingModel,
-    backend: str,
-    stencil_max_taps: int,
-) -> CrosstalkOperator:
-    if backend not in OPERATOR_BACKENDS:
-        raise ConfigurationError(
-            f"unknown crosstalk backend {backend!r}; expected one of {OPERATOR_BACKENDS}"
-        )
-    if backend == "dense":
-        return DenseCrosstalkOperator(coupling)
+def _build_crosstalk_operator(coupling: CouplingModel) -> CrosstalkOperator:
     kernel = coupling.kernel()
     if kernel is None:
-        if backend in ("fft", "stencil"):
-            raise ConfigurationError(
-                f"coupling model {type(coupling).__name__} does not provide an offset "
-                f"kernel; the {backend!r} backend needs a translation-invariant model"
-            )
         return DenseCrosstalkOperator(coupling)
-    if backend == "fft":
-        return FftCrosstalkOperator(coupling, kernel)
-    if backend == "stencil":
-        return StencilCrosstalkOperator(coupling, kernel)
     rows, cols = coupling.geometry.rows, coupling.geometry.columns
     centre_zeroed = np.asarray(kernel, dtype=np.float64).copy()
     centre_zeroed[rows - 1, cols - 1] = 0.0
-    if np.count_nonzero(centre_zeroed) <= stencil_max_taps:
+    if np.count_nonzero(centre_zeroed) <= STENCIL_MAX_TAPS:
         return StencilCrosstalkOperator(coupling, kernel)
     return FftCrosstalkOperator(coupling, kernel)
