@@ -97,13 +97,13 @@ class AttackResult:
 
     @property
     def hammer_energy_j(self) -> float:
-        """Approximate electrical energy spent hammering [J]."""
+        """Approximate electrical energy spent hammering [J]: each phase's
+        strongest aggressor's |V·I| per pulse, for every aggressor of it."""
         energy = 0.0
         for point in self.phase_points:
             pulses_of_phase = self.pulses / max(len(self.phase_points), 1)
             energy += (
-                abs(point.aggressor_current_a)
-                * DEFAULT_SET_VOLTAGE_V
+                abs(point.aggressor_voltage_v * point.aggressor_current_a)
                 * self.pulse_length_s
                 * pulses_of_phase
                 * len(point.phase.aggressors)

@@ -70,6 +70,19 @@ class TestHammerOnce:
         assert point.victim_crosstalk_k > 40.0
         assert point.aggressor_temperature_k > 800.0
 
+    def test_hammer_energy_uses_the_aggressor_cell_voltage(self):
+        # At 0.9 V the aggressor cell sees ~0.87 V; pricing its current at the
+        # 1.05 V SET default would read ~20 % high.
+        result = hammer_once(pulse_length_s=50e-9, amplitude_v=0.9)
+        point = result.phase_points[0]
+        assert point.aggressor_voltage_v < 0.9
+        expected = (
+            abs(point.aggressor_voltage_v * point.aggressor_current_a)
+            * result.pulse_length_s
+            * result.pulses
+        )
+        assert result.hammer_energy_j == pytest.approx(expected, rel=1e-12)
+
 
 class TestNeuroHammerEngine:
     def test_prepare_sets_aggressors_lrs_victim_hrs(self, paper_crossbar):
