@@ -31,6 +31,7 @@ from ..devices.base import (
 )
 from ..devices.jart_vcm import JartVcmModel
 from ..errors import ConfigurationError, DeviceModelError, GeometryError
+from ..obs import get_telemetry
 from ..thermal.coupling import AnalyticCouplingModel, CouplingModel
 from .crosstalk_hub import CrosstalkHub
 from .drivers import BiasPattern
@@ -49,6 +50,11 @@ class ThermalSnapshot:
     filament_temperatures_k: np.ndarray
     #: Crosstalk contribution alone [K].
     crosstalk_temperatures_k: np.ndarray
+    #: Whether the last Picard update changed no temperature by more than
+    #: the tolerance; False means the loop hit its iteration cap.
+    converged: bool
+    #: Electrical solves the Picard loop ran.
+    iterations: int
 
     def cell_temperature(self, cell: Cell) -> float:
         """Filament temperature of one cell [K]."""
@@ -187,6 +193,9 @@ class CrossbarArray:
         steady-state thermal field of a dissipating cell, so re-radiating a
         crosstalk-received rise through the hub again would double-count heat
         paths.
+
+        A loop that reaches ``max_iterations`` returns its last iterate with
+        ``converged`` cleared and counts ``thermal.picard.unconverged``.
         """
         if max_iterations < 1:
             raise ConfigurationError("max_iterations must be at least 1")
@@ -195,7 +204,8 @@ class CrossbarArray:
         crosstalk = np.zeros((rows, columns))
         temperatures = np.full((rows, columns), float(self.ambient_temperature_k))
         op = None
-        for _ in range(max_iterations):
+        converged = False
+        for iterations in range(1, max_iterations + 1):
             op = self.solve_bias(bias)
             self_heating = rth * op.device_powers_w
             crosstalk = self.hub.additional_temperatures(self.ambient_temperature_k + self_heating)
@@ -204,11 +214,16 @@ class CrossbarArray:
             temperatures = new_temperatures
             self.state.temperature_k[...] = temperatures
             if change < tolerance_k:
+                converged = True
                 break
+        if not converged:
+            get_telemetry().count("thermal.picard.unconverged")
         return ThermalSnapshot(
             operating_point=op,
             filament_temperatures_k=temperatures,
             crosstalk_temperatures_k=crosstalk,
+            converged=converged,
+            iterations=iterations,
         )
 
     def temperature_map(self) -> np.ndarray:

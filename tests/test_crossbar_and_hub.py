@@ -8,6 +8,7 @@ import pytest
 from repro.circuit import CrossbarArray, CrosstalkHub, write_bias
 from repro.config import CrossbarGeometry
 from repro.errors import ConfigurationError, GeometryError
+from repro.obs import telemetry_capture
 from repro.thermal import AnalyticCouplingModel, UniformCouplingModel
 
 
@@ -146,6 +147,26 @@ class TestThermalSnapshot:
         # cells leaks through to them.
         assert snapshot.crosstalk_temperatures_k[0, 0] < 1.0
         assert snapshot.crosstalk_temperatures_k[0, 0] < 0.05 * snapshot.crosstalk_temperatures_k[1, 2]
+
+    def test_converged_exit_is_reported(self, paper_crossbar):
+        paper_crossbar.set_state((2, 2), 1.0)
+        bias = write_bias(paper_crossbar.geometry, [(2, 2)], 1.05)
+        with telemetry_capture() as tel:
+            snapshot = paper_crossbar.thermal_snapshot(bias)
+        assert snapshot.converged
+        assert snapshot.iterations == 5 == tel.counters["solver.solves"]
+        assert tel.counters.get("thermal.picard.unconverged", 0) == 0
+
+    def test_iteration_cap_exit_is_reported(self, paper_crossbar):
+        paper_crossbar.set_state((2, 2), 1.0)
+        bias = write_bias(paper_crossbar.geometry, [(2, 2)], 1.05)
+        with telemetry_capture() as tel:
+            snapshot = paper_crossbar.thermal_snapshot(bias, max_iterations=2)
+        assert not snapshot.converged
+        assert snapshot.iterations == 2 == tel.counters["solver.solves"]
+        assert tel.counters["thermal.picard.unconverged"] == 1
+        # The last iterate is still returned: ~886 K against a converged ~906 K.
+        assert snapshot.cell_temperature((2, 2)) < 900.0
 
     def test_invalid_iteration_count_rejected(self, small_crossbar):
         from repro.circuit import idle_bias
