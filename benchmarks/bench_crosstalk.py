@@ -234,6 +234,8 @@ def test_bench_crosstalk_operator(benchmark):
             "sizes": SIZES,
             "dense_max": DENSE_MAX,
             "large_size": LARGE_SIZE,
+            "mc_size": MC_SIZE,
+            "mc_arrays": MC_ARRAYS,
             "results": rows,
             "full_array_montecarlo": mc_row,
         },

@@ -8,7 +8,8 @@ then warm-started against the held LU factor) and, up to
 reporting the speedup.  A large sparse-only solve
 (``REPRO_BENCH_SOLVER_LARGE``, default 256x256) proves the practical
 ceiling.  Every row records the LU factorizations and triangular solves its
-cold solve performed, read from telemetry.
+cold solve performed, read from telemetry, and ``build_s``: the median time
+to build the netlist and the solver's Jacobian structure from scratch.
 
 Acceptance bars enforced here:
 
@@ -52,6 +53,8 @@ REQUIRED_SPEEDUP = 10.0
 RTOL = 1e-9
 #: Telemetry counters (``solver.<name>``) recorded per row.
 LINEAR_ALGEBRA = ("factorizations", "triangular_solves")
+#: Solver constructions timed per row; the row records their median.
+BUILD_REPEATS = 5
 
 
 def _case(size: int):
@@ -67,6 +70,16 @@ def _timed(fn):
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
+
+
+def _build_s(size: int, model) -> float:
+    """Median time to build a crossbar's netlist and solver from scratch."""
+    geometry = CrossbarGeometry(rows=size, columns=size)
+    times = [
+        _timed(lambda: CrossbarSolver(build_crossbar_netlist(geometry), model))[1]
+        for _ in range(BUILD_REPEATS)
+    ]
+    return float(np.median(times))
 
 
 def _counted_solve(solver, bias, states):
@@ -102,6 +115,7 @@ def _solve_size(size: int, with_reference: bool) -> dict:
     netlist, states, bias = _case(size)
     model = JartVcmModel()
     fast_op, row = _cold_and_warm(size, CrossbarSolver(netlist, model), bias, states)
+    row["build_s"] = _build_s(size, model)
 
     if with_reference:
         reference = ReferenceCrossbarSolver(netlist, model)
@@ -129,6 +143,7 @@ def test_bench_solver_scaling(benchmark):
         solver = CrossbarSolver(netlist, JartVcmModel())
         large_op, row = run_once(benchmark, lambda: _cold_and_warm(LARGE_SIZE, solver, bias, states))
         assert large_op.residual_a < solver.residual_tolerance_a
+        row["build_s"] = _build_s(LARGE_SIZE, solver.model)
         rows.append(row)
     else:
         run_once(benchmark, lambda: None)
@@ -138,6 +153,7 @@ def test_bench_solver_scaling(benchmark):
         line = (
             f"solver {row['size']:>4}x{row['size']:<4} nodes={row['nodes']:>7} "
             f"lu={row['factorizations']:.0f}/{row['triangular_solves']:.0f} "
+            f"build={row['build_s'] * 1e3:7.2f}ms "
             f"cold={row['cold_s'] * 1e3:9.1f}ms warm={row['warm_s'] * 1e3:8.1f}ms"
         )
         if "reference_s" in row:
