@@ -5,15 +5,50 @@ hotter filament conducts differently, which changes the dissipated power,
 which changes the temperature.  These helpers solve that fixed point so the
 rest of the stack can ask for "the quasi-static temperature of this cell
 under this bias" without re-implementing the iteration.
+
+The fixed point is the root of ``f(T) = T_base + R_th * |V * I(V, x, T)| - T``
+with ``T_base = T_amb + dT_crosstalk``.  It is found by a safeguarded secant
+that starts on the low side:
+
+* ``T0 = T_base``, where ``f(T0) >= 0``.  A residual below the tolerance
+  there is converged at once (zero bias, ``R_th = 0``).
+* ``T1 = T0 + f(T0)`` is one plain Picard step.
+* From then on the secant step through the last two iterates is taken
+  where the chord slope of ``f`` is negative (``g' < 1``) and the step lands
+  inside the bracket ``(lo, hi)``: ``lo`` is the highest temperature seen
+  with ``f > 0``, ``hi`` the lowest with ``f < 0``.  Anywhere else the
+  damped step ``T + FALLBACK_DAMPING * f`` is taken, stopped halfway to the
+  bracket end it would cross.
+* An accepted secant step shorter than ``tolerance_k`` is the error
+  estimate of the current iterate: the iterate is returned with the current
+  already solved at it, a self-consistent pair.  So is an iterate with
+  ``f = 0`` exactly.
+
+``g(T) = T_base + R_th * P`` increases with T, so Picard from ``T_base``
+rises monotonically to the *lowest* root and the bracket and slope test
+keep the secant there: a bistable cell returns its cold, stable branch.  A
+JART cell always has a fixed point (its current is bounded by
+``|V| / r_ohmic``), so the iteration cap is the only failure exit.
+:func:`repro.montecarlo.vectorized.solve_operating_point_batch` transcribes
+the same rule over lanes of cells.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..constants import DEFAULT_AMBIENT_TEMPERATURE_K
 from ..errors import ConvergenceError
 from .base import DeviceState, MemristorModel
+
+#: Damping of the fallback step ``T + FALLBACK_DAMPING * f(T)``, taken where
+#: the secant step is rejected.
+FALLBACK_DAMPING = 0.6
+
+#: Default stop of the self-heating fixed point: the bound on the error
+#: estimate (the last accepted secant step) [K].
+SELF_HEATING_TOLERANCE_K = 1e-4
 
 
 @dataclass
@@ -44,42 +79,67 @@ def solve_operating_point(
     x: float,
     ambient_temperature_k: float = DEFAULT_AMBIENT_TEMPERATURE_K,
     crosstalk_temperature_k: float = 0.0,
-    tolerance_k: float = 0.05,
+    tolerance_k: float = SELF_HEATING_TOLERANCE_K,
     max_iterations: int = 200,
 ) -> ThermalOperatingPoint:
     """Solve the self-consistent filament temperature of a biased cell.
 
-    Fixed-point iteration on ``T = T_amb + dT_crosstalk + Rth_eff * P(V, x, T)``
-    with damping; raises :class:`ConvergenceError` if the iteration does not
-    settle (which indicates thermal runaway beyond the model validity).
+    Runs the module's safeguarded secant on
+    ``f(T) = T_amb + dT_crosstalk + Rth_eff * P(V, x, T) - T``, one current
+    solve per iteration, and returns the lowest fixed point within
+    ``tolerance_k``.  Raises :class:`ConvergenceError` if ``max_iterations``
+    current solves do not settle it.
     """
-    temperature = ambient_temperature_k + crosstalk_temperature_k
-    state = DeviceState(x=x, filament_temperature_k=temperature)
+    base = ambient_temperature_k + crosstalk_temperature_k
     rth = model.thermal_resistance_k_per_w()
-    damping = 0.6
-    current_a = model.current(voltage_v, state)
-    for _ in range(max_iterations):
+    state = DeviceState(x=x, filament_temperature_k=base)
+    temperature = base
+    low, high = base, math.inf
+    for iteration in range(max_iterations):
+        state.filament_temperature_k = temperature
         current_a = model.current(voltage_v, state)
         power_w = abs(voltage_v * current_a)
-        target = ambient_temperature_k + crosstalk_temperature_k + rth * power_w
-        new_temperature = temperature + damping * (target - temperature)
-        if abs(new_temperature - temperature) < tolerance_k:
-            state.filament_temperature_k = new_temperature
-            current_a = model.current(voltage_v, state)
-            power_w = abs(voltage_v * current_a)
-            return ThermalOperatingPoint(
-                voltage_v=voltage_v,
-                current_a=current_a,
-                power_w=power_w,
-                filament_temperature_k=new_temperature,
-                ambient_temperature_k=ambient_temperature_k,
-                crosstalk_temperature_k=crosstalk_temperature_k,
-            )
-        temperature = new_temperature
-        state.filament_temperature_k = temperature
-    raise ConvergenceError(
-        f"filament temperature did not converge for V={voltage_v} V, x={x} "
-        f"(last T={temperature:.1f} K); the bias point is likely in thermal runaway"
+        residual = base + rth * power_w - temperature
+        if iteration == 0:
+            # f(T_base) = R_th * P >= 0: settled here, or one Picard step.
+            if residual < tolerance_k:
+                break
+            step = residual
+        elif residual == 0.0:
+            break
+        else:
+            if residual > 0.0:
+                low = temperature
+            else:
+                high = temperature
+            rise = temperature - previous_temperature
+            change = residual - previous_residual
+            step = None
+            if rise * change < 0.0:
+                step = -residual * rise / change
+                if not low < temperature + step < high:
+                    step = None
+                elif abs(step) < tolerance_k:
+                    break
+            if step is None:
+                step = FALLBACK_DAMPING * residual
+                bound = high if residual > 0.0 else low
+                if not low < temperature + step < high:
+                    step = 0.5 * (bound - temperature)
+        previous_temperature, previous_residual = temperature, residual
+        temperature += step
+    else:
+        raise ConvergenceError(
+            f"filament temperature did not converge for V={voltage_v} V, x={x} "
+            f"within {max_iterations} current solves (last T={temperature:.1f} K)"
+        )
+    return ThermalOperatingPoint(
+        voltage_v=voltage_v,
+        current_a=current_a,
+        power_w=power_w,
+        filament_temperature_k=temperature,
+        ambient_temperature_k=ambient_temperature_k,
+        crosstalk_temperature_k=crosstalk_temperature_k,
     )
 
 

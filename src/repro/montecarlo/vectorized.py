@@ -9,8 +9,8 @@ cells at once:
 * :class:`VectorizedJartVcm` — the JART-style VCM compact model with one
   parameter *array* per physical parameter, so every cell of the population
   can carry its own sampled activation energy, series resistance, ...;
-* :func:`solve_operating_point_batch` — the damped fixed-point electro-thermal
-  solve of :func:`repro.devices.thermal.solve_operating_point`;
+* :func:`solve_operating_point_batch` — the safeguarded-secant electro-thermal
+  fixed point of :func:`repro.devices.thermal.solve_operating_point`;
 * :func:`time_to_switch_batch` / :func:`pulses_to_switch_batch` — the adaptive
   state-ODE integrators of :mod:`repro.devices.kinetics`.
 
@@ -34,10 +34,12 @@ Every quantity is computed once, where its inputs last changed:
   before it.
 
 What stays per lane is the scalar control flow: the same step sizes, the
-same thermal-refresh policy, the same fixed-point damping and termination
-rules.  Only the innermost interface-current root solve swaps the scalar's
-bisection for an equally-precise Newton descent, so each lane reproduces the
-scalar trajectory to floating-point noise; the test suite validates
+same thermal-refresh policy, the same fixed-point step rule (secant inside
+the low-side bracket, damped fallback, error-estimate stop, iteration cap;
+its constants come from :mod:`repro.devices.thermal`).  Only the innermost
+interface-current root solve swaps the scalar's bisection for an
+equally-precise Newton descent, so each lane reproduces the scalar
+trajectory to floating-point noise; the test suite validates
 element-for-element agreement within 1e-9 relative tolerance.
 """
 
@@ -57,7 +59,9 @@ from ..constants import (
 )
 from ..devices.base import BatchedDeviceModel, MemristorModel
 from ..devices.jart_vcm import JartVcmParameters
+from ..devices.thermal import FALLBACK_DAMPING, SELF_HEATING_TOLERANCE_K
 from ..errors import ConvergenceError, DeviceModelError
+from ..obs import get_telemetry
 from ..utils.logging import get_logger
 
 logger = get_logger("montecarlo.vectorized")
@@ -481,6 +485,13 @@ class SampledArrayJartModel(MemristorModel):
 # ----------------------------------------------------------------------
 
 
+#: Rows of the batched fixed point's lane state: the prepared bias fields,
+#: then these.
+(
+    _V, _RTH, _BASE, _W, _T, _T_SOLVED, _F_SOLVED, _CURRENT, _LOW, _HIGH,
+) = range(len(PreparedBias._fields), len(PreparedBias._fields) + 10)
+
+
 @dataclass
 class BatchOperatingPoint:
     """Self-consistent electro-thermal operating points of a population."""
@@ -491,7 +502,8 @@ class BatchOperatingPoint:
     filament_temperature_k: np.ndarray
     ambient_temperature_k: np.ndarray
     crosstalk_temperature_k: np.ndarray
-    #: False in lanes whose fixed point failed to settle (thermal runaway).
+    #: False in lanes that hit the iteration cap before their fixed point
+    #: settled; such a lane reports its last solved iterate.
     converged: np.ndarray
 
     @property
@@ -509,22 +521,25 @@ def solve_operating_point_batch(
     x: ArrayLike,
     ambient_temperature_k: ArrayLike = DEFAULT_AMBIENT_TEMPERATURE_K,
     crosstalk_temperature_k: ArrayLike = 0.0,
-    tolerance_k: float = 0.05,
+    tolerance_k: float = SELF_HEATING_TOLERANCE_K,
     max_iterations: int = 200,
     raise_on_failure: bool = True,
 ) -> BatchOperatingPoint:
     """Batched mirror of :func:`repro.devices.thermal.solve_operating_point`.
 
-    Each lane runs the same damped fixed-point iteration as the scalar solver
-    and freezes as soon as its own convergence test passes, so iteration
-    counts (and therefore results) match the scalar path lane-for-lane.  With
-    ``raise_on_failure=False`` runaway lanes are reported through the
-    ``converged`` mask instead of raising, letting population studies keep
-    the healthy lanes.
+    Each lane runs the scalar solver's safeguarded secant (see
+    :mod:`repro.devices.thermal`) and retires as soon as its own stop test
+    passes, returning the temperature it was last solved at with that
+    solve's current; iteration counts, and therefore results, match the
+    scalar path lane for lane.  A lane still unsettled after
+    ``max_iterations`` current solves raises :class:`ConvergenceError`, or,
+    with ``raise_on_failure=False``, returns its last iterate with
+    ``converged`` cleared and counts ``thermal.self_heating.unconverged``,
+    letting population studies keep the healthy lanes.
 
-    The bias is prepared once per call; each iterate's Newton starts from
-    the previous iterate's root, and a lane that converges retires by
-    dropping out of the few prepared arrays.
+    The bias is prepared once per call and each iterate's Newton starts from
+    the previous iterate's root.  The per-lane iteration state lives in the
+    rows of one array, so retiring settled lanes is a single column take.
     """
     n = model.n
     voltage = _lanes(voltage_v, n, "voltage_v")
@@ -533,40 +548,68 @@ def solve_operating_point_batch(
     crosstalk = _lanes(crosstalk_temperature_k, n, "crosstalk_temperature_k")
 
     prepared = model.prepare(voltage, x)
-    temperature = ambient + crosstalk
-    # Every lane's last interface root, written when the lane settles or
-    # when the iteration cap stops it: the warm start of the final solve.
-    roots = np.empty(n)
-    damping = 0.6
-    done = np.zeros(n, dtype=bool)
-    # The still-iterating lanes and their slices of the per-lane inputs; an
-    # infinite root makes the first solve start cold.
-    lanes = np.arange(n)
-    bias, lane_voltage, lane_rth = prepared, voltage, model.rth_eff_k_per_w
-    lane_base, lane_temperature = temperature.copy(), temperature.copy()
-    w = np.full(n, np.inf)
-    for _ in range(max_iterations):
-        current, w = bias.solve(lane_temperature, start=w)
-        power = np.abs(lane_voltage * current)
-        target = lane_base + lane_rth * power
-        new_temperature = lane_temperature + damping * (target - lane_temperature)
-        converged_now = np.abs(new_temperature - lane_temperature) < tolerance_k
-        lane_temperature = new_temperature
-        if converged_now.any():
-            settled = lanes[converged_now]
-            done[settled] = True
-            temperature[settled] = lane_temperature[converged_now]
-            roots[settled] = w[converged_now]
-            keep = ~converged_now
-            lanes = lanes[keep]
-            if lanes.size == 0:
-                break
-            bias, w = bias.take(keep), w[keep]
-            lane_voltage, lane_rth = lane_voltage[keep], lane_rth[keep]
-            lane_base, lane_temperature = lane_base[keep], lane_temperature[keep]
-    else:
-        temperature[lanes] = lane_temperature
-        roots[lanes] = w
+    base = ambient + crosstalk
+    # Iteration 0 at T_base, where f = R_th * P >= 0: settled lanes stop
+    # here, the others take one Picard step.
+    current, w = prepared.solve(base)
+    residual = base + model.rth_eff_k_per_w * np.abs(voltage * current) - base
+    temperature = base.copy()
+    done = residual < tolerance_k
+    lanes = np.flatnonzero(~done)
+    if lanes.size:
+        # The iterating lanes' state, one row per quantity, so that retiring
+        # settled lanes is one column take.  ``_T`` is the iterate to solve
+        # next; ``_T_SOLVED``, ``_F_SOLVED`` and ``_CURRENT`` hold the last
+        # solved one.
+        rows = np.stack(
+            [field[lanes] for field in prepared]
+            + [
+                array[lanes]
+                for array in (
+                    voltage, model.rth_eff_k_per_w, base, w, base + residual,
+                    base, residual, current, base,
+                )
+            ]
+            + [np.full(lanes.size, np.inf)]
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(1, max_iterations):
+                t = rows[_T]
+                lane_current, rows[_W] = PreparedBias(*rows[:_V]).solve(t, start=rows[_W])
+                f = rows[_BASE] + rows[_RTH] * np.abs(rows[_V] * lane_current) - t
+                positive = f > 0.0
+                np.copyto(rows[_LOW], t, where=positive)
+                np.copyto(rows[_HIGH], t, where=~positive)
+                low, high = rows[_LOW], rows[_HIGH]
+                rise = t - rows[_T_SOLVED]
+                change = f - rows[_F_SOLVED]
+                step = -f * rise / change
+                next_t = t + step
+                secant = (rise * change < 0.0) & (low < next_t) & (next_t < high)
+                settled = (f == 0.0) | (secant & (np.abs(step) < tolerance_k))
+                if not secant.all():
+                    damped = t + FALLBACK_DAMPING * f
+                    halfway = t + 0.5 * (np.where(positive, high, low) - t)
+                    damped = np.where((low < damped) & (damped < high), damped, halfway)
+                    np.copyto(next_t, damped, where=~secant)
+                rows[_T_SOLVED] = t
+                rows[_F_SOLVED] = f
+                rows[_CURRENT] = lane_current
+                rows[_T] = next_t
+                if settled.any():
+                    stop = lanes[settled]
+                    done[stop] = True
+                    temperature[stop] = rows[_T_SOLVED, settled]
+                    current[stop] = lane_current[settled]
+                    keep = ~settled
+                    lanes = lanes[keep]
+                    if not lanes.size:
+                        break
+                    rows = rows[:, keep]
+            else:
+                # The iteration cap: each lane reports its last solved iterate.
+                temperature[lanes] = rows[_T_SOLVED]
+                current[lanes] = rows[_CURRENT]
 
     if not done.all():
         failed = np.flatnonzero(~done)
@@ -574,19 +617,16 @@ def solve_operating_point_batch(
             lane = int(failed[0])
             raise ConvergenceError(
                 f"filament temperature did not converge for V={voltage[lane]} V, x={x[lane]} "
-                f"(last T={temperature[lane]:.1f} K) in {failed.size} of {n} lanes; "
-                "the bias point is likely in thermal runaway"
+                f"within {max_iterations} current solves (last T={temperature[lane]:.1f} K) "
+                f"in {failed.size} of {n} lanes"
             )
+        get_telemetry().count("thermal.self_heating.unconverged", failed.size)
         logger.debug("operating-point solve left %d of %d lanes unconverged", failed.size, n)
 
-    # Final recompute at the settled temperature, as the scalar solver does on
-    # its converged return.
-    current, _ = prepared.solve(temperature, start=roots)
-    power = np.abs(voltage * current)
     return BatchOperatingPoint(
         voltage_v=voltage,
         current_a=current,
-        power_w=power,
+        power_w=np.abs(voltage * current),
         filament_temperature_k=temperature,
         ambient_temperature_k=ambient,
         crosstalk_temperature_k=crosstalk,
