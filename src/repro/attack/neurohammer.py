@@ -206,36 +206,35 @@ class NeuroHammer:
         pulses = 0
         stress_time = 0.0
         victim_temperature = ambient
-        progressed = True
+        phases = len(phase_points)
 
-        while x < threshold and pulses < config.max_pulses and progressed:
-            progressed = False
-            round_dx = 0.0
+        while x < threshold and pulses < config.max_pulses:
             per_phase_dx: List[float] = []
             for point in phase_points:
                 rate, temperature = self._victim_rate(
                     model, point, x, ambient
                 )
                 victim_temperature = max(victim_temperature, temperature)
-                dx = max(rate, 0.0) * pulse.length_s
-                per_phase_dx.append(dx)
-                round_dx += dx
+                per_phase_dx.append(max(rate, 0.0) * pulse.length_s)
+            round_dx = sum(per_phase_dx)
             if round_dx <= 0.0:
                 break
-            progressed = True
-            remaining = threshold - x
+            left = config.max_pulses - pulses
+            if left < phases:
+                # A partial last round: only the leading phases the budget
+                # still allows are pulsed.
+                x = model.clamp_state(x + sum(per_phase_dx[:left]))
+                pulses += left
+                stress_time += left * pulse.length_s
+                break
             rounds = max(1, int(min(
-                math.floor(max_dx_per_batch / round_dx) if round_dx > 0 else 1,
-                math.ceil(remaining / round_dx),
+                math.floor(max_dx_per_batch / round_dx),
+                math.ceil((threshold - x) / round_dx),
             )))
-            max_rounds_left = (config.max_pulses - pulses) // len(phase_points)
-            if max_rounds_left >= 1:
-                rounds = min(rounds, max_rounds_left)
-            else:
-                rounds = 1
+            rounds = min(rounds, left // phases)
             x = model.clamp_state(x + round_dx * rounds)
-            pulses += rounds * len(phase_points)
-            stress_time += rounds * len(phase_points) * pulse.length_s
+            pulses += rounds * phases
+            stress_time += rounds * phases * pulse.length_s
 
         flipped = x >= threshold
         self.crossbar.set_state(pattern.victim, x)
@@ -244,7 +243,7 @@ class NeuroHammer:
             victim=pattern.victim,
             aggressors=pattern.aggressors,
             flipped=flipped,
-            pulses=pulses if flipped else min(pulses, config.max_pulses),
+            pulses=pulses,
             stress_time_s=stress_time,
             wall_clock_s=pulses * pulse.period_s,
             victim_final_x=x,

@@ -15,7 +15,7 @@ from repro.attack import (
     switching_rate,
     thermal_acceleration_factor,
 )
-from repro.attack.patterns import double_sided_row
+from repro.attack.patterns import double_sided_row, standard_patterns
 from repro.circuit import CrossbarArray
 from repro.config import AttackConfig, CrossbarGeometry, PulseConfig
 from repro.devices import JartVcmModel
@@ -126,6 +126,27 @@ class TestNeuroHammerEngine:
         result = attack.run(config=config)
         assert result.flipped
         assert result.victim == (1, 2)
+
+    def test_multi_phase_run_stays_within_its_pulse_budget(self, paper_geometry):
+        # A two-phase pattern whose budget ends mid-round pulses only the
+        # leading phases that still fit, instead of a whole round.
+        pattern = standard_patterns(paper_geometry)["quad"]
+        assert len(pattern.phases) == 2
+
+        def run(max_pulses):
+            attack = NeuroHammer(CrossbarArray(geometry=paper_geometry))
+            return attack.run(pattern=pattern, config=AttackConfig(max_pulses=max_pulses))
+
+        free = run(10_000_000)
+        assert free.flipped
+        for budget in range(free.pulses - 4, free.pulses + 3):
+            result = run(budget)
+            assert result.pulses <= budget
+            assert result.stress_time_s == pytest.approx(result.pulses * 50e-9)
+            if budget >= free.pulses:
+                assert result.flipped
+                assert result.pulses == free.pulses
+                assert result.victim_final_x == free.victim_final_x
 
 
 class TestAnalysisHelpers:
