@@ -15,7 +15,7 @@ from repro.devices import (
     time_to_switch,
 )
 from repro.devices.kinetics import StateTrajectoryPoint
-from repro.errors import DeviceModelError
+from repro.errors import ConvergenceError, DeviceModelError
 
 
 class TestOperatingPoint:
@@ -43,6 +43,29 @@ class TestOperatingPoint:
         low = equilibrium_temperature(jart_model, 0.525, 0.0, 273.0)
         high = equilibrium_temperature(jart_model, 0.525, 0.0, 373.0)
         assert high > low + 90.0
+
+    @pytest.mark.parametrize(
+        "voltage, x, crosstalk, most",
+        [(1.05, 1.0, 0.0, 7), (0.525, 0.3, 75.0, 6)],
+        ids=["fig2a_aggressor", "fig3a_victim"],
+    )
+    def test_current_solves_per_fixed_point(self, jart_model, monkeypatch, voltage, x, crosstalk, most):
+        calls = []
+        current = jart_model.current
+
+        def counted(voltage_v, state):
+            calls.append(state.filament_temperature_k)
+            return current(voltage_v, state)
+
+        monkeypatch.setattr(jart_model, "current", counted)
+        point = solve_operating_point(jart_model, voltage, x, 300.0, crosstalk_temperature_k=crosstalk)
+        assert len(calls) <= most
+        # The returned pair is self-consistent: no re-solve after the stop.
+        assert calls[-1] == point.filament_temperature_k
+
+    def test_iteration_cap_raises(self, jart_model):
+        with pytest.raises(ConvergenceError):
+            solve_operating_point(jart_model, 1.05, 1.0, 300.0, max_iterations=1)
 
 
 class TestTimeToSwitch:

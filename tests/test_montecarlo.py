@@ -26,7 +26,8 @@ from repro.devices import (
     solve_operating_point,
     time_to_switch,
 )
-from repro.errors import CampaignError, DeviceModelError, MonteCarloError
+from repro.devices.base import DeviceState
+from repro.errors import CampaignError, ConvergenceError, DeviceModelError, MonteCarloError
 from repro.montecarlo import (
     MapAxis,
     MonteCarloConfig,
@@ -39,6 +40,8 @@ from repro.montecarlo import (
     solve_operating_point_batch,
     time_to_switch_batch,
 )
+from repro.montecarlo.vectorized import PreparedBias
+from repro.obs import telemetry_capture
 from repro.utils.rng import child_rng, child_seed
 
 RTOL = 1e-9
@@ -370,6 +373,141 @@ class TestOperatingPointBatch:
         batch = solve_operating_point_batch(model, 1.05, 1.0, 300.0)
         assert (batch.self_heating_k > 100.0).all()
         assert np.allclose(batch.crosstalk_temperature_k, 0.0)
+
+    def test_current_solves_per_lane(self, monkeypatch):
+        n = 1024
+        lanes = []
+        solve = PreparedBias.solve
+
+        def counted(self, temperature_k, start=None):
+            lanes.append(temperature_k.size)
+            return solve(self, temperature_k, start)
+
+        monkeypatch.setattr(PreparedBias, "solve", counted)
+        batch = solve_operating_point_batch(VectorizedJartVcm(n), 1.05, 1.0, 300.0)
+        assert batch.converged.all()
+        assert sum(lanes) <= 7 * n
+
+    def test_iteration_cap_clears_converged_and_counts(self):
+        model = VectorizedJartVcm(2)
+        voltage = np.array([0.0, 1.05])
+        with telemetry_capture() as tel:
+            batch = solve_operating_point_batch(
+                model, voltage, 1.0, 300.0, max_iterations=1, raise_on_failure=False
+            )
+        assert batch.converged.tolist() == [True, False]
+        assert tel.counters["thermal.self_heating.unconverged"] == 1
+        # The capped lane reports its last solved iterate, T_base, with the
+        # current solved there.
+        np.testing.assert_array_equal(batch.filament_temperature_k, [300.0, 300.0])
+        np.testing.assert_array_equal(
+            batch.current_a, model.current(voltage, np.ones(2), np.full(2, 300.0))
+        )
+
+    def test_iteration_cap_raises_on_failure(self):
+        with pytest.raises(ConvergenceError):
+            solve_operating_point_batch(
+                VectorizedJartVcm(2), np.array([0.0, 1.05]), 1.0, 300.0,
+                max_iterations=1, raise_on_failure=True,
+            )
+
+
+#: A JART parameter set with three fixed points at V = 1.0 V, x = 0.58,
+#: T_amb = 404 K: ~421.48 K (stable), ~503.7 K (unstable), ~1442.7 K (stable).
+BISTABLE = JartVcmParameters(
+    rth_eff_k_per_w=1.11e6,
+    series_resistance_ohm=222.0,
+    barrier_height_ev=0.475,
+    barrier_lowering_ev=0.081,
+    interface_voltage_v=0.115,
+    filament_radius_m=34e-9,
+)
+
+
+def fixed_point_residual(parameters, voltage, x, ambient, crosstalk):
+    """f(T) = T_base + R_th * |V * I(T)| - T on the scalar model's current."""
+    model = JartVcmModel(parameters)
+
+    def residual(temperature):
+        state = DeviceState(x=x, filament_temperature_k=temperature)
+        power = abs(voltage * model.current(voltage, state))
+        return ambient + crosstalk + parameters.rth_eff_k_per_w * power - temperature
+
+    return residual
+
+
+def bisect_root(residual, low, high):
+    """The sign change of ``residual`` inside [low, high], to ~1e-10 K."""
+    rising = residual(low) < 0.0
+    for _ in range(60):
+        middle = 0.5 * (low + high)
+        if (residual(middle) < 0.0) == rising:
+            low = middle
+        else:
+            high = middle
+    return 0.5 * (low + high)
+
+
+def lowest_fixed_point(parameters, voltage, x, ambient, crosstalk):
+    """The lowest root of f, independent of either kernel's iteration.
+
+    f(T_base) >= 0; f is scanned upward in 1 K steps to its first sign
+    change, which is then bisected.
+    """
+    residual = fixed_point_residual(parameters, voltage, x, ambient, crosstalk)
+    low = ambient + crosstalk
+    while residual(low + 1.0) > 0.0:
+        low += 1.0
+    return bisect_root(residual, low, low + 1.0)
+
+
+class TestSelfHeatingAccuracy:
+    """Both kernels land on the lowest fixed point within 1e-3 K."""
+
+    CASES = [
+        # (parameters, V, x, T_amb, dT_crosstalk)
+        (JartVcmParameters(), 1.05, 1.0, 300.0, 0.0),  # Fig. 2a aggressor
+        (JartVcmParameters(), 0.525, 0.0, 300.0, 75.0),  # Fig. 3a victim
+        (JartVcmParameters(), 0.525, 0.3, 300.0, 75.0),
+        (JartVcmParameters(), 0.525, 0.5, 300.0, 75.0),
+        (BISTABLE, 1.0, 0.58, 404.0, 0.0),
+    ]
+
+    @pytest.mark.parametrize(
+        "case", CASES, ids=["fig2a_aggressor", "victim_x0", "victim_x03", "victim_x05", "bistable"]
+    )
+    def test_both_kernels_match_a_bisected_reference(self, case):
+        parameters, voltage, x, ambient, crosstalk = case
+        reference = lowest_fixed_point(*case)
+        scalar = solve_operating_point(
+            JartVcmModel(parameters), voltage, x, ambient, crosstalk_temperature_k=crosstalk
+        )
+        batch = solve_operating_point_batch(
+            VectorizedJartVcm(1, base=parameters), voltage, x, ambient, crosstalk
+        )
+        assert abs(scalar.filament_temperature_k - reference) < 1e-3
+        assert abs(batch.filament_temperature_k[0] - reference) < 1e-3
+
+    def test_fig2a_aggressor_reference(self):
+        assert lowest_fixed_point(*self.CASES[0]) == pytest.approx(949.936, abs=1e-3)
+
+    def test_bistable_cell_returns_its_cold_root(self):
+        case = self.CASES[-1]
+        residual = fixed_point_residual(*case)
+        # The fixture really is bistable: two more roots above the cold one.
+        unstable = bisect_root(residual, 460.0, 600.0)
+        hot = bisect_root(residual, 1000.0, 1500.0)
+        assert unstable == pytest.approx(503.7, abs=0.1)
+        assert hot == pytest.approx(1442.7, abs=0.1)
+        cold = lowest_fixed_point(*case)
+        assert cold == pytest.approx(421.48, abs=0.01)
+        parameters, voltage, x, ambient, crosstalk = case
+        scalar = solve_operating_point(JartVcmModel(parameters), voltage, x, ambient, crosstalk)
+        batch = solve_operating_point_batch(
+            VectorizedJartVcm(1, base=parameters), voltage, x, ambient, crosstalk
+        )
+        for temperature in (scalar.filament_temperature_k, batch.filament_temperature_k[0]):
+            assert temperature == pytest.approx(cold, abs=1e-3)
 
 
 class TestKineticsBatch:
