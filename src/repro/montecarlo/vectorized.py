@@ -562,31 +562,38 @@ def solve_operating_point_batch(
         # next; ``_T_SOLVED``, ``_F_SOLVED`` and ``_CURRENT`` hold the last
         # solved one.
         rows = np.stack(
-            [field[lanes] for field in prepared]
-            + [
-                array[lanes]
-                for array in (
-                    voltage, model.rth_eff_k_per_w, base, w, base + residual,
-                    base, residual, current, base,
-                )
-            ]
-            + [np.full(lanes.size, np.inf)]
+            list(prepared)
+            + [voltage, model.rth_eff_k_per_w, base, w, base + residual, base, residual, current, base]
+            + [np.full(n, np.inf)]
         )
+        if lanes.size < n:
+            rows = rows[:, lanes]
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(1, max_iterations):
                 t = rows[_T]
                 lane_current, rows[_W] = PreparedBias(*rows[:_V]).solve(t, start=rows[_W])
-                f = rows[_BASE] + rows[_RTH] * np.abs(rows[_V] * lane_current) - t
+                f = rows[_V] * lane_current
+                np.abs(f, out=f)
+                f *= rows[_RTH]
+                f += rows[_BASE]
+                f -= t
                 positive = f > 0.0
-                np.copyto(rows[_LOW], t, where=positive)
-                np.copyto(rows[_HIGH], t, where=~positive)
-                low, high = rows[_LOW], rows[_HIGH]
+                low = np.where(positive, t, rows[_LOW])
+                high = np.where(positive, rows[_HIGH], t)
                 rise = t - rows[_T_SOLVED]
                 change = f - rows[_F_SOLVED]
-                step = -f * rise / change
-                next_t = t + step
-                secant = (rise * change < 0.0) & (low < next_t) & (next_t < high)
-                settled = (f == 0.0) | (secant & (np.abs(step) < tolerance_k))
+                secant = rise * change < 0.0
+                # The secant step is -f * rise / change; t - quotient equals
+                # t + step bit for bit.
+                quotient = f * rise
+                quotient /= change
+                next_t = t - quotient
+                secant &= low < next_t
+                secant &= next_t < high
+                np.abs(quotient, out=quotient)
+                settled = quotient < tolerance_k
+                settled &= secant
+                settled |= f == 0.0
                 if not secant.all():
                     damped = t + FALLBACK_DAMPING * f
                     halfway = t + 0.5 * (np.where(positive, high, low) - t)
@@ -595,6 +602,8 @@ def solve_operating_point_batch(
                 rows[_T_SOLVED] = t
                 rows[_F_SOLVED] = f
                 rows[_CURRENT] = lane_current
+                rows[_LOW] = low
+                rows[_HIGH] = high
                 rows[_T] = next_t
                 if settled.any():
                     stop = lanes[settled]
