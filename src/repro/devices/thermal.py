@@ -24,11 +24,12 @@ that starts on the low side:
   already solved at it, a self-consistent pair.  So is an iterate with
   ``f = 0`` exactly.
 
-``g(T) = T_base + R_th * P`` increases with T, so Picard from ``T_base``
-rises monotonically to the *lowest* root and the bracket and slope test
-keep the secant there: a bistable cell returns its cold, stable branch.  A
-JART cell always has a fixed point (its current is bounded by
-``|V| / r_ohmic``), so the iteration cap is the only failure exit.
+For the JART model ``g(T) = T_base + R_th * P`` increases with T, so
+Picard from ``T_base`` rises monotonically to the *lowest* root, and the
+bracket and slope test keep the secant there: a bistable cell returns its
+cold, stable root.  A JART cell always has a fixed point (its current is
+bounded by ``|V| / r_ohmic``), so the iteration cap is the only failure
+exit.
 :func:`repro.montecarlo.vectorized.solve_operating_point_batch` transcribes
 the same rule over lanes of cells.
 """
@@ -114,18 +115,16 @@ def solve_operating_point(
                 high = temperature
             rise = temperature - previous_temperature
             change = residual - previous_residual
-            step = None
-            if rise * change < 0.0:
-                step = -residual * rise / change
-                if not low < temperature + step < high:
-                    step = None
-                elif abs(step) < tolerance_k:
+            # A negative chord slope of f (g' < 1) gives the secant step.
+            secant = -residual * rise / change if rise * change < 0.0 else None
+            if secant is not None and low < temperature + secant < high:
+                if abs(secant) < tolerance_k:
                     break
-            if step is None:
+                step = secant
+            else:
                 step = FALLBACK_DAMPING * residual
-                bound = high if residual > 0.0 else low
                 if not low < temperature + step < high:
-                    step = 0.5 * (bound - temperature)
+                    step = 0.5 * ((high if residual > 0.0 else low) - temperature)
         previous_temperature, previous_residual = temperature, residual
         temperature += step
     else:

@@ -487,9 +487,10 @@ class SampledArrayJartModel(MemristorModel):
 
 #: Rows of the batched fixed point's lane state: the prepared bias fields,
 #: then these.
+_BIAS_FIELDS = len(PreparedBias._fields)
 (
     _V, _RTH, _BASE, _W, _T, _T_SOLVED, _F_SOLVED, _CURRENT, _LOW, _HIGH,
-) = range(len(PreparedBias._fields), len(PreparedBias._fields) + 10)
+) = range(_BIAS_FIELDS, _BIAS_FIELDS + 10)
 
 
 @dataclass
@@ -562,16 +563,27 @@ def solve_operating_point_batch(
         # next; ``_T_SOLVED``, ``_F_SOLVED`` and ``_CURRENT`` hold the last
         # solved one.
         rows = np.stack(
-            list(prepared)
-            + [voltage, model.rth_eff_k_per_w, base, w, base + residual, base, residual, current, base]
-            + [np.full(n, np.inf)]
+            [
+                *prepared,
+                voltage,  # _V
+                model.rth_eff_k_per_w,  # _RTH
+                base,  # _BASE
+                w,  # _W
+                base + residual,  # _T, one Picard step
+                base,  # _T_SOLVED
+                residual,  # _F_SOLVED
+                current,  # _CURRENT
+                base,  # _LOW
+                np.full(n, np.inf),  # _HIGH
+            ]
         )
         if lanes.size < n:
             rows = rows[:, lanes]
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(1, max_iterations):
                 t = rows[_T]
-                lane_current, rows[_W] = PreparedBias(*rows[:_V]).solve(t, start=rows[_W])
+                bias = PreparedBias(*rows[:_BIAS_FIELDS])
+                lane_current, rows[_W] = bias.solve(t, start=rows[_W])
                 f = rows[_V] * lane_current
                 np.abs(f, out=f)
                 f *= rows[_RTH]
