@@ -2,9 +2,9 @@
 
 These do not correspond to a paper figure; they track the cost of the
 building blocks the figure sweeps are made of (device model evaluation,
-nonlinear crossbar solve, electro-thermal snapshot, finite-volume heat solve,
-fast attack path), so performance regressions are visible independently of
-the experiment-level numbers.
+self-heating fixed point, nonlinear crossbar solve, electro-thermal
+snapshot, finite-volume heat solve, fast attack path), so performance
+regressions are visible independently of the experiment-level numbers.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from repro.attack import hammer_once
 from repro.circuit import CrossbarArray, write_bias
 from repro.config import CrossbarGeometry, ThermalSolverConfig
-from repro.devices import DeviceState, JartVcmModel
+from repro.devices import DeviceState, JartVcmModel, solve_operating_point
 from repro.thermal import HeatSolver, build_voxel_model
 
 
@@ -30,6 +30,20 @@ def test_bench_device_current_evaluation(benchmark):
 
     result = benchmark(evaluate)
     assert result > 0.0
+
+
+def test_bench_self_heating_operating_point(benchmark):
+    """The scalar Eq. 6 fixed point at the Fig. 2a aggressor and the Fig. 3a victim."""
+    model = JartVcmModel()
+
+    def solve():
+        aggressor = solve_operating_point(model, 1.05, 1.0, 300.0)
+        victim = solve_operating_point(model, 0.525, 0.3, 300.0, crosstalk_temperature_k=75.0)
+        return aggressor, victim
+
+    aggressor, victim = benchmark(solve)
+    assert aggressor.filament_temperature_k > 900.0
+    assert victim.filament_temperature_k > 375.0
 
 
 def test_bench_crossbar_operating_point(benchmark):
