@@ -110,10 +110,6 @@ class PreparedBias(NamedTuple):
     #: The lane constant A*·area of the thermionic saturation current.
     richardson_area: np.ndarray
 
-    def take(self, lanes: np.ndarray) -> "PreparedBias":
-        """The prepared bias of the given lanes."""
-        return PreparedBias(*(field[lanes] for field in self))
-
     def solve(
         self, temperature_k: np.ndarray, start: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -553,6 +549,7 @@ def solve_operating_point_batch(
     # Iteration 0 at T_base, where f = R_th * P >= 0: settled lanes stop
     # here, the others take one Picard step.
     current, w = prepared.solve(base)
+    # Written as at every iterate, so T1 matches the scalar solver's bit for bit.
     residual = base + model.rth_eff_k_per_w * np.abs(voltage * current) - base
     temperature = base.copy()
     done = residual < tolerance_k
