@@ -43,15 +43,23 @@ Cell = Tuple[int, int]
 
 @dataclass
 class ThermalSnapshot:
-    """Electro-thermal state of the array under one bias pattern."""
+    """Electro-thermal state of the array under one bias pattern.
+
+    :meth:`CrossbarArray.thermal_snapshot` finds it by Picard iteration on
+    the temperature field, T <- G(T), with an Anderson(1) step from the
+    third solve on.  It stops when the residual G(T) - T is below the
+    tolerance in every cell and returns the image G(T) with the operating
+    point solved at T; at the iteration cap it returns the last image with
+    ``converged`` cleared.
+    """
 
     operating_point: OperatingPoint
     #: Filament temperature including self-heating and crosstalk [K].
     filament_temperatures_k: np.ndarray
     #: Crosstalk contribution alone [K].
     crosstalk_temperatures_k: np.ndarray
-    #: Whether the last Picard update changed no temperature by more than
-    #: the tolerance; False means the loop hit its iteration cap.
+    #: Whether the last residual G(T) - T stayed below the tolerance in
+    #: every cell; False means the loop hit its iteration cap.
     converged: bool
     #: Electrical solves the Picard loop ran.
     iterations: int
@@ -194,33 +202,56 @@ class CrossbarArray:
         crosstalk-received rise through the hub again would double-count heat
         paths.
 
-        A loop that reaches ``max_iterations`` returns its last iterate with
+        Each solve at the field ``T_k`` gives its image ``g_k = G(T_k)``, the
+        ambient plus the self-heating and crosstalk rises, and the residual
+        ``f_k = g_k - T_k``.  ``T_0`` is the ambient field; the first solve
+        runs at the filament temperatures the array holds (``T_0`` unless an
+        earlier snapshot left them warm), and its residual is taken against
+        ``T_0``.  The first two updates are plain Picard,
+        ``T_{k+1} = g_k``.  From the third solve on the update is the
+        Anderson(1) step ``T_{k+1} = g_k - theta (g_k - g_{k-1})`` with
+        ``theta = <f_k, df> / <df, df>`` and ``df = f_k - f_{k-1}``, clamped
+        at the ambient; it falls back to the Picard step when ``df`` is zero.
+        (Device currents grow exponentially with temperature, so mixing
+        earlier extrapolates from too far off the fixed point.)
+
+        The loop stops when no residual entry reaches ``tolerance_k`` and
+        returns the image ``g_k`` with the operating point solved at ``T_k``.
+        A loop that reaches ``max_iterations`` returns its last image with
         ``converged`` cleared and counts ``thermal.picard.unconverged``.
         """
         if max_iterations < 1:
             raise ConfigurationError("max_iterations must be at least 1")
         rows, columns = self.geometry.rows, self.geometry.columns
+        ambient = float(self.ambient_temperature_k)
         rth = self.model.thermal_resistance_k_per_w()
-        crosstalk = np.zeros((rows, columns))
-        temperatures = np.full((rows, columns), float(self.ambient_temperature_k))
-        op = None
+        temperatures = np.full((rows, columns), ambient)
+        image = residual = None
         converged = False
         for iterations in range(1, max_iterations + 1):
             op = self.solve_bias(bias)
             self_heating = rth * op.device_powers_w
-            crosstalk = self.hub.additional_temperatures(self.ambient_temperature_k + self_heating)
-            new_temperatures = self.ambient_temperature_k + self_heating + crosstalk
-            change = float(np.abs(new_temperatures - temperatures).max())
-            temperatures = new_temperatures
-            self.state.temperature_k[...] = temperatures
-            if change < tolerance_k:
+            crosstalk = self.hub.additional_temperatures(ambient + self_heating)
+            previous_image, previous_residual = image, residual
+            image = ambient + self_heating + crosstalk
+            residual = image - temperatures
+            if float(np.abs(residual).max()) < tolerance_k:
                 converged = True
                 break
+            temperatures = image
+            if iterations >= 3:
+                delta = residual - previous_residual
+                norm = float(np.vdot(delta, delta))
+                if norm > 0.0:
+                    theta = float(np.vdot(residual, delta)) / norm
+                    temperatures = np.maximum(image - theta * (image - previous_image), ambient)
+            self.state.temperature_k[...] = temperatures
+        self.state.temperature_k[...] = image
         if not converged:
             get_telemetry().count("thermal.picard.unconverged")
         return ThermalSnapshot(
             operating_point=op,
-            filament_temperatures_k=temperatures,
+            filament_temperatures_k=image,
             crosstalk_temperatures_k=crosstalk,
             converged=converged,
             iterations=iterations,

@@ -151,11 +151,15 @@ class CrossbarSolver:
 
     The factor lives as long as the solver, so it carries across solves —
     Picard iterations, attack phases, the sampled arrays of one batch — but
-    never across crossbars.  A solve converges when the KCL residual is
-    below ``residual_tolerance_a`` and the last step is below
-    ``voltage_tolerance_v`` if it was a Newton step (factor built at its
-    iterate), or below :data:`CHORD_STOP_FRACTION` of that if it was a chord
-    step.
+    never across crossbars.  So does the solution: each solve starts from the
+    previous one.  The first solve is a cold start: every node of a word-line
+    or bit-line chain starts at its driver's voltage (0 V on a floating
+    line), so a device between two driven lines starts at its wire-drop-free
+    bias and the solve typically needs a single factor.  A solve converges
+    when the KCL residual is below ``residual_tolerance_a`` and the last step
+    is below ``voltage_tolerance_v`` if it was a Newton step (factor built at
+    its iterate), or below :data:`CHORD_STOP_FRACTION` of that if it was a
+    chord step.
 
     Args:
         netlist: The expanded crossbar netlist.
@@ -187,6 +191,8 @@ class CrossbarSolver:
 
         self._dev_w, self._dev_b = netlist.device_wordline, netlist.device_bitline
         self._dev_rows, self._dev_cols = netlist.device_rows, netlist.device_cols
+        # Nodes are numbered chain by chain, each chain from its driver node.
+        self._chain_lengths = np.diff(np.append(netlist.driver_nodes, netlist.node_count))
         self._assemble_structure()
 
     # -- assembly -----------------------------------------------------------
@@ -242,25 +248,28 @@ class CrossbarSolver:
             shape=(n, n),
         )
 
-    def _driver_stamps(self, bias: BiasPattern) -> Tuple[np.ndarray, np.ndarray]:
-        """Norton-equivalent driver stamps: (diagonal conductance, current).
+    def _driver_stamps(self, bias: BiasPattern) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Norton-equivalent driver stamps and the driver voltage of every line.
 
-        A floating line (``None``) gets no stamp.
+        Returns (diagonal conductance, current, line voltages), the lines in
+        driver-node order.  A floating line (``None``) gets no stamp and a
+        line voltage of 0 V.
         """
         netlist = self.netlist
         geometry = netlist.geometry
         line_voltages = [bias.row_voltage(row) for row in range(geometry.rows)]
         line_voltages += [bias.column_voltage(column) for column in range(geometry.columns)]
         driven = np.array([voltage is not None for voltage in line_voltages])
+        line_v = np.array(
+            [0.0 if voltage is None else voltage for voltage in line_voltages], dtype=float
+        )
         nodes = netlist.driver_nodes[driven]
         g = netlist.driver_conductance_s
         extra_g = np.zeros(netlist.node_count)
         currents = np.zeros(netlist.node_count)
         extra_g[nodes] += g
-        currents[nodes] += g * np.array(
-            [voltage for voltage in line_voltages if voltage is not None], dtype=float
-        )
-        return extra_g, currents
+        currents[nodes] += g * line_v[driven]
+        return extra_g, currents, line_v
 
     def _state_arrays(self, states: StateLike) -> Tuple[np.ndarray, np.ndarray]:
         """Per-device state and temperature vectors in netlist device order."""
@@ -284,34 +293,26 @@ class CrossbarSolver:
 
     # -- solving --------------------------------------------------------------
 
-    def solve(
-        self,
-        bias: BiasPattern,
-        states: StateLike,
-        initial_guess: Optional[np.ndarray] = None,
-    ) -> OperatingPoint:
+    def solve(self, bias: BiasPattern, states: StateLike) -> OperatingPoint:
         """Solve the nonlinear operating point for one bias pattern.
+
+        Newton starts from the previous solution (warm start) or, on the
+        solver's first solve, from the cold start.
 
         Args:
             bias: Driver voltages per line (None = floating).
             states: Device state per cell — a :class:`DeviceStateArrays`
                 container (fast path) or any mapping with every crosspoint
                 present (legacy path).
-            initial_guess: Optional starting node-voltage vector; by default
-                the previous solution (warm start) or zeros are used.
         """
-        n = self.netlist.node_count
-        extra_g, driver_currents = self._driver_stamps(bias)
+        extra_g, driver_currents, line_v = self._driver_stamps(bias)
         x_arr, t_arr = self._state_arrays(states)
 
-        warm_started = False
-        if initial_guess is not None:
-            voltages = np.array(initial_guess, dtype=float)
-        elif self._last_solution is not None and len(self._last_solution) == n:
+        warm_started = self._last_solution is not None
+        if warm_started:
             voltages = self._last_solution.copy()
-            warm_started = True
         else:
-            voltages = np.zeros(n)
+            voltages = np.repeat(line_v, self._chain_lengths)
 
         if self._factor_g is not None and not np.array_equal(extra_g, self._factor_g):
             self._factor = None  # the driven-line set changed

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.circuit import CrossbarArray, ReferenceCrossbarSolver, write_bias
 from repro.config import CrossbarGeometry
 from repro.devices import DeviceState, JartVcmModel, LinearIonDriftModel
 from repro.memory import AddressMapping, HammingSecDed
@@ -77,6 +78,53 @@ class TestDeviceProperties:
         clamped = MODEL.clamp_state(x)
         assert 0.0 <= clamped <= 1.0
         assert MODEL.clamp_state(clamped) == clamped
+
+
+class TestSolverDifferential:
+    """A fresh array's first solve against the dense reference oracle.
+
+    The sparse solver starts a cold solve with every line at its driver
+    voltage, the reference from zeros; both must reach one operating point.
+    """
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        rows=st.integers(min_value=2, max_value=8),
+        columns=st.integers(min_value=2, max_value=8),
+        scheme=st.sampled_from(["v_half", "v_third"]),
+        amplitude=st.floats(min_value=0.5, max_value=1.2),
+        ambient=st.floats(min_value=200.0, max_value=400.0),
+        data=st.data(),
+    )
+    def test_cold_operating_point_matches_the_reference(
+        self, rows, columns, scheme, amplitude, ambient, data
+    ):
+        geometry = CrossbarGeometry(rows=rows, columns=columns)
+        boundary = [
+            cell for cell in geometry.iter_cells()
+            if cell[0] in (0, rows - 1) or cell[1] in (0, columns - 1)
+        ]
+        aggressor = data.draw(st.sampled_from(boundary), label="edge or corner aggressor")
+        crossbar = CrossbarArray(geometry=geometry, ambient_temperature_k=ambient)
+        crossbar.set_state(aggressor, 1.0)
+        bias = write_bias(geometry, [aggressor], amplitude, scheme=scheme)
+        fast = crossbar.solve_bias(bias)
+        reference = ReferenceCrossbarSolver(crossbar.netlist, crossbar.model).solve(
+            bias, crossbar.state.as_mapping()
+        )
+        np.testing.assert_allclose(
+            fast.device_voltages_v, reference.device_voltages_v, rtol=1e-9, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            fast.device_currents_a, reference.device_currents_a, rtol=1e-9, atol=1e-15
+        )
+        nodes = list(reference.node_voltages_v)
+        np.testing.assert_allclose(
+            [fast.node_voltages_v[name] for name in nodes],
+            [reference.node_voltages_v[name] for name in nodes],
+            rtol=1e-9,
+            atol=1e-12,
+        )
 
 
 class TestCouplingProperties:

@@ -71,18 +71,23 @@ def random_bias(rng: np.random.Generator, geometry: CrossbarGeometry) -> BiasPat
     )
 
 
-def assert_same_operating_point(fast, reference):
+def assert_same_solution(fast, reference):
+    """Node voltages, device voltages and device currents agree."""
     np.testing.assert_allclose(
         fast.device_voltages_v, reference.device_voltages_v, rtol=RTOL, atol=ATOL_V
     )
     np.testing.assert_allclose(
         fast.device_currents_a, reference.device_currents_a, rtol=RTOL, atol=ATOL_A
     )
+    for name, value in reference.node_voltages_v.items():
+        assert fast.node_voltages_v[name] == pytest.approx(value, rel=RTOL, abs=ATOL_V)
+
+
+def assert_same_operating_point(fast, reference):
+    assert_same_solution(fast, reference)
     np.testing.assert_allclose(
         fast.device_powers_w, reference.device_powers_w, rtol=RTOL, atol=ATOL_V * ATOL_A
     )
-    for name, value in reference.node_voltages_v.items():
-        assert fast.node_voltages_v[name] == pytest.approx(value, rel=RTOL, abs=ATOL_V)
 
 
 def counted_solve(solver, bias, states):
@@ -207,6 +212,29 @@ class TestSparseSolverAgreement:
         counters = tel.counters
         assert counters["solver.solves"] > 1
         assert 1 <= counters["solver.factorizations"] < counters["solver.solves"]
+
+    @pytest.mark.parametrize("size", [8, 16, 64])
+    def test_cold_solve_factors_once(self, size):
+        """A fresh solver starts every line at its driver voltage and
+        factors once.  The reference starts from zeros; its 64x64 dense
+        solve takes ~30 s, so bench_solver_scaling compares that size."""
+        geometry = CrossbarGeometry(rows=size, columns=size)
+        netlist = build_crossbar_netlist(geometry)
+        model = JartVcmModel()
+        states = DeviceStateArrays(size, size)
+        aggressor = (size // 2, size // 2)
+        states.x[aggressor] = 1.0
+        bias = write_bias(geometry, [aggressor], 1.05)
+        op, counters = counted_solve(CrossbarSolver(netlist, model), bias, states)
+        assert counters["solver.factorizations"] == 1
+        assert "solver.warm_starts" not in counters
+        if size <= 16:
+            ref_op = ReferenceCrossbarSolver(netlist, model).solve(bias, states.as_mapping())
+            # Powers are not compared: an x = 0 cell near 0 V dissipates
+            # ~2e-19 W, and the ~3e-14 V rounding difference between the
+            # dense and the sparse LU moves that by ~5e-9 relative, above
+            # RTOL over the 1e-27 W floor, whatever the start.
+            assert_same_solution(op, ref_op)
 
     def test_state_shape_mismatch_rejected(self, small_geometry):
         netlist = build_crossbar_netlist(small_geometry)
