@@ -260,7 +260,11 @@ class NeuroHammer:
         x: float,
         ambient: float,
     ) -> Tuple[float, float]:
-        """Victim state rate [1/s] and temperature [K] during one phase pulse."""
+        """Victim state rate [1/s] and temperature [K] during one phase pulse.
+
+        The fixed point returns the current it solved at the temperature it
+        returns, so the rate is taken from that current.
+        """
         operating = solve_operating_point(
             model,
             point.victim_voltage_v,
@@ -269,7 +273,9 @@ class NeuroHammer:
             crosstalk_temperature_k=point.victim_crosstalk_k,
         )
         state = DeviceState(x=x, filament_temperature_k=operating.filament_temperature_k)
-        rate = model.state_derivative(point.victim_voltage_v, state)
+        rate = model.state_derivative_from_current(
+            point.victim_voltage_v, state, operating.current_a
+        )
         return rate, operating.filament_temperature_k
 
     # ------------------------------------------------------------------

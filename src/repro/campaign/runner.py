@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import multiprocessing.pool
 import os
 import time
 from dataclasses import dataclass, field
@@ -106,9 +107,9 @@ def _init_worker(telemetry_on: bool, start_queue: Optional[Any] = None) -> None:
     rewrites its heartbeat file or appends to its audit stream.
 
     Workers forked while the parent holds the graceful-shutdown scope inherit
-    its cooperative signal handlers, under which ``pool.terminate()``'s
-    SIGTERM would merely set a flag and never kill the worker.  Reset SIGTERM
-    to its default so teardown works, and ignore SIGINT so a terminal Ctrl-C
+    its cooperative signal handlers, under which a SIGTERM would merely set a
+    flag and never kill the worker.  Reset SIGTERM to its default so the
+    worker stays killable, and ignore SIGINT so a terminal Ctrl-C
     (delivered to the whole process group) interrupts only the parent, which
     then drains and tears the pool down deliberately.
     """
@@ -121,6 +122,24 @@ def _init_worker(telemetry_on: bool, start_queue: Optional[Any] = None) -> None:
     _worker_start_queue = start_queue
     if telemetry_on:
         enable_telemetry(Telemetry())
+
+
+class _TeardownPool(multiprocessing.pool.Pool):
+    """A process pool whose ``terminate()`` stops its workers with SIGKILL.
+
+    ``Pool.terminate`` sends SIGTERM, which a worker forked just before the
+    teardown can lose: CPython clears the signals that arrive before a
+    forked child re-initialises its interpreter, and the teardown then joins
+    that worker forever.  SIGKILL can be neither lost nor caught.  The pool
+    sends it only after taking its task queue's read lock, so no worker dies
+    holding that lock.
+    """
+
+    @staticmethod
+    def Process(ctx: Any, *args: Any, **kwds: Any) -> Any:
+        process = ctx.Process(*args, **kwds)
+        process.terminate = process.kill
+        return process
 
 
 def _dispatch_job(job_fn: Callable[[JobPayload], "JobRecord"], payload: JobPayload, attempt: int) -> "JobRecord":
@@ -835,17 +854,38 @@ class CampaignRunner:
     ) -> Iterator[JobRecord]:
         """One pool lifetime; returns the teardown reason (None = drained)."""
         start_queue = ctx.SimpleQueue()
-        pool = ctx.Pool(
+        pool = _TeardownPool(
             processes=max(1, self.workers),
             initializer=_init_worker,
             initargs=(telemetry_enabled(), start_queue),
+            context=ctx,
         )
         waiting = dict(pending)  # index -> payload, not yet dispatched
         handles: Dict[int, Any] = {}  # index -> AsyncResult
         started: Dict[int, Tuple[int, float]] = {}  # index -> (worker pid, t_start)
         workers_seen: Dict[int, Any] = {}  # pid -> Process snapshot
         outcome: Optional[str] = None
+
+        def read_start_sentinels() -> None:
+            while not start_queue.empty():
+                s_index, s_pid = start_queue.get()
+                if s_index in handles:
+                    started[s_index] = (s_pid, time.monotonic())
+
+        def snapshot_workers() -> None:
+            # The pool replaces dead workers in place, so liveness must be
+            # probed on the process objects we saw.
+            for proc in getattr(pool, "_pool", []):
+                if proc.pid is not None:
+                    workers_seen.setdefault(proc.pid, proc)
+
         try:
+            # The first workers are seen before any job is dispatched: one
+            # that dies on its first job can be replaced before the loop
+            # looks, and a death never seen would leave its job awaited
+            # forever.  The first death of a generation is therefore always
+            # seen, and it tears the generation down.
+            snapshot_workers()
             while waiting or handles:
                 self._refresh_leases()
                 now = time.monotonic()
@@ -853,15 +893,8 @@ class CampaignRunner:
                     handles[index] = pool.apply_async(
                         _dispatch_job, (self.job_fn, waiting.pop(index), attempts[index])
                     )
-                while not start_queue.empty():
-                    s_index, s_pid = start_queue.get()
-                    if s_index in handles:
-                        started[s_index] = (s_pid, time.monotonic())
-                # Snapshot worker processes: the pool replaces dead workers in
-                # place, so liveness must be probed on the objects we saw.
-                for proc in getattr(pool, "_pool", []):
-                    if proc.pid is not None:
-                        workers_seen.setdefault(proc.pid, proc)
+                read_start_sentinels()
+                snapshot_workers()
                 progressed = False
                 for index in [i for i in handles if handles[i].ready()]:
                     progressed = True
@@ -881,6 +914,10 @@ class CampaignRunner:
                     break
                 dead_pids = {pid for pid, proc in workers_seen.items() if proc.exitcode is not None}
                 if dead_pids and (handles or waiting):
+                    # A worker announces its job before running it, so the
+                    # sentinel of the job it died on is already in the pipe,
+                    # even if it arrived after this iteration's first read.
+                    read_start_sentinels()
                     # A dead worker is only guilty of the job named by its
                     # *last* start sentinel.  Any earlier sentinel from the
                     # same pid means that job completed (the worker moved

@@ -290,8 +290,9 @@ class ReferenceTransientSimulator(TransientSimulator):
             while remaining > 1e-21 and not stop:
                 snapshot = crossbar.thermal_snapshot(bias)
                 rates = self._state_rates(snapshot.operating_point.device_voltages_v)
-                dt = self._choose_dt(rates, remaining, segment.duration_s)
-                self._advance_states(rates, dt)
+                fastest = max((abs(rate) for rate in rates.values()), default=0.0)
+                dt, divisor, factor = self._step(fastest, remaining, segment.duration_s)
+                self._advance_states(rates, divisor, factor)
                 time_s += dt
                 remaining -= dt
                 steps += 1
@@ -328,17 +329,10 @@ class ReferenceTransientSimulator(TransientSimulator):
             )
         return rates
 
-    def _choose_dt(self, rates: Dict[Cell, float], remaining_s: float, segment_s: float) -> float:
-        dt = min(remaining_s, segment_s / self.min_steps_per_segment)
-        fastest = max((abs(rate) for rate in rates.values()), default=0.0)
-        if fastest > 0.0:
-            dt = min(dt, self.max_dx_per_step / fastest)
-        return max(dt, 1e-18)
-
-    def _advance_states(self, rates: Dict[Cell, float], dt: float) -> None:
+    def _advance_states(self, rates: Dict[Cell, float], divisor: float, factor: float) -> None:
         for cell, rate in rates.items():
             state = self.crossbar.states[cell]
-            state.x = self.crossbar.model.clamp_state(state.x + rate * dt)
+            state.x = self.crossbar.model.clamp_state(state.x + rate / divisor * factor)
 
     def _detect_flips(self, previous_bits: Dict[Cell, int], time_s: float) -> List[BitFlipEvent]:
         events: List[BitFlipEvent] = []

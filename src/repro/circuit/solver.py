@@ -14,7 +14,8 @@ iteration:
 
 * all device currents and small-signal conductances are evaluated in one call
   through the model's :meth:`~repro.devices.base.MemristorModel.batched`
-  interface (NumPy kernels for the shipped models);
+  interface (NumPy kernels for the shipped models), each call of one solve
+  with the solve's :class:`~repro.devices.base.SolveScratch`;
 * the Jacobian is assembled from index arrays precomputed once per netlist —
   the constant linear (wire + driver) stamps live in a cached CSR data
   vector, and the device stamps are scattered into their CSR slots with
@@ -44,6 +45,7 @@ from ..devices.base import (
     DeviceState,
     DeviceStateArrays,
     MemristorModel,
+    SolveScratch,
 )
 from ..errors import ConfigurationError, ConvergenceError
 from ..faults import register_retryable
@@ -160,6 +162,13 @@ class CrossbarSolver:
     is below ``voltage_tolerance_v`` if it was a Newton step (factor built at
     its iterate), or below :data:`CHORD_STOP_FRACTION` of that if it was a
     chord step.
+
+    Each solve creates one :class:`~repro.devices.base.SolveScratch` and
+    passes it to every device-kernel call it makes.  The device states and
+    temperatures are fixed for the solve, so a kernel may derive its
+    (x, T)-only constants on the first call and warm-start each inner solve
+    from the last (the JART kernel does both).  The scratch is dropped with
+    the solve; only the node voltages carry over to the next one.
 
     Args:
         netlist: The expanded crossbar netlist.
@@ -318,6 +327,7 @@ class CrossbarSolver:
             self._factor = None  # the driven-line set changed
 
         dev_w, dev_b = self._dev_w, self._dev_b
+        scratch = SolveScratch()
         iterations = factorizations = 0
         prev_step = np.inf
         stop_step = self.voltage_tolerance_v
@@ -328,7 +338,7 @@ class CrossbarSolver:
         residual_trajectory = [] if tel.enabled else None
         for solve_count in range(self.max_iterations + 1):
             branch_v = voltages[dev_w] - voltages[dev_b]
-            currents = self._batched.current(branch_v, x_arr, t_arr)
+            currents = self._batched.current(branch_v, x_arr, t_arr, scratch)
             kcl = self._kcl_residual(voltages, extra_g, driver_currents, currents)
             residual = float(np.abs(kcl).max())
             if residual_trajectory is not None:
@@ -340,7 +350,7 @@ class CrossbarSolver:
                 break
             newton = refactor or self._factor is None
             if newton:
-                conductances = self._batched.conductance(branch_v, x_arr, t_arr)
+                conductances = self._batched.conductance(branch_v, x_arr, t_arr, scratch)
                 self._factorize(extra_g, conductances, tel)
                 factorizations += 1
             step = self._factor.solve(kcl)

@@ -18,6 +18,7 @@ regression suite checks flip-event and trace agreement between the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -172,7 +173,9 @@ class TransientSimulator:
     The per-step work — state rates, adaptive step choice, state advance,
     flip detection — runs on whole arrays; there are no per-cell Python
     loops (flip *events* are materialised per changed cell only, which is
-    empty on almost every step).
+    empty on almost every step).  A step limited by the state rates moves
+    the fastest cell by exactly ``max_dx_per_step`` and every other cell
+    by its rate's share of that (see :meth:`_step`).
     """
 
     def __init__(
@@ -242,10 +245,12 @@ class TransientSimulator:
                 snapshot = crossbar.thermal_snapshot(bias)
                 voltages = snapshot.operating_point.device_voltages_v
                 rates = batched.state_derivative(voltages, state.x, state.temperature_k)
-                dt = self._choose_dt(rates, remaining, segment.duration_s)
+                dt, divisor, factor = self._step(
+                    float(np.abs(rates).max()), remaining, segment.duration_s
+                )
                 if tel.enabled:
                     tel.observe("transient.dt_s", dt)
-                state.x[...] = batched.clamp_state(state.x + rates * dt)
+                state.x[...] = batched.clamp_state(state.x + rates / divisor * factor)
                 time_s += dt
                 remaining -= dt
                 steps += 1
@@ -317,9 +322,22 @@ class TransientSimulator:
             )
         return segment.payload
 
-    def _choose_dt(self, rates: np.ndarray, remaining_s: float, segment_s: float) -> float:
-        dt = min(remaining_s, segment_s / self.min_steps_per_segment)
-        fastest = float(np.abs(rates).max()) if rates.size else 0.0
-        if fastest > 0.0:
-            dt = min(dt, self.max_dx_per_step / fastest)
-        return max(dt, 1e-18)
+    def _step(
+        self, fastest: float, remaining_s: float, segment_s: float
+    ) -> Tuple[float, float, float]:
+        """The time step, and the divisor and factor of each cell's increment.
+
+        The step is the shortest of the segment rest, the segment share and
+        ``max_dx_per_step / fastest`` (``fastest`` is the largest |rate|),
+        floored at 1e-18 s.  Each cell's state moves by
+        ``rate / divisor * factor``.  A rate-limited step moves by
+        ``(rate / fastest) * max_dx_per_step``, so the fastest cell moves by
+        exactly ``max_dx_per_step`` and the step at which a cell reaches a
+        threshold does not hang on the last bit of its rate.  Any other step
+        moves by ``rate / 1 * dt``, which is exactly ``rate * dt``.
+        """
+        limit = self.max_dx_per_step / fastest if fastest > 0.0 else math.inf
+        dt = max(min(remaining_s, segment_s / self.min_steps_per_segment, limit), 1e-18)
+        if dt == limit:
+            return dt, fastest, self.max_dx_per_step
+        return dt, 1.0, dt

@@ -14,6 +14,7 @@ from .base import (
     DeviceStateView,
     MemristorModel,
     ScalarBatchedModel,
+    SolveScratch,
     bit_from_state,
 )
 from .jart_vcm import JartVcmModel, JartVcmParameters
@@ -43,6 +44,7 @@ __all__ = [
     "DeviceStateView",
     "BatchedDeviceModel",
     "ScalarBatchedModel",
+    "SolveScratch",
     "MemristorModel",
     "bit_from_state",
     "JartVcmModel",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import abc
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -200,6 +200,40 @@ class DeviceStateMapView(MappingABC):
         return True
 
 
+def finite_difference_conductance(
+    current: Callable[[np.ndarray], np.ndarray], voltage_v: np.ndarray
+) -> np.ndarray:
+    """Per-device conductance dI/dV [S] of ``current``, a function of V alone.
+
+    Mirrors the scalar :meth:`MemristorModel.conductance` default exactly: a
+    symmetric finite difference with the same step rule and the same
+    positive floor, so Newton trajectories of the vectorized solver match
+    the legacy per-device path.
+    """
+    voltage_v = np.asarray(voltage_v, dtype=np.float64)
+    delta = np.maximum(1e-4, np.abs(voltage_v) * 1e-4)
+    g = (current(voltage_v + delta) - current(voltage_v - delta)) / (2.0 * delta)
+    return np.where(g <= 0.0, 1e-12, g)
+
+
+class SolveScratch:
+    """What one nodal solve lends every kernel call it makes.
+
+    Within a solve the device states and temperatures stay fixed and only
+    the voltages move, so a kernel may keep in here what it derives from
+    (x, T) alone (``state``) and the roots of its last inner solve
+    (``roots``), to warm-start the next call.  The solver creates one per
+    solve and drops it with the solve; a kernel without such state ignores
+    it.
+    """
+
+    __slots__ = ("state", "roots")
+
+    def __init__(self) -> None:
+        self.state: Any = None
+        self.roots: Optional[np.ndarray] = None
+
+
 class BatchedDeviceModel(abc.ABC):
     """Vectorized device-model interface consumed by the array-native engine.
 
@@ -213,25 +247,32 @@ class BatchedDeviceModel(abc.ABC):
 
     @abc.abstractmethod
     def current(
-        self, voltage_v: np.ndarray, x: np.ndarray, temperature_k: np.ndarray
+        self,
+        voltage_v: np.ndarray,
+        x: np.ndarray,
+        temperature_k: np.ndarray,
+        scratch: Optional[SolveScratch] = None,
     ) -> np.ndarray:
-        """Per-device current [A]."""
+        """Per-device current [A].
+
+        ``scratch`` is the :class:`SolveScratch` of the nodal solve making
+        the call; a kernel without per-solve state ignores it.
+        """
 
     def conductance(
-        self, voltage_v: np.ndarray, x: np.ndarray, temperature_k: np.ndarray
+        self,
+        voltage_v: np.ndarray,
+        x: np.ndarray,
+        temperature_k: np.ndarray,
+        scratch: Optional[SolveScratch] = None,
     ) -> np.ndarray:
         """Per-device small-signal conductance dI/dV [S].
 
-        Mirrors the scalar default exactly: a symmetric finite difference with
-        the same step rule and the same positive floor, so Newton trajectories
-        of the vectorized solver match the legacy per-device path.
+        The :func:`finite_difference_conductance` of :meth:`current`.
         """
-        voltage_v = np.asarray(voltage_v, dtype=np.float64)
-        delta = np.maximum(1e-4, np.abs(voltage_v) * 1e-4)
-        upper = self.current(voltage_v + delta, x, temperature_k)
-        lower = self.current(voltage_v - delta, x, temperature_k)
-        g = (upper - lower) / (2.0 * delta)
-        return np.where(g <= 0.0, 1e-12, g)
+        return finite_difference_conductance(
+            lambda voltage: self.current(voltage, x, temperature_k), voltage_v
+        )
 
     @abc.abstractmethod
     def state_derivative(
@@ -264,10 +305,10 @@ class ScalarBatchedModel(BatchedDeviceModel):
             out[k] = fn(float(flat_v[k]), DeviceState(float(flat_x[k]), float(flat_t[k])))
         return out.reshape(voltage_v.shape)
 
-    def current(self, voltage_v, x, temperature_k) -> np.ndarray:
+    def current(self, voltage_v, x, temperature_k, scratch=None) -> np.ndarray:
         return self._map(self.model.current, voltage_v, x, temperature_k)
 
-    def conductance(self, voltage_v, x, temperature_k) -> np.ndarray:
+    def conductance(self, voltage_v, x, temperature_k, scratch=None) -> np.ndarray:
         # Delegate to the scalar model so per-model conductance overrides
         # (analytic derivatives, custom floors) are honoured exactly.
         return self._map(self.model.conductance, voltage_v, x, temperature_k)
@@ -351,6 +392,18 @@ class MemristorModel(abc.ABC):
     @abc.abstractmethod
     def state_derivative(self, voltage_v: float, state: DeviceState) -> float:
         """Time derivative of the normalised state dx/dt [1/s]."""
+
+    def state_derivative_from_current(
+        self, voltage_v: float, state: DeviceState, current_a: float
+    ) -> float:
+        """dx/dt [1/s], given the current already solved at (V, x, T).
+
+        A caller holding ``current(voltage_v, state)`` (an operating-point
+        solve returns it) spares a model whose rate needs the current a
+        second solve.  The default ignores ``current_a`` and calls
+        :meth:`state_derivative`.
+        """
+        return self.state_derivative(voltage_v, state)
 
     def dissipated_power(self, voltage_v: float, state: DeviceState) -> float:
         """Joule power dissipated in the cell [W]."""

@@ -232,7 +232,9 @@ class JartVcmModel(MemristorModel):
         i.e. the full cell voltage minus the drops over the plug and the
         external series resistance.
         """
-        current_a = self.current(voltage_v, state)
+        return self._driving_voltage(voltage_v, self.current(voltage_v, state))
+
+    def _driving_voltage(self, voltage_v: float, current_a: float) -> float:
         series = self.plug_resistance() + self.parameters.series_resistance_ohm
         return voltage_v - current_a * series
 
@@ -242,11 +244,19 @@ class JartVcmModel(MemristorModel):
 
     def state_derivative(self, voltage_v: float, state: DeviceState) -> float:
         """dx/dt from thermally activated, field-accelerated ion hopping."""
+        return self.state_derivative_from_current(
+            voltage_v, state, self.current(voltage_v, state)
+        )
+
+    def state_derivative_from_current(
+        self, voltage_v: float, state: DeviceState, current_a: float
+    ) -> float:
+        """dx/dt given the cell current at (V, x, T), which sets the drive."""
         if voltage_v == 0.0:
             return 0.0
         p = self.parameters
         temperature = max(state.filament_temperature_k, 1.0)
-        v_drive = self.driving_voltage(voltage_v, state)
+        v_drive = self._driving_voltage(voltage_v, current_a)
         field_argument = p.field_coefficient_k_per_v * abs(v_drive) / temperature
         # Guard against overflow for pathological inputs; sinh(50) ~ 2.6e21
         # already corresponds to instantaneous switching.

@@ -114,13 +114,13 @@ class BatchedLinearIonDrift(BatchedDeviceModel):
         x = np.clip(x, 0.0, 1.0)
         return p.r_on_ohm * x + p.r_off_ohm * (1.0 - x)
 
-    def current(self, voltage_v, x, temperature_k) -> np.ndarray:
+    def current(self, voltage_v, x, temperature_k, scratch=None) -> np.ndarray:
         voltage_v = np.asarray(voltage_v, dtype=np.float64)
         if np.any(np.abs(voltage_v) > 10.0):
             raise DeviceModelError("cell voltage outside the model validity range [-10, 10] V")
         return voltage_v / self._memristance(np.asarray(x, dtype=np.float64))
 
-    def conductance(self, voltage_v, x, temperature_k) -> np.ndarray:
+    def conductance(self, voltage_v, x, temperature_k, scratch=None) -> np.ndarray:
         out = 1.0 / self._memristance(np.asarray(x, dtype=np.float64))
         return np.broadcast_to(out, np.broadcast_shapes(out.shape, np.shape(voltage_v))).copy()
 

@@ -128,7 +128,7 @@ class BatchedYakopcic(BatchedDeviceModel):
     def __init__(self, model: YakopcicModel):
         self.parameters = model.parameters
 
-    def current(self, voltage_v, x, temperature_k) -> np.ndarray:
+    def current(self, voltage_v, x, temperature_k, scratch=None) -> np.ndarray:
         p = self.parameters
         voltage_v = np.asarray(voltage_v, dtype=np.float64)
         if np.any(np.abs(voltage_v) > 10.0):

@@ -20,18 +20,29 @@ Every quantity is computed once, where its inputs last changed:
   plug-plus-series resistance, field coefficient, activation energies over
   k_B) depend on the parameters only.  The kernel derives them at construction and
   :meth:`~VectorizedJartVcm.take` carries them with the lanes.
-* **Prepared bias** (:class:`PreparedBias`): the validity guard, the state
-  clamp, the ohmic resistance and the interface barrier depend on (V, x) but
-  not on the temperature.  :meth:`~VectorizedJartVcm.prepare` computes them
-  once; :meth:`PreparedBias.solve` then runs the one Newton routine of the
-  interface current at any lane temperatures.
-* **Call-scoped warm start.**  Within one self-heating fixed point only the
-  temperature moves between iterates, so each iterate's Newton starts from
-  the previous iterate's root (capped by the cold over-estimate), and
-  :func:`time_to_switch_batch` takes the rate of a freshly solved lane from
-  the current that solve returned.  Roots live in local variables of one
-  call and never on the kernel: a result never depends on which calls ran
-  before it.
+* **State constants** (:meth:`~VectorizedJartVcm.state_constants`): the
+  ohmic resistance and the interface barrier depend on x alone.  Both halves
+  below derive them there.
+* **Prepared bias** (:class:`PreparedBias`): within one self-heating fixed
+  point (V, x) stay fixed and only the temperature moves.
+  :meth:`~VectorizedJartVcm.prepare` applies the validity guard and derives
+  the bias and state terms once; :meth:`PreparedBias.solve` then runs the
+  one Newton routine, :func:`interface_root`, at any lane temperatures.
+* **Prepared state** (:class:`PreparedState`): within one nodal solve
+  (x, T) stay fixed and only the cell voltages move.
+  :meth:`~VectorizedJartVcm.prepare_state` derives i_sat and
+  ``a = r_ohmic * i_sat / v_nl`` once; :meth:`PreparedState.solve` runs the
+  same Newton at any lane voltages.
+* **Warm starts scoped to one call or one solve.**  Each iterate of a
+  self-heating fixed point starts its Newton from the previous iterate's
+  roots, and :func:`time_to_switch_batch` takes the rate of a freshly solved
+  lane from the current that solve returned.  Each kernel call of one nodal
+  solve starts from the roots of the solve's last current call, which
+  :class:`JartArrayModel` keeps in the solve's
+  :class:`~repro.devices.base.SolveScratch`.  Roots live in local variables
+  of one call or in the scratch of one solve, never on the kernel or the
+  solver: a call depends on no call outside its own solve, and a solve on
+  no earlier solve beyond the node voltages the solver warm-starts from.
 
 What stays per lane is the scalar control flow: the same step sizes, the
 same thermal-refresh policy, the same fixed-point step rule (secant inside
@@ -57,7 +68,12 @@ from ..constants import (
     ELEMENTARY_CHARGE_C,
     RICHARDSON_A_PER_M2K2,
 )
-from ..devices.base import BatchedDeviceModel, MemristorModel
+from ..devices.base import (
+    BatchedDeviceModel,
+    MemristorModel,
+    SolveScratch,
+    finite_difference_conductance,
+)
 from ..devices.jart_vcm import JartVcmParameters
 from ..devices.thermal import FALLBACK_DAMPING, SELF_HEATING_TOLERANCE_K
 from ..errors import ConvergenceError, DeviceModelError
@@ -69,11 +85,12 @@ logger = get_logger("montecarlo.vectorized")
 ArrayLike = Union[float, np.ndarray]
 
 #: Iteration cap of the Newton interface-current solve; the monotone convex
-#: residual converges in ~6 iterations from a cold start and ~4 from a warm
+#: residual converges in ~6 iterations from a cold start and ~3 from a warm
 #: one, the cap is a backstop only.
 _MAX_NEWTON_STEPS = 80
 
-#: Newton termination: no lane moved by more than ~1 ulp of its coordinate.
+#: Newton termination: no lane moved by more than ~1 ulp of ``b``, the
+#: rounding floor of the residual ``g(w) = w + a sinh(w) - b``.
 _NEWTON_RTOL = 4e-16
 
 #: Overflow guard of the sinh field term (matches the scalar model).
@@ -92,12 +109,79 @@ def _lanes(value: ArrayLike, n: int, name: str) -> np.ndarray:
     return array.copy()
 
 
+def interface_root(
+    a: np.ndarray, b: np.ndarray, start: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, int]:
+    """Interface roots ``w`` per lane, and the Newton steps the call took.
+
+    The per-lane root equation is the scalar model's
+    (``v_nl * asinh(I / i_sat) + I * r_ohmic = |V|``), but instead of sixty
+    bisection steps the root is located by Newton iteration in the interface
+    coordinate ``w = asinh(I / i_sat)``, where the residual
+
+        g(w) = w + a * sinh(w) - b,   a = r_ohmic * i_sat / v_nl,  b = |V| / v_nl,
+
+    is strictly increasing and *convex* for w >= 0.  Both ``b`` and
+    ``asinh(b / a)`` over-estimate the root (each drops one of the two
+    positive terms); the iteration starts from their minimum, or from
+    ``start`` (a warm start, e.g. the roots of a nearby call) where that is
+    lower.  From above the root Newton descends monotonically; from a warm
+    start in [0, root] its first step lands on the convex side (the tangent
+    lies below g), where it is clamped at the over-estimate, and the descent
+    follows.  The iteration stops once no lane moved by more than
+    ``_NEWTON_RTOL * b`` in *either* direction: ``g`` cannot be evaluated
+    more finely than the rounding of ``b``, so a step below that is noise.
+    Both solvers resolve the root orders of magnitude beyond the 1e-9
+    agreement budget of this module (the scalar bracket ends 2^-60 wide).
+    """
+    ceiling = np.minimum(b, np.arcsinh(b / a))
+    w = ceiling if start is None else np.minimum(ceiling, start)
+    tolerance = _NEWTON_RTOL * b
+    step = np.empty_like(w)
+    slope = np.empty_like(w)
+    for steps in range(1, _MAX_NEWTON_STEPS + 1):
+        np.sinh(w, out=step)
+        step *= a
+        step += w
+        step -= b
+        np.cosh(w, out=slope)
+        slope *= a
+        slope += 1.0
+        step /= slope
+        w -= step
+        if steps == 1 and start is not None:
+            np.minimum(w, ceiling, out=w)
+        # A zero-bias lane (b = 0) starts at its root w = 0 and steps by 0.
+        np.abs(step, out=step)
+        if not np.count_nonzero(step > tolerance):
+            break
+    return w, steps
+
+
+def _saturation_current(
+    richardson_area: np.ndarray, barrier_k: np.ndarray, temperature_k: np.ndarray
+) -> np.ndarray:
+    """Interface saturation current i_sat [A] per lane."""
+    temperature = np.maximum(temperature_k, 1.0)
+    return richardson_area * temperature**2 * np.exp(-barrier_k / temperature)
+
+
+def _scaled_bias(
+    voltage_v: np.ndarray, interface_voltage_v: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The sign of V and ``b = |V| / v_nl`` per lane, after the validity guard."""
+    magnitude = np.abs(voltage_v)
+    if (magnitude > 10.0).any():
+        raise DeviceModelError("cell voltage outside the model validity range [-10, 10] V in a lane")
+    return np.where(voltage_v > 0.0, 1.0, -1.0), magnitude / interface_voltage_v
+
+
 class PreparedBias(NamedTuple):
     """The temperature-independent half of the current solve, per lane.
 
-    Built by :meth:`VectorizedJartVcm.prepare` for one (V, x) per lane.  The
-    bias magnitude and the ohmic resistance are scaled by the interface
-    nonlinearity voltage ``v_nl``.
+    Built by :meth:`VectorizedJartVcm.prepare` for one (V, x) per lane, as
+    within one self-heating fixed point.  The bias magnitude and the ohmic
+    resistance are scaled by the interface nonlinearity voltage ``v_nl``.
     """
 
     sign: np.ndarray
@@ -113,52 +197,35 @@ class PreparedBias(NamedTuple):
     def solve(
         self, temperature_k: np.ndarray, start: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Lane currents [A] and interface roots ``w`` at the given temperatures.
-
-        The per-lane root equation is the scalar model's
-        (``v_nl * asinh(I / i_sat) + I * r_ohmic = |V|``), but instead of
-        sixty bisection steps the root is located by Newton iteration in the
-        interface coordinate ``w = asinh(I / i_sat)``, where the residual
-
-            g(w) = w + a * sinh(w) - b,   a = r_ohmic * i_sat / v_nl,  b = |V| / v_nl,
-
-        is strictly increasing and *convex* for w >= 0.  Both ``b`` and
-        ``asinh(b / a)`` over-estimate the root (each drops one of the two
-        positive terms); the iteration starts from their minimum, or from
-        ``start`` where that is lower.  From above the root Newton descends
-        monotonically; from a start in [0, root] its first step lands on the
-        convex side (the tangent lies below g) at no more than ``b``, and the
-        descent follows.  Since a warm start may begin below the root, the
-        iteration stops once no lane moved by more than ~1 ulp in *either*
-        direction.  Both solvers resolve the root orders of magnitude beyond
-        the 1e-9 agreement budget of this module (the scalar bracket ends
-        2^-60 wide).
-        """
-        temperature = np.maximum(temperature_k, 1.0)
-        i_sat = self.richardson_area * temperature**2 * np.exp(-self.barrier_k / temperature)
-        a = self.scaled_ohmic * i_sat
-        b = self.scaled_magnitude
-        w = np.minimum(b, np.arcsinh(b / a))
-        if start is not None:
-            np.minimum(w, start, out=w)
-        step = np.empty_like(w)
-        slope = np.empty_like(w)
-        for _ in range(_MAX_NEWTON_STEPS):
-            np.sinh(w, out=step)
-            step *= a
-            step += w
-            step -= b
-            np.cosh(w, out=slope)
-            slope *= a
-            slope += 1.0
-            step /= slope
-            w -= step
-            # Converged once no lane moved by more than ~1 ulp (zero-bias
-            # lanes start exactly at w = 0 with zero residual).
-            np.abs(step, out=step)
-            if not np.count_nonzero(step > _NEWTON_RTOL * w):
-                break
+        """Lane currents [A] and interface roots (see :func:`interface_root`)
+        at the given temperatures, the Newton warm-started from ``start``."""
+        i_sat = _saturation_current(self.richardson_area, self.barrier_k, temperature_k)
+        w, _ = interface_root(self.scaled_ohmic * i_sat, self.scaled_magnitude, start)
         return self.sign * i_sat * np.sinh(w), w
+
+
+class PreparedState(NamedTuple):
+    """The bias-independent half of the current solve, per lane.
+
+    Built by :meth:`VectorizedJartVcm.prepare_state` for one (x, T) per
+    lane, as within one nodal solve, where only the cell voltages move.
+    """
+
+    #: Interface saturation current i_sat [A].
+    saturation_current: np.ndarray
+    #: ``a = r_ohmic * i_sat / v_nl``
+    a: np.ndarray
+    #: The lane parameter ``v_nl`` [V].
+    interface_voltage_v: np.ndarray
+
+    def solve(
+        self, voltage_v: np.ndarray, start: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Lane currents [A] and interface roots (see :func:`interface_root`)
+        at the given voltages, the Newton warm-started from ``start``."""
+        sign, b = _scaled_bias(voltage_v, self.interface_voltage_v)
+        w, _ = interface_root(self.a, b, start)
+        return sign * self.saturation_current * np.sinh(w), w
 
 
 class VectorizedJartVcm:
@@ -277,22 +344,28 @@ class VectorizedJartVcm:
     # electrical characteristic
     # ------------------------------------------------------------------
 
-    def prepare(self, voltage_v: np.ndarray, x: np.ndarray) -> PreparedBias:
-        """The temperature-independent part of the current solve at (V, x)."""
-        magnitude = np.abs(voltage_v)
-        if (magnitude > 10.0).any():
-            raise DeviceModelError("cell voltage outside the model validity range [-10, 10] V in a lane")
+    def state_constants(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``r_ohmic / v_nl`` [1/A] and the interface barrier over k_B [K] at x."""
         x = np.minimum(np.maximum(x, 0.0), 1.0)
         concentration = self.n_disc_min_per_m3 + x * self.disc_span_per_m3
         disc_ohm = self.disc_length_m / (self.charge_mobility * concentration * self.area_m2)
         barrier_ev = self.barrier_height_ev - self.barrier_lowering_ev * x
-        return PreparedBias(
-            sign=np.where(voltage_v > 0.0, 1.0, -1.0),
-            scaled_magnitude=magnitude / self.interface_voltage_v,
-            scaled_ohmic=(disc_ohm + self.plug_series_ohm) / self.interface_voltage_v,
-            barrier_k=barrier_ev / BOLTZMANN_EV_PER_K,
-            richardson_area=self.richardson_area,
+        return (
+            (disc_ohm + self.plug_series_ohm) / self.interface_voltage_v,
+            barrier_ev / BOLTZMANN_EV_PER_K,
         )
+
+    def prepare(self, voltage_v: np.ndarray, x: np.ndarray) -> PreparedBias:
+        """The temperature-independent part of the current solve at (V, x)."""
+        sign, scaled_magnitude = _scaled_bias(voltage_v, self.interface_voltage_v)
+        scaled_ohmic, barrier_k = self.state_constants(x)
+        return PreparedBias(sign, scaled_magnitude, scaled_ohmic, barrier_k, self.richardson_area)
+
+    def prepare_state(self, x: np.ndarray, temperature_k: np.ndarray) -> PreparedState:
+        """The bias-independent part of the current solve at (x, T)."""
+        scaled_ohmic, barrier_k = self.state_constants(x)
+        i_sat = _saturation_current(self.richardson_area, barrier_k, temperature_k)
+        return PreparedState(i_sat, scaled_ohmic * i_sat, self.interface_voltage_v)
 
     def current(self, voltage_v: np.ndarray, x: np.ndarray, temperature_k: np.ndarray) -> np.ndarray:
         """Lane currents [A]: the scalar model's root equation, solved batched."""
@@ -355,11 +428,22 @@ class JartArrayModel(BatchedDeviceModel):
       ``row * columns + column`` carries cell ``(row, column)`` both for the
       solver's flat device vectors and for ``(rows, columns)`` maps.
 
-    Conductance uses the inherited finite-difference rule, which mirrors the
-    scalar :meth:`~repro.devices.base.MemristorModel.conductance` default
-    step-for-step; agreement with the scalar stamp loop is therefore limited
-    only by the ~1e-15 current-solve agreement established by this module's
-    property tests.
+    Within one nodal solve x and T stay fixed, so :meth:`current` and
+    :meth:`conductance` keep two things in the solve's
+    :class:`~repro.devices.base.SolveScratch`: the :class:`PreparedState`
+    (i_sat and ``a``), derived on the first call, and the interface roots of
+    the last :meth:`current` call.  Every current solve starts its Newton
+    from those roots (capped by the cold over-estimate, see
+    :func:`interface_root`), and both finite-difference solves of a
+    conductance start from the roots at its centre voltage.  Without a
+    scratch every call is a cold solve.
+
+    Conductance is :func:`~repro.devices.base.finite_difference_conductance`,
+    the rule of the scalar
+    :meth:`~repro.devices.base.MemristorModel.conductance` default;
+    agreement with the scalar stamp loop is therefore limited only by the
+    ~1e-15 current-solve agreement established by this module's property
+    tests.
     """
 
     def __init__(
@@ -388,28 +472,49 @@ class JartArrayModel(BatchedDeviceModel):
             )
         self._kernel = kernel
 
-    def _evaluate(self, fn_name: str, voltage_v, x, temperature_k) -> np.ndarray:
+    def _lane_inputs(self, voltage_v, x, temperature_k):
+        """The inputs as kernel lanes, and the shape to give the results.
+
+        A single-lane kernel broadcasts and needs no reshape (shape None).
+        """
         voltage_v = np.asarray(voltage_v, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64)
         temperature_k = np.asarray(temperature_k, dtype=np.float64)
-        fn = getattr(self._kernel, fn_name)
         if self._kernel.n == 1:
-            return fn(voltage_v, x, temperature_k)
+            return voltage_v, x, temperature_k, None
         voltage_v, x, temperature_k = np.broadcast_arrays(voltage_v, x, temperature_k)
         if voltage_v.size != self._kernel.n:
             raise DeviceModelError(
                 f"input of {voltage_v.size} devices does not match the "
                 f"{self._kernel.n}-lane per-cell kernel"
             )
-        return fn(
-            voltage_v.reshape(-1), x.reshape(-1), temperature_k.reshape(-1)
-        ).reshape(voltage_v.shape)
+        shape = voltage_v.shape
+        return voltage_v.reshape(-1), x.reshape(-1), temperature_k.reshape(-1), shape
 
-    def current(self, voltage_v, x, temperature_k) -> np.ndarray:
-        return self._evaluate("current", voltage_v, x, temperature_k)
+    def _bind(self, voltage_v, x, temperature_k, scratch: SolveScratch):
+        """Lane voltages and result shape; derives the scratch's state once."""
+        voltage, x, temperature, shape = self._lane_inputs(voltage_v, x, temperature_k)
+        if scratch.state is None:
+            scratch.state = self._kernel.prepare_state(x, temperature)
+        return voltage, shape
+
+    def current(self, voltage_v, x, temperature_k, scratch=None) -> np.ndarray:
+        scratch = scratch if scratch is not None else SolveScratch()
+        voltage, shape = self._bind(voltage_v, x, temperature_k, scratch)
+        current, scratch.roots = scratch.state.solve(voltage, scratch.roots)
+        return current if shape is None else current.reshape(shape)
+
+    def conductance(self, voltage_v, x, temperature_k, scratch=None) -> np.ndarray:
+        scratch = scratch if scratch is not None else SolveScratch()
+        voltage, shape = self._bind(voltage_v, x, temperature_k, scratch)
+        state, centre = scratch.state, scratch.roots
+        g = finite_difference_conductance(lambda v: state.solve(v, centre)[0], voltage)
+        return g if shape is None else g.reshape(shape)
 
     def state_derivative(self, voltage_v, x, temperature_k) -> np.ndarray:
-        return self._evaluate("state_derivative", voltage_v, x, temperature_k)
+        voltage, x, temperature, shape = self._lane_inputs(voltage_v, x, temperature_k)
+        rate = self._kernel.state_derivative(voltage, x, temperature)
+        return rate if shape is None else rate.reshape(shape)
 
 
 class SampledArrayJartModel(MemristorModel):

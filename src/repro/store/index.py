@@ -132,6 +132,39 @@ class SqliteIndex:
         return self._conn
 
     def _initialise(self) -> None:
+        """Enter WAL mode and apply the schema, retrying lock errors.
+
+        Initialisation is idempotent, so a lock error at any statement (the
+        journal-mode pragma, the schema, the ``COMMIT``) rolls back what is
+        open and starts it over under the same seeded :class:`RetryPolicy`
+        as :meth:`write`.
+        """
+        attempt = 0
+        while True:
+            try:
+                self._initialise_once()
+                return
+            except sqlite3.OperationalError as exc:
+                if not _is_lock_error(exc):
+                    raise
+                conn = self.connection()
+                if conn.in_transaction:
+                    conn.execute("ROLLBACK")
+                attempt += 1
+                if attempt >= self.retry.max_attempts:
+                    raise
+                self._wait_for_lock(attempt, "open")
+
+    def _wait_for_lock(self, attempt: int, key: str) -> None:
+        """Sleep the seeded backoff before lock retry ``attempt`` of ``key``."""
+        delay = self.retry.delay_s(attempt, key=f"index-lock:{key}")
+        tel = get_telemetry()
+        if tel.enabled:
+            tel.count("store.lock_waits")
+            tel.observe("store.lock_wait_s", delay)
+        time.sleep(delay)
+
+    def _initialise_once(self) -> None:
         conn = self.connection()
         # Entering WAL needs a moment of exclusive access; a concurrent
         # opener mid-write is transient, so let sqlite's own busy loop ride
@@ -196,12 +229,7 @@ class SqliteIndex:
                         f"store index {self.path} is locked "
                         f"(gave up after {attempt} attempts)"
                     ) from exc
-                delay = self.retry.delay_s(attempt, key=f"index-lock:{key}")
-                tel = get_telemetry()
-                if tel.enabled:
-                    tel.count("store.lock_waits")
-                    tel.observe("store.lock_wait_s", delay)
-                time.sleep(delay)
+                self._wait_for_lock(attempt, key)
         cur = conn.cursor()
         try:
             yield cur

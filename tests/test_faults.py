@@ -11,6 +11,7 @@ with bit-identical resilience counters across two seeded runs.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, JobRecord, ResultCache
+from repro.campaign.runner import _TeardownPool
 from repro.errors import CampaignError, CampaignInterrupted, ConvergenceError, FaultInjectionError
 from repro.faults import (
     DEFAULT_HANG_S,
@@ -99,6 +101,22 @@ def _unpicklable_job(payload):
 def _record_states(report):
     """Canonical per-point outcome tuple used for determinism assertions."""
     return tuple(sorted((r.index, r.status, r.attempts) for r in report.records))
+
+
+#: Worker-side "job started" event, armed by :func:`_ignore_sigterm`.
+_busy_event = None
+
+
+def _ignore_sigterm(busy):
+    """Pool initializer of a worker that a SIGTERM cannot stop."""
+    global _busy_event
+    _busy_event = busy
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+
+
+def _announce_then_sleep(seconds):
+    _busy_event.set()
+    time.sleep(seconds)
 
 
 # ----------------------------------------------------------------------
@@ -392,6 +410,51 @@ class TestWorkerCrashRecovery:
                 assert "timeout" in record.error
         assert runner.resilience["pool_restarts"] == 2
         assert sorted(r.index for r in report.records) == [0, 1, 2, 3, 4]
+
+    def test_worker_replaced_before_the_first_look_is_seen_dead(self, monkeypatch):
+        """A worker that dies on its first job may be reaped and replaced
+        before the runner first looks at the pool; its death must still be
+        seen, or the job is awaited forever (here: until its timeout)."""
+        monkeypatch.setenv(FAULTS_ENV, "kill@0x99")
+        apply_async = _TeardownPool.apply_async
+
+        def apply_then_await_replacement(pool, *args, **kwargs):
+            first = {proc.pid for proc in pool._pool}
+            handle = apply_async(pool, *args, **kwargs)
+            deadline = time.monotonic() + 30.0
+            while first <= {proc.pid for proc in pool._pool} and time.monotonic() < deadline:
+                time.sleep(0.005)
+            return handle
+
+        monkeypatch.setattr(_TeardownPool, "apply_async", apply_then_await_replacement)
+        runner = CampaignRunner(
+            chaos_spec(n=1), workers=1, timeout_s=10.0, job_fn=_chaos_job, max_crashes=2
+        )
+        report = runner.run()
+        (record,) = report.records
+        assert record.status == "crashed" and record.attempts == 2
+        assert runner.resilience["crashed"] == 2
+        assert runner.resilience["pool_restarts"] == 2
+
+    def test_pool_teardown_kills_a_worker_that_misses_sigterm(self):
+        """A worker forked just before a teardown can lose its SIGTERM; the
+        teardown must stop it anyway instead of joining it forever."""
+        ctx = multiprocessing.get_context()
+        busy = ctx.Event()
+        pool = _TeardownPool(processes=1, initializer=_ignore_sigterm, initargs=(busy,), context=ctx)
+        workers = list(pool._pool)
+        teardown = threading.Thread(target=lambda: (pool.terminate(), pool.join()), daemon=True)
+        try:
+            pool.apply_async(_announce_then_sleep, (60.0,))
+            assert busy.wait(timeout=30.0)
+            teardown.start()
+            teardown.join(timeout=30.0)
+            assert not teardown.is_alive()
+            assert [worker.exitcode for worker in workers] == [-signal.SIGKILL]
+        finally:
+            for worker in workers:
+                if worker.exitcode is None:
+                    worker.kill()
 
     def test_undeliverable_result_becomes_error_record(self):
         """A result the pool cannot pickle must not kill the campaign."""

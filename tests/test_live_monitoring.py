@@ -24,6 +24,7 @@ import numpy as np
 from repro.campaign import CampaignRunner, CampaignSpec, ResultCache
 from repro.campaign.cli import main
 from repro.campaign.runner import _init_worker
+from repro.faults import FAULTS_ENV
 from repro.montecarlo import AdaptiveConfig, AdaptiveSampler
 from repro.obs import (
     AuditTrail,
@@ -324,10 +325,16 @@ def _parse_progress(lines):
     return done
 
 
+#: Every point of the followed run first sleeps 0.1 s (an injected ``hang``
+#: that returns), so the run stays in flight for ~1 s however fast its
+#: physics is, and a tail polling every 0.05 s sees it before it ends.
+SLOW_POINTS_FAULTS = "hang~1.0;hang=0.1"
+
+
 class TestTwoProcessFollow:
     @pytest.fixture
     def slow_spec_path(self, tmp_path) -> Path:
-        """A spec slow enough (~seconds) for the tail to observe progress."""
+        """The 12-point spec the tail follows (see ``SLOW_POINTS_FAULTS``)."""
         spec = dict(
             CAMPAIGN_SPEC,
             name="live-follow",
@@ -362,7 +369,7 @@ class TestTwoProcessFollow:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
             cwd=tmp_path,
-            env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin"},
+            env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin", FAULTS_ENV: SLOW_POINTS_FAULTS},
         )
         try:
             code = main(

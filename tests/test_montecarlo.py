@@ -40,7 +40,8 @@ from repro.montecarlo import (
     solve_operating_point_batch,
     time_to_switch_batch,
 )
-from repro.montecarlo.vectorized import PreparedBias
+from repro.devices.base import SolveScratch
+from repro.montecarlo.vectorized import JartArrayModel, PreparedBias, interface_root
 from repro.obs import telemetry_capture
 from repro.utils.rng import child_rng, child_seed
 
@@ -343,6 +344,89 @@ class TestPreparedKernel:
         assert shared.batched() is batched
         assert_same_state(lane_state(batched.kernel), before)
         np.testing.assert_array_equal(batched.current(voltage, x, temperature), fresh)
+
+
+def interface_sweep():
+    """A seeded 2e5-lane sweep over V in [-2.5, 2.5] V, x in [0, 1], T in [250, 1500] K."""
+    rng = np.random.default_rng(1)
+    n = 200_000
+    return rng.uniform(-2.5, 2.5, n), rng.uniform(0.0, 1.0, n), rng.uniform(250.0, 1500.0, n)
+
+
+class TestInterfaceNewton:
+    """The one interface Newton: its stop, its warm start and the nodal scratch."""
+
+    #: Lanes of :func:`interface_sweep` whose Newton steps settle at
+    #: 4.02e-16 w and 4.05e-16 w: a stop at 4e-16 w never fired there, and
+    #: any call holding such a lane ran to the 80-step cap.
+    ROUNDING_FLOOR_LANES = (108078, 176123)
+
+    @staticmethod
+    def scaled_bias(state, voltage):
+        return np.abs(voltage) / state.interface_voltage_v
+
+    def test_sweep_reaches_no_cap(self):
+        voltage, x, temperature = interface_sweep()
+        state = VectorizedJartVcm(1).prepare_state(x, temperature)
+        _, steps = interface_root(state.a, self.scaled_bias(state, voltage))
+        assert steps <= 8
+
+    @pytest.mark.parametrize("lane", ROUNDING_FLOOR_LANES)
+    def test_rounding_floor_lanes_stop_and_agree_with_the_scalar_model(self, lane):
+        voltage, x, temperature = (values[lane : lane + 1] for values in interface_sweep())
+        state = VectorizedJartVcm(1).prepare_state(x, temperature)
+        _, steps = interface_root(state.a, self.scaled_bias(state, voltage))
+        assert steps <= 8
+        current = state.solve(voltage)[0]
+        scalar = JartVcmModel().current(
+            float(voltage[0]), DeviceState(float(x[0]), float(temperature[0]))
+        )
+        assert relative_error(current, scalar).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            lambda root: np.zeros_like(root),
+            lambda root: 0.5 * root,
+            lambda root: 2.0 * root + 1.0,
+            lambda root: root * (1.0 + 1e-12),
+        ],
+        ids=["zero", "below", "above", "near"],
+    )
+    def test_warm_start_matches_the_cold_solve(self, start):
+        voltage, x, temperature = interface_sweep()
+        state = VectorizedJartVcm(1).prepare_state(x, temperature)
+        b = self.scaled_bias(state, voltage)
+        cold_current, cold_root = state.solve(voltage)
+        _, cold_steps = interface_root(state.a, b)
+        warm_current, _ = state.solve(voltage, start(cold_root))
+        _, warm_steps = interface_root(state.a, b, start(cold_root))
+        assert relative_error(warm_current, cold_current).max() < 1e-13
+        assert warm_steps <= cold_steps + 1
+
+    @pytest.mark.parametrize("per_cell", [False, True], ids=["nominal", "per-cell"])
+    def test_scratch_calls_match_cold_calls(self, per_cell):
+        """A solve's successive iterates through one scratch, against cold calls."""
+        rng = np.random.default_rng(5)
+        shape = (6, 7)
+        x = rng.uniform(0.0, 1.0, shape)
+        temperature = rng.uniform(300.0, 900.0, shape)
+        if per_cell:
+            model = JartArrayModel(kernel=sampled_model(seed=5, n=x.size))
+        else:
+            model = JartVcmModel().batched()
+        voltage = rng.uniform(-1.05, 1.05, shape)
+        scratch = SolveScratch()
+        for scale in (1.0, 1.02, 0.6, 0.6, 1.3):
+            iterate = voltage * scale
+            current = model.current(iterate, x, temperature, scratch)
+            assert current.shape == shape
+            assert relative_error(current, model.current(iterate, x, temperature)).max() < 1e-13
+            np.testing.assert_allclose(
+                model.conductance(iterate, x, temperature, scratch),
+                model.conductance(iterate, x, temperature),
+                rtol=1e-9,
+            )
 
 
 class TestOperatingPointBatch:

@@ -18,7 +18,7 @@ from repro.attack import (
 from repro.attack.patterns import double_sided_row, standard_patterns
 from repro.circuit import CrossbarArray
 from repro.config import AttackConfig, CrossbarGeometry, PulseConfig
-from repro.devices import JartVcmModel
+from repro.devices import DeviceState, JartVcmModel, LinearIonDriftModel
 from repro.errors import AttackError, ConfigurationError
 
 
@@ -147,6 +147,41 @@ class TestNeuroHammerEngine:
                 assert result.flipped
                 assert result.pulses == free.pulses
                 assert result.victim_final_x == free.victim_final_x
+
+
+class TestVictimRate:
+    """The quasi-static integrator's rate comes from the fixed point's current."""
+
+    @pytest.mark.parametrize("x", [0.0, 0.3, 0.5])
+    def test_rate_equals_the_state_derivative_at_the_fixed_point(self, paper_crossbar, x):
+        # The Fig. 3a victim bias: one centre aggressor, 50 ns pulses at 300 K.
+        attack = NeuroHammer(paper_crossbar)
+        pattern = single_aggressor(paper_crossbar.geometry)
+        attack.prepare(pattern)
+        point = attack.phase_operating_point(pattern, pattern.phases[0], 1.05)
+        model = paper_crossbar.model
+        rate, temperature = attack._victim_rate(model, point, x, 300.0)
+        expected = model.state_derivative(point.victim_voltage_v, DeviceState(x, temperature))
+        assert rate == expected
+
+    def test_linear_ion_drift_attack_is_unchanged(self, paper_geometry):
+        """A model without a rate-from-current override keeps its result.
+
+        The pinned numbers were produced by the integrator that re-solved the
+        victim current for every rate.
+        """
+        crossbar = CrossbarArray(geometry=paper_geometry, model=LinearIonDriftModel())
+        pattern = single_aggressor(paper_geometry)
+        config = AttackConfig(
+            aggressors=[pattern.aggressors[0]], victim=pattern.victim,
+            pulse=PulseConfig(length_s=1e-3), max_pulses=20_000,
+        )
+        result = NeuroHammer(crossbar).run(pattern=pattern, config=config)
+        assert result.flipped
+        assert result.pulses == 7727
+        assert result.stress_time_s == pytest.approx(7.727, rel=1e-12)
+        assert result.victim_final_x == pytest.approx(0.5000168909236137, rel=1e-12)
+        assert result.victim_temperature_k == pytest.approx(413.76414448773386, rel=1e-12)
 
 
 class TestAnalysisHelpers:

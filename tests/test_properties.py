@@ -127,6 +127,41 @@ class TestSolverDifferential:
         )
 
 
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        rows=st.integers(min_value=2, max_value=8),
+        columns=st.integers(min_value=2, max_value=8),
+        scheme=st.sampled_from(["v_half", "v_third"]),
+        amplitude=st.floats(min_value=0.5, max_value=1.2),
+        rise=st.floats(min_value=20.0, max_value=600.0),
+        data=st.data(),
+    )
+    def test_warm_resolve_at_a_raised_temperature_field_matches_the_reference(
+        self, rows, columns, scheme, amplitude, rise, data
+    ):
+        """The second solve starts from the first one's node voltages, and
+        its device kernel calls share one per-solve scratch."""
+        geometry = CrossbarGeometry(rows=rows, columns=columns)
+        aggressor = data.draw(st.sampled_from(list(geometry.iter_cells())), label="aggressor")
+        crossbar = CrossbarArray(geometry=geometry)
+        crossbar.set_state(aggressor, 1.0)
+        bias = write_bias(geometry, [aggressor], amplitude, scheme=scheme)
+        crossbar.solve_bias(bias)
+        temperatures = crossbar.state.temperature_k
+        temperatures += rise * np.linspace(0.0, 1.0, temperatures.size).reshape(temperatures.shape)
+        temperatures[aggressor] += rise
+        fast = crossbar.solve_bias(bias)
+        reference = ReferenceCrossbarSolver(crossbar.netlist, crossbar.model).solve(
+            bias, crossbar.state.as_mapping()
+        )
+        np.testing.assert_allclose(
+            fast.device_voltages_v, reference.device_voltages_v, rtol=1e-9, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            fast.device_currents_a, reference.device_currents_a, rtol=1e-9, atol=1e-15
+        )
+
+
 class TestCouplingProperties:
     @common_settings
     @given(aggressor=cells, victim=cells)

@@ -15,6 +15,7 @@ import errno
 import json
 import multiprocessing
 import os
+import sqlite3
 import stat
 import subprocess
 import sys
@@ -121,6 +122,44 @@ class TestSqliteIndex:
         assert index.count() == 1
         assert index.lookup(KEY_A)["sha256"] == "3" * 64
         index.close()
+
+
+    @pytest.mark.parametrize("statement", ["journal_mode", "COMMIT"])
+    def test_open_retries_a_lock_error_at_any_statement(self, tmp_path, monkeypatch, statement):
+        """A concurrent opener's lock can surface at any statement of the open."""
+        fired = []
+        connect = SqliteIndex._connect
+        monkeypatch.setattr(
+            SqliteIndex,
+            "_connect",
+            lambda self: LockOnceConnection(connect(self), statement, fired),
+        )
+        with telemetry_capture() as tel:
+            index = SqliteIndex(tmp_path / INDEX_FILENAME)
+        assert len(fired) == 1
+        assert tel.counters["store.lock_waits"] == 1
+        index.upsert(KEY_A, sha256="4" * 64, size=1)
+        assert index.keys() == [KEY_A]
+        index.close()
+
+
+class LockOnceConnection:
+    """A sqlite connection whose first statement containing ``needle`` fails
+    as locked; ``fired`` (shared across connections) records that it did."""
+
+    def __init__(self, conn: sqlite3.Connection, needle: str, fired: list):
+        self._conn = conn
+        self._needle = needle
+        self._fired = fired
+
+    def execute(self, sql, *args):
+        if not self._fired and self._needle in sql:
+            self._fired.append(sql)
+            raise sqlite3.OperationalError("database is locked")
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
 
 
 # ----------------------------------------------------------------------

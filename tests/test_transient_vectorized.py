@@ -163,6 +163,33 @@ class TestTransientRegression:
         assert_same_run(vectorized, reference)
 
 
+class TestRateLimitedIncrement:
+    @pytest.mark.parametrize("engine", [TransientSimulator, ReferenceTransientSimulator])
+    def test_flip_step_does_not_hang_on_the_last_bits_of_the_rates(self, engine, monkeypatch):
+        """A rate-limited step moves the fastest cell by exactly max_dx_per_step.
+
+        The written cell is the fastest one: ten steps of 0.05 sum to
+        0.49999999999999994, so it flips at step 11.  Rates scaled by
+        1 + k * 2**-52 differ only in their last bits and must flip there too.
+        """
+        for k in range(33):
+            scale = 1.0 + k * 2.0**-52
+            crossbar = fresh_crossbar()
+            if engine is TransientSimulator:
+                owner = crossbar.model.batched()
+            else:
+                owner = crossbar.model
+            rate = owner.state_derivative
+            monkeypatch.setattr(
+                owner, "state_derivative", lambda *args, rate=rate, scale=scale: rate(*args) * scale
+            )
+            result = engine(crossbar).run(
+                write_schedule(crossbar.geometry, (1, 1)), stop_on_flip_of=(1, 1)
+            )
+            assert result.flip_events[-1].cell == (1, 1)
+            assert result.steps == 11, (k, result.steps)
+
+
 class TestFlipDetectionEdgeCases:
     def test_double_threshold_crossing_within_one_record_interval(self):
         """SET then RESET between two recorded samples: both events captured.
