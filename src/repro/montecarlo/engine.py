@@ -100,6 +100,11 @@ def _concat_draws(draws: List[Optional[Any]]):
 #: Victim selections of the full-array mode.
 VICTIM_MODES = ("half_selected", "all")
 
+#: Stacked victim lanes at which a full-array batch integrates the arrays
+#: solved so far.  The kinetics holds about 1 KB per lane, so a stack this
+#: size takes ~32 MB; a batch with more lanes makes several kinetics calls.
+FULL_ARRAY_LANE_BUDGET = 32_768
+
 
 @dataclass
 class MonteCarloConfig(JsonConfig):
@@ -913,11 +918,13 @@ class MonteCarloEngine:
         """Re-solve the nodal operating point per sampled array.
 
         Every sampled array gets per-cell device draws (optionally correlated
-        within the die), its own electro-thermal crossbar solve through the
-        batched solver kernel, and a vectorized kinetics integration over all
-        victims at once.  The crossbar, netlist and Jacobian structure are
-        built once and reused across arrays (the sampled parameters are
-        swapped into the solver's batched model in place).
+        within the die) and its own electro-thermal crossbar solve through
+        the batched solver kernel.  The crossbar, netlist and Jacobian
+        structure are built once and reused across arrays (the sampled
+        parameters are swapped into the solver's batched model in place).
+        The victims of all solved arrays are then integrated in one
+        vectorized kinetics call, or in several when they stack beyond
+        :data:`FULL_ARRAY_LANE_BUDGET` lanes.
 
         ``attack.*`` distributions are honoured with one draw per sampled
         array (the attack environment — ambient temperature, pulse amplitude,
@@ -997,14 +1004,59 @@ class MonteCarloEngine:
         def env_scalar(path: str, index: int, nominal: float) -> float:
             return env.scalar(path, index, nominal) if env is not None else float(nominal)
 
+        def env_lanes(path: str, arrays: List[int], nominal: float) -> np.ndarray:
+            """One value per victim lane of ``arrays``, array-major."""
+            if env is None:
+                return np.full(len(arrays) * n_victims, float(nominal))
+            return np.repeat(env.get(path, nominal)[arrays], n_victims)
+
         tel = get_telemetry()
         hb = tel.heartbeat
+        # Solved arrays whose victims await the next kinetics call, as
+        # (index, victim voltages, victim crosstalk temperatures).
+        stack: List[tuple] = []
+
+        def integrate_stack() -> None:
+            arrays = [index for index, _, _ in stack]
+            n = len(arrays) * n_victims
+            # Each lane's device is built from its cell's draw: the parameters
+            # the array's population kernel holds there.
+            kernel = VectorizedJartVcm(
+                n, base=base, overrides=draw.array_overrides(np.ix_(arrays, lanes))
+            )
+            pulse = self.attack.pulse
+            outcome = pulses_to_switch_batch(
+                kernel,
+                np.concatenate([voltage for _, voltage, _ in stack]),
+                env_lanes("attack.pulse.length_s", arrays, pulse.length_s),
+                np.full(n, self.montecarlo.x_start),
+                env_lanes("attack.flip_threshold", arrays, self.attack.flip_threshold),
+                duty_cycle=env_lanes("attack.pulse.duty_cycle", arrays, pulse.duty_cycle),
+                ambient_temperature_k=env_lanes(
+                    "attack.ambient_temperature_k", arrays, ambient_default
+                ),
+                crosstalk_temperature_k=np.concatenate([crosstalk for _, _, crosstalk in stack]),
+                max_pulses=self.attack.max_pulses,
+                raise_on_failure=False,
+            )
+            stack.clear()
+            shape = (len(arrays), n_victims)
+            flipped[arrays] = (outcome.flipped & outcome.converged).reshape(shape)
+            pulses[arrays] = outcome.pulses.reshape(shape)
+            stress[arrays] = outcome.stress_time_s.reshape(shape)
+            wall[arrays] = outcome.wall_clock_s.reshape(shape)
+            final_x[arrays] = outcome.final_x.reshape(shape)
+            temperature[arrays] = outcome.final_temperature_k.reshape(shape)
+            valid[arrays] = outcome.converged.reshape(shape)
+            if hb is not None:
+                hb.update(samples=(arrays[-1] + 1) * n_victims)
+
         with tel.span("mc.full_array.arrays", n_arrays=n_arrays):
             for index in range(n_arrays):
                 if hb is not None:
                     # Array boundary: each iteration is one whole-array
                     # re-solve, the natural progress unit of this mode.
-                    hb.update(arrays_done=index, samples=index * n_victims)
+                    hb.update(arrays_done=index)
                 if index:  # array 0's population is already bound from construction
                     model.set_population(
                         VectorizedJartVcm(cells, base=base, overrides=draw.array_overrides(index))
@@ -1046,27 +1098,15 @@ class MonteCarloEngine:
                     # A pathological sampled array must not abort the population.
                     array_valid[index] = False
                     continue
-                victim_voltage = snapshot.operating_point.device_voltages_v[victim_rows, victim_cols]
-                crosstalk = snapshot.crosstalk_temperatures_k[victim_rows, victim_cols]
-                outcome = pulses_to_switch_batch(
-                    model.kernel.take(lanes),
-                    victim_voltage,
-                    pulse_length,
-                    np.full(n_victims, self.montecarlo.x_start),
-                    threshold,
-                    duty_cycle=duty,
-                    ambient_temperature_k=ambient,
-                    crosstalk_temperature_k=crosstalk,
-                    max_pulses=self.attack.max_pulses,
-                    raise_on_failure=False,
-                )
-                flipped[index] = outcome.flipped & outcome.converged
-                pulses[index] = outcome.pulses
-                stress[index] = outcome.stress_time_s
-                wall[index] = outcome.wall_clock_s
-                final_x[index] = outcome.final_x
-                temperature[index] = outcome.final_temperature_k
-                valid[index] = outcome.converged
+                stack.append((
+                    index,
+                    snapshot.operating_point.device_voltages_v[victim_rows, victim_cols],
+                    snapshot.crosstalk_temperatures_k[victim_rows, victim_cols],
+                ))
+                if len(stack) * n_victims >= FULL_ARRAY_LANE_BUDGET:
+                    integrate_stack()
+            if stack:
+                integrate_stack()
 
         if tel.enabled:
             tel.count("mc.arrays", n_arrays)

@@ -396,10 +396,16 @@ class ArrayPopulationDraw:
             return self.values[path]
         return np.full((self.n_arrays, self.cells), float(nominal))
 
-    def array_overrides(self, index: int) -> Dict[str, np.ndarray]:
-        """``{field: (cells,) array}`` device overrides of one sampled array."""
+    def array_overrides(self, index) -> Dict[str, np.ndarray]:
+        """``{field: 1-D array}`` device overrides of the draws at ``index``.
+
+        ``index`` is any numpy index into the ``(n_arrays, cells)`` draws: an
+        array number gives that array's ``(cells,)`` overrides, and
+        ``np.ix_(arrays, cells)`` the listed cells of the listed arrays,
+        array-major.
+        """
         return {
-            path.split(".", 1)[1]: values[index]
+            path.split(".", 1)[1]: values[index].ravel()
             for path, values in self.values.items()
             if path.startswith("device.")
         }

@@ -63,6 +63,19 @@ class TestPerCellSampling:
         assert np.allclose(values, values[:, :1])  # constant within each array
         assert len(np.unique(values[:, 0])) == 4  # varies between arrays
 
+    def test_array_overrides_take_any_numpy_index(self):
+        dist = ParameterDistribution(
+            path="device.series_resistance_ohm", kind="normal", mean=650.0, sigma=30.0
+        )
+        draw = PopulationSampler([dist], seed=1).sample_cells(3, 4, {})
+        values = draw.values["device.series_resistance_ohm"]
+        one = draw.array_overrides(1)["series_resistance_ohm"]
+        np.testing.assert_array_equal(one, values[1])
+        picked = draw.array_overrides(np.ix_([2, 0], [3, 1]))["series_resistance_ohm"]
+        np.testing.assert_array_equal(
+            picked, [values[2, 3], values[2, 1], values[0, 3], values[0, 1]]
+        )
+
     def test_within_die_zero_draws_independent_cells(self):
         dist = ParameterDistribution(
             path="device.series_resistance_ohm", kind="normal", mean=650.0, sigma=30.0
@@ -367,6 +380,84 @@ class TestFullArrayEngine:
         rebuilt = MonteCarloConfig.from_dict(config.to_dict())
         assert rebuilt.mode == "full_array"
         assert rebuilt.victim_mode == "all"
+
+
+#: The per-cell device spread of the full-array benchmark.
+DEVICE_SPREAD = [
+    {"path": "device.activation_energy_ev", "kind": "normal", "mean": 1.0, "sigma": 0.02,
+     "relative": True, "within_die": 0.3},
+    {"path": "device.series_resistance_ohm", "kind": "normal", "mean": 1.0, "sigma": 0.05,
+     "relative": True},
+]
+
+LANE_FIELDS = ("flipped", "pulses", "stress_time_s", "wall_clock_s", "final_x",
+               "victim_temperature_k", "valid")
+
+
+def spread_engine(seed: int = 3, distributions=()) -> MonteCarloEngine:
+    config = MonteCarloConfig(
+        n_samples=2, seed=seed, mode="full_array",
+        distributions=DEVICE_SPREAD + list(distributions),
+    )
+    return MonteCarloEngine(config, simulation=small_simulation(), attack=fast_attack())
+
+
+def assert_same_batch(a: FullArrayMonteCarloResult, b: FullArrayMonteCarloResult) -> None:
+    for name in LANE_FIELDS + ("array_valid",):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+class TestStackedKinetics:
+    """One kinetics call per full-array batch, split at the lane budget."""
+
+    def test_batch_integrates_its_arrays_in_one_kinetics_call(self, monkeypatch):
+        import repro.montecarlo.engine as engine_module
+
+        calls = []
+        kinetics = engine_module.pulses_to_switch_batch
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].n)
+            return kinetics(*args, **kwargs)
+
+        # Each array draws its own ambient, so a lane must get its array's.
+        environment = [{"path": "attack.ambient_temperature_k", "kind": "normal",
+                        "mean": 300.0, "sigma": 5.0}]
+        monkeypatch.setattr(engine_module, "pulses_to_switch_batch", counted)
+        stacked = spread_engine(distributions=environment).run_batch(3, 0)
+        assert calls == [3 * stacked.victims_per_array]
+
+        calls.clear()
+        monkeypatch.setattr(engine_module, "FULL_ARRAY_LANE_BUDGET", stacked.victims_per_array)
+        flushed = spread_engine(distributions=environment).run_batch(3, 0)
+        assert calls == [stacked.victims_per_array] * 3
+        # The interface Newton of one kinetics call stops when its last lane
+        # settles, so a lane's float outputs may move in the last bit with
+        # the lanes it shares a call with; flips and pulse counts may not.
+        for name in ("flipped", "pulses", "wall_clock_s", "valid"):
+            np.testing.assert_array_equal(getattr(stacked, name), getattr(flushed, name))
+        for name in ("stress_time_s", "final_x", "victim_temperature_k"):
+            np.testing.assert_allclose(
+                getattr(stacked, name), getattr(flushed, name), rtol=1e-12, atol=0.0
+            )
+
+    def test_batch_depends_on_seed_and_index_alone(self):
+        fresh = spread_engine().run_batch(2, 3)
+        engine = spread_engine()
+        engine.run_batch(2, 0)
+        assert_same_batch(engine.run_batch(2, 3), fresh)
+
+    def test_invalid_array_leaks_no_state_into_the_next_batch(self):
+        """Batch 1 of this population draws a negative ambient for its last
+        array, so that batch ends without solving it."""
+        environment = [{"path": "attack.ambient_temperature_k", "kind": "normal",
+                        "mean": 150.0, "sigma": 200.0}]
+        engine = spread_engine(seed=0, distributions=environment)
+        broken = engine.run_batch(2, 1)
+        assert broken.array_valid.tolist() == [True, False]
+        after = engine.run_batch(2, 2)
+        fresh = spread_engine(seed=0, distributions=environment).run_batch(2, 2)
+        assert_same_batch(after, fresh)
 
 
 class TestFullArrayCampaign:
