@@ -116,7 +116,7 @@ from .thermal import (
     make_crosstalk_operator,
 )
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "__version__",

@@ -21,8 +21,10 @@ Two execution paths are provided and validated against each other:
 * :meth:`NeuroHammer.run` — the fast quasi-static campaign used for the
   figure-scale sweeps (10^2..10^7 pulses per point).  The aggressor bias is
   periodic and the victim state drifts slowly, so the electro-thermal
-  operating point is solved once per hammer phase and the victim's state ODE
-  is integrated cell-locally with adaptive pulse batching.
+  operating point is solved once per hammer phase.  The victim's rate per
+  round is taken at the nodes of the package's one switching-time rule,
+  :func:`repro.devices.kinetics.switching_time`, which counts the rounds to
+  the flip.
 * :meth:`NeuroHammer.run_transient` — the full circuit-level transient
   simulation, pulse by pulse, used by tests and short demonstrations.
 """
@@ -38,6 +40,12 @@ import numpy as np
 from ..config import AttackConfig, CrossbarGeometry, PulseConfig
 from ..constants import DEFAULT_AMBIENT_TEMPERATURE_K, DEFAULT_SET_VOLTAGE_V
 from ..devices.base import DeviceState
+from ..devices.kinetics import (
+    QUADRATURE_NODES,
+    SwitchingTime,
+    quadrature_states,
+    switching_time,
+)
 from ..devices.thermal import solve_operating_point
 from ..errors import AttackError, ConfigurationError
 from ..circuit.crossbar import CrossbarArray
@@ -175,12 +183,20 @@ class NeuroHammer:
         self,
         pattern: Optional[AttackPattern] = None,
         config: Optional[AttackConfig] = None,
-        max_dx_per_batch: float = 0.02,
     ) -> AttackResult:
         """Run a campaign with the fast quasi-static integrator.
 
         Either an explicit ``pattern`` or an :class:`AttackConfig` (whose
         aggressors become a single simultaneous phase) must be given.
+
+        Every phase pulses once per round, so a round moves the victim by
+        ``t_p * sum_p max(r_p(x), 0)``.  The victim's rates are taken at the
+        nodes of :func:`~repro.devices.kinetics.quadrature_states` and
+        :func:`~repro.devices.kinetics.switching_time` counts the rounds to
+        the flip threshold; the pulses are the whole rounds times the
+        phases.  A campaign that does not flip within the budget's whole
+        rounds spends what is left on a partial last round, which pulses
+        only the leading phases the budget still allows.
         """
         config = config if config is not None else AttackConfig()
         if pattern is None:
@@ -199,59 +215,63 @@ class NeuroHammer:
             for phase in pattern.phases
         ]
 
-        model = self.crossbar.model
         ambient = config.ambient_temperature_k
         threshold = config.flip_threshold
-        x = self.crossbar.get_state(pattern.victim).x
-        pulses = 0
-        stress_time = 0.0
-        victim_temperature = ambient
         phases = len(phase_points)
+        rounds, left = divmod(config.max_pulses, phases)
+        outcome = self._rounds_to_flip(
+            phase_points, self.crossbar.get_state(pattern.victim).x, threshold,
+            pulse.length_s, ambient, rounds,
+        )
+        x = float(outcome.final_x[0])
+        if outcome.switched[0]:
+            pulses = max(1, math.ceil(outcome.time[0])) * phases
+        else:
+            pulses = config.max_pulses
+            model = self.crossbar.model
+            for point in phase_points[:left]:
+                rate, _ = self._victim_rate(model, point, x, ambient)
+                x = model.clamp_state(x + max(rate, 0.0) * pulse.length_s)
 
-        while x < threshold and pulses < config.max_pulses:
-            per_phase_dx: List[float] = []
-            for point in phase_points:
-                rate, temperature = self._victim_rate(
-                    model, point, x, ambient
-                )
-                victim_temperature = max(victim_temperature, temperature)
-                per_phase_dx.append(max(rate, 0.0) * pulse.length_s)
-            round_dx = sum(per_phase_dx)
-            if round_dx <= 0.0:
-                break
-            left = config.max_pulses - pulses
-            if left < phases:
-                # A partial last round: only the leading phases the budget
-                # still allows are pulsed.
-                x = model.clamp_state(x + sum(per_phase_dx[:left]))
-                pulses += left
-                stress_time += left * pulse.length_s
-                break
-            rounds = max(1, int(min(
-                math.floor(max_dx_per_batch / round_dx),
-                math.ceil((threshold - x) / round_dx),
-            )))
-            rounds = min(rounds, left // phases)
-            x = model.clamp_state(x + round_dx * rounds)
-            pulses += rounds * phases
-            stress_time += rounds * phases * pulse.length_s
-
-        flipped = x >= threshold
         self.crossbar.set_state(pattern.victim, x)
         return AttackResult(
             pattern_name=pattern.name,
             victim=pattern.victim,
             aggressors=pattern.aggressors,
-            flipped=flipped,
+            flipped=x >= threshold,
             pulses=pulses,
-            stress_time_s=stress_time,
+            stress_time_s=pulses * pulse.length_s,
             wall_clock_s=pulses * pulse.period_s,
             victim_final_x=x,
-            victim_temperature_k=victim_temperature,
+            victim_temperature_k=float(outcome.final_temperature_k[0]),
             phase_points=phase_points,
             pulse_length_s=pulse.length_s,
             ambient_temperature_k=ambient,
         )
+
+    def _rounds_to_flip(
+        self,
+        phase_points: List[PhaseOperatingPoint],
+        x_start: float,
+        threshold: float,
+        pulse_length_s: float,
+        ambient: float,
+        budget_rounds: float,
+    ) -> SwitchingTime:
+        """Rounds the victim needs from ``x_start`` to ``threshold``.
+
+        One victim rate per quadrature node and phase; a round's rate is the
+        phases' dx per pulse summed, and its temperature the hottest phase's.
+        """
+        model = self.crossbar.model
+        round_dx = np.zeros(QUADRATURE_NODES)
+        temperature = np.zeros(QUADRATURE_NODES)
+        for node, x in enumerate(quadrature_states(x_start, threshold)):
+            for point in phase_points:
+                rate, phase_temperature = self._victim_rate(model, point, float(x), ambient)
+                round_dx[node] += max(rate, 0.0) * pulse_length_s
+                temperature[node] = max(temperature[node], phase_temperature)
+        return switching_time(x_start, threshold, round_dx, temperature, budget_rounds)
 
     def _victim_rate(
         self,

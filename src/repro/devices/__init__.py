@@ -20,7 +20,6 @@ from .base import (
 from .jart_vcm import JartVcmModel, JartVcmParameters
 from .kinetics import (
     PulseCountResult,
-    StateTrajectoryPoint,
     SwitchingResult,
     pulses_to_switch,
     time_to_switch,
@@ -58,7 +57,6 @@ __all__ = [
     "solve_operating_point",
     "SwitchingResult",
     "PulseCountResult",
-    "StateTrajectoryPoint",
     "time_to_switch",
     "pulses_to_switch",
     "WINDOW_FUNCTIONS",

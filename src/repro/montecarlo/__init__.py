@@ -73,12 +73,10 @@ from .vectorized import (
     JartArrayModel,
     BatchOperatingPoint,
     BatchPulseCountResult,
-    BatchSwitchingResult,
     SampledArrayJartModel,
     VectorizedJartVcm,
     pulses_to_switch_batch,
     solve_operating_point_batch,
-    time_to_switch_batch,
 )
 
 __all__ = [
@@ -96,10 +94,8 @@ __all__ = [
     "PopulationSampler",
     "VectorizedJartVcm",
     "BatchOperatingPoint",
-    "BatchSwitchingResult",
     "BatchPulseCountResult",
     "solve_operating_point_batch",
-    "time_to_switch_batch",
     "pulses_to_switch_batch",
     "AdaptiveConfig",
     "AdaptiveOutcome",

@@ -101,9 +101,11 @@ def _concat_draws(draws: List[Optional[Any]]):
 VICTIM_MODES = ("half_selected", "all")
 
 #: Stacked victim lanes at which a full-array batch integrates the arrays
-#: solved so far.  The kinetics holds about 1 KB per lane, so a stack this
-#: size takes ~32 MB; a batch with more lanes makes several kinetics calls.
-FULL_ARRAY_LANE_BUDGET = 32_768
+#: solved so far.  The kinetics solves each victim at every quadrature node
+#: in one fixed-point call and peaks at about 5.3 KB per victim lane, so a
+#: stack this size peaks near 33 MB; a batch with more lanes makes several
+#: kinetics calls.
+FULL_ARRAY_LANE_BUDGET = 6_144
 
 
 @dataclass

@@ -11,8 +11,9 @@ cells at once:
   can carry its own sampled activation energy, series resistance, ...;
 * :func:`solve_operating_point_batch` — the safeguarded-secant electro-thermal
   fixed point of :func:`repro.devices.thermal.solve_operating_point`;
-* :func:`time_to_switch_batch` / :func:`pulses_to_switch_batch` — the adaptive
-  state-ODE integrators of :mod:`repro.devices.kinetics`.
+* :func:`pulses_to_switch_batch` — the pulse count of
+  :mod:`repro.devices.kinetics`, its rates solved over lanes × quadrature
+  nodes in one fixed-point call.
 
 Every quantity is computed once, where its inputs last changed:
 
@@ -35,8 +36,8 @@ Every quantity is computed once, where its inputs last changed:
   same Newton at any lane voltages.
 * **Warm starts scoped to one call or one solve.**  Each iterate of a
   self-heating fixed point starts its Newton from the previous iterate's
-  roots, and :func:`time_to_switch_batch` takes the rate of a freshly solved
-  lane from the current that solve returned.  Each kernel call of one nodal
+  roots, and :func:`pulses_to_switch_batch` takes each node's rate from the
+  current its fixed point returned.  Each kernel call of one nodal
   solve starts from the roots of the solve's last current call, which
   :class:`JartArrayModel` keeps in the solve's
   :class:`~repro.devices.base.SolveScratch`.  Roots live in local variables
@@ -44,14 +45,16 @@ Every quantity is computed once, where its inputs last changed:
   solver: a call depends on no call outside its own solve, and a solve on
   no earlier solve beyond the node voltages the solver warm-starts from.
 
-What stays per lane is the scalar control flow: the same step sizes, the
-same thermal-refresh policy, the same fixed-point step rule (secant inside
-the low-side bracket, damped fallback, error-estimate stop, iteration cap;
-its constants come from :mod:`repro.devices.thermal`).  Only the innermost
+What stays per lane is the scalar control flow: the same quadrature nodes
+and switching-time rule, the same fixed-point step rule (secant inside the
+low-side bracket, damped fallback, error-estimate stop, iteration cap; its
+constants come from :mod:`repro.devices.thermal`).  Only the innermost
 interface-current root solve swaps the scalar's bisection for an
-equally-precise Newton descent, so each lane reproduces the scalar
-trajectory to floating-point noise; the test suite validates
-element-for-element agreement within 1e-9 relative tolerance.
+equally-precise Newton descent, so each lane reproduces the scalar result
+to floating-point noise; the test suite validates element-for-element
+agreement within 1e-9 relative tolerance.  Every lane stops its own Newton
+and its own fixed point, so a lane's result does not depend on the lanes it
+shares a call with.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ from ..devices.base import (
     finite_difference_conductance,
 )
 from ..devices.jart_vcm import JartVcmParameters
+from ..devices.kinetics import QUADRATURE_NODES, quadrature_states, switching_time
 from ..devices.thermal import FALLBACK_DAMPING, SELF_HEATING_TOLERANCE_K
 from ..errors import ConvergenceError, DeviceModelError
 from ..obs import get_telemetry
@@ -89,8 +93,8 @@ ArrayLike = Union[float, np.ndarray]
 #: one, the cap is a backstop only.
 _MAX_NEWTON_STEPS = 80
 
-#: Newton termination: no lane moved by more than ~1 ulp of ``b``, the
-#: rounding floor of the residual ``g(w) = w + a sinh(w) - b``.
+#: Newton termination: a lane stops once its step is below ~1 ulp of ``b``,
+#: the rounding floor of the residual ``g(w) = w + a sinh(w) - b``.
 _NEWTON_RTOL = 4e-16
 
 #: Overflow guard of the sinh field term (matches the scalar model).
@@ -128,17 +132,20 @@ def interface_root(
     lower.  From above the root Newton descends monotonically; from a warm
     start in [0, root] its first step lands on the convex side (the tangent
     lies below g), where it is clamped at the over-estimate, and the descent
-    follows.  The iteration stops once no lane moved by more than
+    follows.  A lane freezes once its own step moved it by no more than
     ``_NEWTON_RTOL * b`` in *either* direction: ``g`` cannot be evaluated
     more finely than the rounding of ``b``, so a step below that is noise.
-    Both solvers resolve the root orders of magnitude beyond the 1e-9
-    agreement budget of this module (the scalar bracket ends 2^-60 wide).
+    So each lane's root is the one it would get alone, whatever lanes share
+    the call; the call ends when the last lane freezes.  Both solvers
+    resolve the root orders of magnitude beyond the 1e-9 agreement budget
+    of this module (the scalar bracket ends 2^-60 wide).
     """
     ceiling = np.minimum(b, np.arcsinh(b / a))
     w = ceiling if start is None else np.minimum(ceiling, start)
     tolerance = _NEWTON_RTOL * b
     step = np.empty_like(w)
     slope = np.empty_like(w)
+    frozen = None
     for steps in range(1, _MAX_NEWTON_STEPS + 1):
         np.sinh(w, out=step)
         step *= a
@@ -148,12 +155,15 @@ def interface_root(
         slope *= a
         slope += 1.0
         step /= slope
+        if frozen is not None:
+            np.copyto(step, 0.0, where=frozen)
         w -= step
         if steps == 1 and start is not None:
             np.minimum(w, ceiling, out=w)
         # A zero-bias lane (b = 0) starts at its root w = 0 and steps by 0.
         np.abs(step, out=step)
-        if not np.count_nonzero(step > tolerance):
+        frozen = ~(step > tolerance)  # as is a NaN lane
+        if frozen.all():
             break
     return w, steps
 
@@ -763,170 +773,6 @@ def solve_operating_point_batch(
 
 
 @dataclass
-class BatchSwitchingResult:
-    """Outcome of a batched constant-bias switching-time integration."""
-
-    switched: np.ndarray
-    time_s: np.ndarray
-    final_x: np.ndarray
-    final_temperature_k: np.ndarray
-    steps: np.ndarray
-    #: False in lanes whose electro-thermal solve failed (excluded lanes).
-    converged: np.ndarray
-
-
-def time_to_switch_batch(
-    model: VectorizedJartVcm,
-    voltage_v: ArrayLike,
-    x_start: ArrayLike,
-    x_target: ArrayLike,
-    ambient_temperature_k: ArrayLike = DEFAULT_AMBIENT_TEMPERATURE_K,
-    crosstalk_temperature_k: ArrayLike = 0.0,
-    max_time_s: ArrayLike = 10.0,
-    max_dx_per_step: float = 0.02,
-    raise_on_failure: bool = True,
-) -> BatchSwitchingResult:
-    """Batched mirror of :func:`repro.devices.kinetics.time_to_switch`.
-
-    Every lane follows the scalar integrator's control flow: the same
-    adaptive step bound, the same lazy thermal refresh (re-solve once the
-    state moved by a quarter step bound), the same termination rules.  Lanes
-    retire independently; the loop runs until the last lane finishes.  A
-    lane whose state has not moved since its last operating-point solve
-    takes its rate from the current that solve returned.
-    """
-    n = model.n
-    voltage = _lanes(voltage_v, n, "voltage_v")
-    x = _lanes(x_start, n, "x_start")
-    target = _lanes(x_target, n, "x_target")
-    ambient = _lanes(ambient_temperature_k, n, "ambient_temperature_k")
-    crosstalk = _lanes(crosstalk_temperature_k, n, "crosstalk_temperature_k")
-    max_time = _lanes(max_time_s, n, "max_time_s")
-
-    if np.any((x < 0.0) | (x > 1.0)) or np.any((target < 0.0) | (target > 1.0)):
-        raise DeviceModelError("states must lie in [0, 1] in every lane")
-    if np.any(max_time <= 0):
-        raise DeviceModelError("max_time_s must be positive in every lane")
-
-    towards_set = target >= x
-    time_s = np.zeros(n)
-    steps = np.zeros(n, dtype=np.int64)
-    stuck = np.zeros(n, dtype=bool)
-
-    initial = solve_operating_point_batch(
-        model, voltage, x, ambient, crosstalk, raise_on_failure=raise_on_failure
-    )
-    temperature = initial.filament_temperature_k.copy()
-    # Each lane's current from its last operating-point solve: the current
-    # at (V, x, T) for as long as the state stays where that solve saw it.
-    solved_current = initial.current_a.copy()
-    converged = initial.converged.copy()
-    x_at_last_thermal_solve = x.copy()
-
-    # Lanes whose operating point never settles cannot be integrated; retire
-    # them immediately (they stay flagged through the `converged` mask).
-    active = converged.copy()
-
-    while True:
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        steps[idx] += 1
-        sub = model.take(idx)
-
-        due = np.abs(x[idx] - x_at_last_thermal_solve[idx]) > 0.25 * max_dx_per_step
-        if due.any():
-            refresh = idx[due]
-            solved = solve_operating_point_batch(
-                sub.take(due),
-                voltage[refresh],
-                x[refresh],
-                ambient[refresh],
-                crosstalk[refresh],
-                raise_on_failure=raise_on_failure,
-            )
-            temperature[refresh] = solved.filament_temperature_k
-            solved_current[refresh] = solved.current_a
-            x_at_last_thermal_solve[refresh] = x[refresh]
-            lost = refresh[~solved.converged]
-            if lost.size:
-                converged[lost] = False
-                active[lost] = False
-                idx = np.flatnonzero(active)
-                if idx.size == 0:
-                    break
-                sub = model.take(idx)
-
-        lane_voltage, lane_x, lane_temperature = voltage[idx], x[idx], temperature[idx]
-        current = solved_current[idx]
-        moved = lane_x != x_at_last_thermal_solve[idx]
-        if moved.any():
-            current[moved] = sub.take(moved).current(
-                lane_voltage[moved], lane_x[moved], lane_temperature[moved]
-            )
-        rate = sub._rate(lane_voltage, lane_x, lane_temperature, current)
-        moving = ((rate > 0.0) & towards_set[idx]) | ((rate < 0.0) & ~towards_set[idx])
-        blocked = (rate == 0.0) | ~moving
-        # The bias cannot move these lanes towards the target at all: the
-        # scalar path reports them unswitched with the full time budget.
-        lanes_stuck = idx[blocked]
-        if lanes_stuck.size:
-            stuck[lanes_stuck] = True
-            time_s[lanes_stuck] = max_time[lanes_stuck]
-            active[lanes_stuck] = False
-
-        go = idx[~blocked]
-        if go.size == 0:
-            continue
-        go_rate = rate[~blocked]
-        remaining = np.abs(target[go] - x[go])
-        at_target = remaining <= 0.0
-        active[go[at_target]] = False
-
-        go = go[~at_target]
-        if go.size == 0:
-            continue
-        go_rate = go_rate[~at_target]
-        remaining = remaining[~at_target]
-        dt = np.minimum(max_dx_per_step, remaining) / np.abs(go_rate)
-        overtime = time_s[go] + dt >= max_time[go]
-
-        over = go[overtime]
-        if over.size:
-            dt_over = max_time[over] - time_s[over]
-            x[over] = x[over] + np.copysign(
-                np.minimum(np.abs(go_rate[overtime]) * dt_over, remaining[overtime]),
-                target[over] - x[over],
-            )
-            time_s[over] = max_time[over]
-            active[over] = False
-
-        step = go[~overtime]
-        if step.size:
-            x[step] = x[step] + np.copysign(
-                np.minimum(np.abs(go_rate[~overtime]) * dt[~overtime], remaining[~overtime]),
-                target[step] - x[step],
-            )
-            time_s[step] = time_s[step] + dt[~overtime]
-            crossed = (towards_set[step] & (x[step] >= target[step])) | (
-                ~towards_set[step] & (x[step] <= target[step])
-            )
-            active[step[crossed]] = False
-
-    switched = (towards_set & (x >= target)) | (~towards_set & (x <= target))
-    switched &= ~stuck
-    switched &= converged
-    return BatchSwitchingResult(
-        switched=switched,
-        time_s=time_s,
-        final_x=x,
-        final_temperature_k=temperature,
-        steps=steps,
-        converged=converged,
-    )
-
-
-@dataclass
 class BatchPulseCountResult:
     """Outcome of a batched pulsed switching estimation."""
 
@@ -951,10 +797,23 @@ def pulses_to_switch_batch(
     max_pulses: int = 10_000_000,
     raise_on_failure: bool = True,
 ) -> BatchPulseCountResult:
-    """Batched mirror of :func:`repro.devices.kinetics.pulses_to_switch`."""
+    """Batched mirror of :func:`repro.devices.kinetics.pulses_to_switch`.
+
+    One :func:`solve_operating_point_batch` call solves every lane at every
+    node of its :func:`~repro.devices.kinetics.quadrature_states` panel, each
+    node's rate comes from the current its fixed point solved, and
+    :func:`~repro.devices.kinetics.switching_time` integrates them.  A lane
+    with a node whose fixed point did not settle is reported unflipped, with
+    ``converged`` cleared.
+    """
     n = model.n
+    voltage = _lanes(voltage_v, n, "voltage_v")
+    x = _lanes(x_start, n, "x_start")
+    target = _lanes(x_target, n, "x_target")
     pulse_length = _lanes(pulse_length_s, n, "pulse_length_s")
     duty = _lanes(duty_cycle, n, "duty_cycle")
+    if np.any((x < 0.0) | (x > 1.0)) or np.any((target < 0.0) | (target > 1.0)):
+        raise DeviceModelError("states must lie in [0, 1] in every lane")
     if np.any(pulse_length <= 0):
         raise DeviceModelError("pulse_length_s must be positive in every lane")
     if max_pulses < 1:
@@ -962,29 +821,40 @@ def pulses_to_switch_batch(
     if np.any((duty <= 0.0) | (duty > 1.0)):
         raise DeviceModelError("duty cycle must be in (0, 1] in every lane")
 
-    budget_s = pulse_length * max_pulses
-    result = time_to_switch_batch(
-        model,
-        voltage_v,
-        x_start,
-        x_target,
-        ambient_temperature_k=ambient_temperature_k,
-        crosstalk_temperature_k=crosstalk_temperature_k,
-        max_time_s=budget_s,
+    # Node-major lanes: lane k at node j is lane j * n + k of the solve.
+    nodes = model.take(np.tile(np.arange(n), QUADRATURE_NODES))
+    node_voltage = np.tile(voltage, QUADRATURE_NODES)
+    node_x = quadrature_states(x, target).reshape(-1)
+    solved = solve_operating_point_batch(
+        nodes,
+        node_voltage,
+        node_x,
+        np.tile(_lanes(ambient_temperature_k, n, "ambient_temperature_k"), QUADRATURE_NODES),
+        np.tile(_lanes(crosstalk_temperature_k, n, "crosstalk_temperature_k"), QUADRATURE_NODES),
         raise_on_failure=raise_on_failure,
     )
+    rate = nodes._rate(node_voltage, node_x, solved.filament_temperature_k, solved.current_a)
+    shape = (QUADRATURE_NODES, n)
+    outcome = switching_time(
+        x,
+        target,
+        rate.reshape(shape),
+        solved.filament_temperature_k.reshape(shape),
+        pulse_length * max_pulses,
+    )
+    converged = solved.converged.reshape(shape).all(axis=0)
+    flipped = outcome.switched & converged
     pulses = np.where(
-        result.switched,
-        np.maximum(1, np.ceil(result.time_s / pulse_length)).astype(np.int64),
+        flipped,
+        np.maximum(1, np.ceil(outcome.time / pulse_length)).astype(np.int64),
         np.int64(max_pulses),
     )
-    period_s = pulse_length / duty
     return BatchPulseCountResult(
-        flipped=result.switched,
+        flipped=flipped,
         pulses=pulses,
-        stress_time_s=np.minimum(result.time_s, pulses * pulse_length),
-        wall_clock_s=pulses * period_s,
-        final_x=result.final_x,
-        final_temperature_k=result.final_temperature_k,
-        converged=result.converged,
+        stress_time_s=np.minimum(outcome.time, pulses * pulse_length),
+        wall_clock_s=pulses * (pulse_length / duty),
+        final_x=outcome.final_x,
+        final_temperature_k=outcome.final_temperature_k,
+        converged=converged,
     )

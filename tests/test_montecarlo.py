@@ -24,7 +24,6 @@ from repro.devices import (
     JartVcmParameters,
     pulses_to_switch,
     solve_operating_point,
-    time_to_switch,
 )
 from repro.devices.base import DeviceState
 from repro.errors import CampaignError, ConvergenceError, DeviceModelError, MonteCarloError
@@ -38,9 +37,9 @@ from repro.montecarlo import (
     flip_probability_map,
     pulses_to_switch_batch,
     solve_operating_point_batch,
-    time_to_switch_batch,
 )
 from repro.devices.base import SolveScratch
+from repro.devices.kinetics import QUADRATURE_NODES
 from repro.montecarlo.vectorized import JartArrayModel, PreparedBias, interface_root
 from repro.obs import telemetry_capture
 from repro.utils.rng import child_rng, child_seed
@@ -283,30 +282,41 @@ class TestPreparedKernel:
             assert relative_error(root, cold_root).max() < 1e-12
             assert relative_error(current, cold_current).max() < 1e-12
 
-    def test_lanes_between_refreshes_agree_with_scalar(self):
-        """A step too short to refresh the temperature re-solves its current.
-
-        With a step bound of 1 each lane aims for the target in one step; where
-        rounding leaves it a hair short, the next step starts from a state
-        that moved (by less than a quarter bound) since the last solve.
-        """
+    def test_a_lane_root_does_not_depend_on_the_lanes_it_shares_a_call_with(self):
+        """Each lane stops its own Newton, so its root is the one it gets alone."""
         n = 64
         model = sampled_model(seed=31, n=n)
         rng = np.random.default_rng(31)
+        prepared = model.prepare(rng.uniform(-1.2, 1.2, n), rng.uniform(0.0, 1.0, n))
+        temperature = rng.uniform(250.0, 1000.0, n)
+        a = prepared.scaled_ohmic * np.exp(-prepared.barrier_k / temperature)
+        together, steps = interface_root(a, prepared.scaled_magnitude)
+        alone = [interface_root(a[lane:lane + 1], prepared.scaled_magnitude[lane:lane + 1])
+                 for lane in range(n)]
+        np.testing.assert_array_equal(together, np.concatenate([root for root, _ in alone]))
+        # The lanes settle after different step counts; the call runs to the last.
+        assert min(count for _, count in alone) < steps == max(count for _, count in alone)
+
+    def test_kinetics_lanes_do_not_depend_on_the_lanes_they_share_a_call_with(self):
+        n = 24
+        model = sampled_model(seed=13, n=n)
+        rng = np.random.default_rng(13)
         voltage = rng.uniform(0.45, 0.6, n)
         crosstalk = rng.uniform(40.0, 90.0, n)
-        batch = time_to_switch_batch(
-            model, voltage, 0.0, 0.1, crosstalk_temperature_k=crosstalk, max_dx_per_step=1.0
-        )
-        assert (batch.steps == 2).any() and (batch.steps == 1).any()
-        for lane in range(n):
-            scalar = time_to_switch(
-                JartVcmModel(model.scalar_parameters(lane)), float(voltage[lane]), 0.0, 0.1,
-                crosstalk_temperature_k=float(crosstalk[lane]), max_dx_per_step=1.0,
+
+        def kinetics(lanes):
+            return pulses_to_switch_batch(
+                model.take(lanes), voltage[lanes], 50e-9, 0.0, 0.5,
+                crosstalk_temperature_k=crosstalk[lanes], max_pulses=20_000,
             )
-            assert bool(batch.switched[lane]) == scalar.switched
-            assert relative_error(batch.time_s[lane], scalar.time_s).max() < RTOL
-            assert relative_error(batch.final_x[lane], scalar.final_x).max() < RTOL
+
+        together = kinetics(np.arange(n))
+        assert together.flipped.any() and not together.flipped.all()
+        halves = [kinetics(np.arange(n)[half::2]) for half in (0, 1)]
+        for name in ("flipped", "pulses", "stress_time_s", "final_x", "final_temperature_k"):
+            merged = np.empty_like(getattr(together, name))
+            merged[0::2], merged[1::2] = getattr(halves[0], name), getattr(halves[1], name)
+            np.testing.assert_array_equal(merged, getattr(together, name), err_msg=name)
 
     def test_results_do_not_depend_on_call_history(self):
         def workload(model):
@@ -595,41 +605,35 @@ class TestSelfHeatingAccuracy:
 
 
 class TestKineticsBatch:
-    def test_time_to_switch_agrees_with_scalar(self):
-        n = 32
-        model = sampled_model(seed=21, n=n)
-        rng = np.random.default_rng(21)
-        voltage = rng.uniform(0.45, 0.6, n)
-        crosstalk = rng.uniform(40.0, 90.0, n)
-        batch = time_to_switch_batch(
-            model, voltage, 0.0, 0.5, ambient_temperature_k=300.0,
-            crosstalk_temperature_k=crosstalk, max_time_s=10.0,
-        )
-        for lane in range(n):
-            scalar = time_to_switch(
-                JartVcmModel(model.scalar_parameters(lane)),
-                float(voltage[lane]), 0.0, 0.5,
-                ambient_temperature_k=300.0,
-                crosstalk_temperature_k=float(crosstalk[lane]),
-                max_time_s=10.0,
-            )
-            assert bool(batch.switched[lane]) == scalar.switched
-            assert int(batch.steps[lane]) == scalar.steps
-            assert relative_error(batch.time_s[lane], scalar.time_s).max() < RTOL
-            assert relative_error(batch.final_x[lane], scalar.final_x).max() < RTOL
-
     def test_wrong_polarity_never_switches(self):
         model = sampled_model(seed=5, n=4)
-        batch = time_to_switch_batch(model, -0.5, 0.0, 0.5, max_time_s=1e-3)
-        assert not batch.switched.any()
-        assert np.allclose(batch.time_s, 1e-3)
+        batch = pulses_to_switch_batch(model, -0.5, 50e-9, 0.0, 0.5, max_pulses=1000)
+        assert not batch.flipped.any()
+        assert (batch.pulses == 1000).all()
+        np.testing.assert_allclose(batch.stress_time_s, 1000 * 50e-9, rtol=1e-15)
+        assert (batch.final_x == 0.0).all()
 
     def test_invalid_lane_states_rejected(self):
         model = sampled_model(seed=5, n=2)
         with pytest.raises(DeviceModelError):
-            time_to_switch_batch(model, 0.5, np.array([0.0, -0.1]), 0.5)
+            pulses_to_switch_batch(model, 0.5, 50e-9, np.array([0.0, -0.1]), 0.5)
         with pytest.raises(DeviceModelError):
-            time_to_switch_batch(model, 0.5, 0.0, 0.5, max_time_s=0.0)
+            pulses_to_switch_batch(model, 0.5, 50e-9, 0.0, 1.5)
+
+    def test_one_fixed_point_call_solves_every_lane_at_every_node(self, monkeypatch):
+        import repro.montecarlo.vectorized as vectorized
+
+        calls = []
+        solve = vectorized.solve_operating_point_batch
+
+        def counted(model, *args, **kwargs):
+            calls.append(model.n)
+            return solve(model, *args, **kwargs)
+
+        monkeypatch.setattr(vectorized, "solve_operating_point_batch", counted)
+        pulses_to_switch_batch(sampled_model(seed=5, n=6), 0.52, 50e-9, 0.0, 0.5,
+                               crosstalk_temperature_k=80.0)
+        assert calls == [6 * QUADRATURE_NODES]
 
     def test_pulse_validation(self):
         model = sampled_model(seed=5, n=2)

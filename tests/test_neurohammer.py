@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.attack import (
@@ -165,10 +166,10 @@ class TestVictimRate:
         assert rate == expected
 
     def test_linear_ion_drift_attack_is_unchanged(self, paper_geometry):
-        """A model without a rate-from-current override keeps its result.
+        """A model without a rate-from-current override takes the same rule.
 
-        The pinned numbers were produced by the integrator that re-solved the
-        victim current for every rate.
+        The default ``state_derivative_from_current`` re-solves the current,
+        so these numbers pin the switching-time rule on that path.
         """
         crossbar = CrossbarArray(geometry=paper_geometry, model=LinearIonDriftModel())
         pattern = single_aggressor(paper_geometry)
@@ -178,10 +179,117 @@ class TestVictimRate:
         )
         result = NeuroHammer(crossbar).run(pattern=pattern, config=config)
         assert result.flipped
-        assert result.pulses == 7727
-        assert result.stress_time_s == pytest.approx(7.727, rel=1e-12)
-        assert result.victim_final_x == pytest.approx(0.5000168909236137, rel=1e-12)
-        assert result.victim_temperature_k == pytest.approx(413.76414448773386, rel=1e-12)
+        assert result.pulses == 7634
+        assert result.stress_time_s == pytest.approx(7.634, rel=1e-12)
+        assert result.victim_final_x == 0.5
+        assert result.victim_temperature_k == pytest.approx(413.7652183336684, rel=1e-12)
+
+
+#: The attack points whose biased time to flip the rule must resolve:
+#: (pulse length [s], ambient [K], pattern).
+ACCURACY_POINTS = {
+    "fig3a_10ns": (10e-9, 300.0, "single"),
+    "fig3a_50ns": (50e-9, 300.0, "single"),
+    "fig3a_100ns": (100e-9, 300.0, "single"),
+    "fig3c_273K": (50e-9, 273.0, "single"),
+    "fig3c_373K": (50e-9, 373.0, "single"),
+    "quad": (50e-9, 300.0, "quad"),
+}
+#: The coarse step in x of the forward-Euler reference; it also runs at half
+#: this step.
+EULER_STEP = 1e-3
+THRESHOLD = 0.5
+
+
+def prepared_attack(length_s, ambient_k, pattern_name, model=None):
+    """An attack with its phase operating points solved, as ``run`` solves them."""
+    geometry = CrossbarGeometry()
+    crossbar = CrossbarArray(geometry=geometry, model=model, ambient_temperature_k=ambient_k)
+    attack = NeuroHammer(crossbar)
+    pattern = standard_patterns(geometry)[pattern_name]
+    attack.prepare(pattern)
+    points = [attack.phase_operating_point(pattern, phase, 1.05) for phase in pattern.phases]
+    return attack, pattern, points
+
+
+def extrapolated_rounds(round_rate):
+    """Richardson-extrapolated forward-Euler rounds at x = h, 2h, ..., threshold.
+
+    ``round_rate`` holds dx per round on the grid x = 0, h/2, h, ...  Euler
+    with a fixed step in x takes each step at the rate of its start, so its
+    time is the left Riemann sum of dx / rate, whose error is first order in
+    the step; twice the half-step sum minus the full-step sum cancels it.
+    """
+    fine = np.cumsum(0.5 * EULER_STEP / round_rate)
+    coarse = np.cumsum(EULER_STEP / round_rate[::2])
+    return 2.0 * fine[1::2] - coarse
+
+
+class TestSwitchingTimeAccuracy:
+    """The quadrature rule against a fine-step forward-Euler limit."""
+
+    @pytest.fixture(scope="class")
+    def jart_points(self):
+        """Each point's attack, phases and Euler reference, from one batched solve."""
+        from repro.montecarlo import VectorizedJartVcm, solve_operating_point_batch
+
+        grid = np.arange(0.0, THRESHOLD, 0.5 * EULER_STEP)
+        cases = {name: prepared_attack(*point) for name, point in ACCURACY_POINTS.items()}
+        phases = [(name, point) for name, (_, _, points) in cases.items() for point in points]
+        voltage = np.concatenate([np.full(grid.size, p.victim_voltage_v) for _, p in phases])
+        crosstalk = np.concatenate([np.full(grid.size, p.victim_crosstalk_k) for _, p in phases])
+        ambient = np.concatenate(
+            [np.full(grid.size, ACCURACY_POINTS[name][1]) for name, _ in phases]
+        )
+        x = np.tile(grid, len(phases))
+        kernel = VectorizedJartVcm(x.size)
+        solved = solve_operating_point_batch(kernel, voltage, x, ambient, crosstalk)
+        rates = kernel.state_derivative(voltage, x, solved.filament_temperature_k)
+        round_rate = {name: np.zeros(grid.size) for name in cases}
+        for (name, _), rate in zip(phases, rates.reshape(len(phases), grid.size)):
+            round_rate[name] += np.maximum(rate, 0.0) * ACCURACY_POINTS[name][0]
+        return {
+            name: (attack, pattern, points, extrapolated_rounds(round_rate[name]))
+            for name, (attack, pattern, points) in cases.items()
+        }
+
+    @pytest.mark.parametrize("name", list(ACCURACY_POINTS))
+    def test_rounds_to_flip_match_the_euler_limit(self, jart_points, name):
+        attack, pattern, points, reference = jart_points[name]
+        length_s, ambient_k, _ = ACCURACY_POINTS[name]
+        rule = attack._rounds_to_flip(points, 0.0, THRESHOLD, length_s, ambient_k, math.inf)
+        assert rule.switched[0]
+        assert abs(rule.time[0] / reference[-1] - 1.0) < 5e-4
+        # The campaign pulses every phase for each whole round the rule counts.
+        config = AttackConfig(pulse=PulseConfig(length_s=length_s), ambient_temperature_k=ambient_k)
+        result = attack.run(pattern=pattern, config=config)
+        assert result.pulses == math.ceil(rule.time[0]) * len(points)
+
+    @pytest.mark.parametrize("name", ["fig3a_50ns", "fig3c_373K", "quad"])
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+    def test_budget_limited_state_matches_the_euler_limit(self, jart_points, name, fraction):
+        attack, _, points, reference = jart_points[name]
+        length_s, ambient_k, _ = ACCURACY_POINTS[name]
+        budget = math.floor(fraction * reference[-1])
+        rule = attack._rounds_to_flip(points, 0.0, THRESHOLD, length_s, ambient_k, budget)
+        assert not rule.switched[0]
+        ends = EULER_STEP * np.arange(reference.size + 1)
+        expected = np.interp(budget, np.concatenate([[0.0], reference]), ends)
+        assert abs(rule.final_x[0] - expected) < 1e-3
+
+    def test_linear_ion_drift_rounds_match_the_euler_limit(self, paper_geometry):
+        attack = NeuroHammer(CrossbarArray(geometry=paper_geometry, model=LinearIonDriftModel()))
+        pattern = single_aggressor(paper_geometry)
+        attack.prepare(pattern)
+        point = attack.phase_operating_point(pattern, pattern.phases[0], 1.05)
+        grid = np.arange(0.0, THRESHOLD, 0.5 * EULER_STEP)
+        rate = [attack._victim_rate(attack.crossbar.model, point, x, 300.0)[0] for x in grid]
+        reference = extrapolated_rounds(np.asarray(rate) * 1e-3)
+        rule = attack._rounds_to_flip([point], 0.0, THRESHOLD, 1e-3, 300.0, math.inf)
+        assert abs(rule.time[0] / reference[-1] - 1.0) < 5e-4
+
+    def test_fig3a_victim_flips_after_the_converged_pulse_count(self):
+        assert hammer_once(pulse_length_s=50e-9).pulses in (5409, 5410)
 
 
 class TestAnalysisHelpers:

@@ -162,6 +162,68 @@ class TestSolverDifferential:
         )
 
 
+#: A sampled device and pulse spread for the engine comparison.
+ENGINE_SPREAD = [
+    {"path": "device.activation_energy_ev", "kind": "normal", "mean": 1.0, "sigma": 0.01,
+     "relative": True},
+    {"path": "device.series_resistance_ohm", "kind": "normal", "mean": 1.0, "sigma": 0.05,
+     "relative": True},
+    {"path": "attack.pulse.length_s", "kind": "lognormal", "mean": 50e-9, "sigma": 0.3},
+]
+
+
+class TestEngineDifferential:
+    """The vectorized Monte-Carlo engine against its scalar oracle, end to end.
+
+    Both engines draw the same population and take every lane's rates at the
+    same quadrature nodes, one through the batched fixed point, the other
+    one cell at a time.
+    """
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        rows=st.integers(min_value=3, max_value=7),
+        columns=st.integers(min_value=3, max_value=7),
+        threshold=st.floats(min_value=0.2, max_value=0.8),
+        ambient=st.floats(min_value=250.0, max_value=400.0),
+        max_pulses=st.sampled_from([2_000, 200_000, 10_000_000]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        data=st.data(),
+    )
+    def test_vectorized_engine_matches_the_scalar_engine(
+        self, rows, columns, threshold, ambient, max_pulses, seed, data
+    ):
+        from repro.config import AttackConfig, SimulationConfig
+        from repro.montecarlo import MonteCarloConfig, MonteCarloEngine
+
+        row = data.draw(st.sampled_from([0, rows // 2, rows - 1]), label="victim row")
+        column = data.draw(st.sampled_from([0, columns // 2, columns - 1]), label="victim column")
+        neighbours = [
+            (row + dr, column + dc)
+            for dr, dc in ((0, -1), (0, 1), (-1, 0), (1, 0))
+            if 0 <= row + dr < rows and 0 <= column + dc < columns
+        ]
+        aggressor = data.draw(st.sampled_from(neighbours), label="aggressor")
+        engine = MonteCarloEngine(
+            MonteCarloConfig(n_samples=8, seed=seed, distributions=ENGINE_SPREAD),
+            simulation=SimulationConfig.from_dict({"geometry": {"rows": rows, "columns": columns}}),
+            attack=AttackConfig(
+                aggressors=[aggressor], victim=(row, column), flip_threshold=threshold,
+                ambient_temperature_k=ambient, max_pulses=max_pulses,
+            ),
+        )
+        vectorized = engine.run()
+        scalar = engine.run(vectorized=False)
+        for name in ("valid", "flipped", "pulses"):
+            np.testing.assert_array_equal(getattr(vectorized, name), getattr(scalar, name), name)
+        valid = scalar.valid
+        for name in ("stress_time_s", "wall_clock_s", "final_x", "victim_temperature_k"):
+            np.testing.assert_allclose(
+                getattr(vectorized, name)[valid], getattr(scalar, name)[valid],
+                rtol=1e-9, atol=0.0, err_msg=name,
+            )
+
+
 class TestCouplingProperties:
     @common_settings
     @given(aggressor=cells, victim=cells)

@@ -28,7 +28,7 @@ SUBPACKAGES = [
 
 
 def test_version_is_exposed():
-    assert repro.__version__ == "1.17.0"
+    assert repro.__version__ == "1.18.0"
 
 
 def test_top_level_exports_resolve():
@@ -42,6 +42,31 @@ def test_subpackage_all_entries_resolve(module_name):
     assert module.__doc__, f"{module_name} needs a module docstring"
     for name in getattr(module, "__all__", []):
         assert hasattr(module, name), f"{module_name}.__all__ lists {name} but it is missing"
+
+
+def test_switching_time_has_one_rule_and_no_step_options():
+    """The forward-Euler integrators, their trajectory record and their step
+    options made way for the quadrature rule of ``repro.devices.kinetics``."""
+    import inspect
+
+    from repro import devices, montecarlo
+    from repro.attack import NeuroHammer
+    from repro.devices import kinetics
+
+    for module, name in (
+        (devices, "StateTrajectoryPoint"),
+        (kinetics, "StateTrajectoryPoint"),
+        (montecarlo, "time_to_switch_batch"),
+        (montecarlo, "BatchSwitchingResult"),
+    ):
+        assert not hasattr(module, name), f"{module.__name__}.{name} is back"
+    options = {
+        *inspect.signature(devices.time_to_switch).parameters,
+        *inspect.signature(devices.pulses_to_switch).parameters,
+        *inspect.signature(montecarlo.pulses_to_switch_batch).parameters,
+        *inspect.signature(NeuroHammer.run).parameters,
+    }
+    assert not options & {"max_dx_per_step", "max_dx_per_batch", "record"}
 
 
 def test_headline_entry_point_signature():
