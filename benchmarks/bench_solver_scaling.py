@@ -2,14 +2,15 @@
 
 For a ladder of square crossbars this benchmark solves one mixed-state write
 operating point through the array-native sparse :class:`CrossbarSolver` (cold,
-then warm-started against the held LU factor) and, up to
+then warm-started against the held chain-band factor) and, up to
 ``REPRO_BENCH_SOLVER_REFERENCE_MAX``, through the seed dense per-device-loop
 :class:`ReferenceCrossbarSolver`, checking element-for-element agreement and
 reporting the speedup.  A large sparse-only solve
 (``REPRO_BENCH_SOLVER_LARGE``, default 256x256) proves the practical
-ceiling.  Every row records the LU factorizations and triangular solves its
-cold solve performed, read from telemetry, and ``build_s``: the median time
-to build the netlist and the solver's Jacobian structure from scratch.
+ceiling.  Every row records the chain-band factorizations and chord steps
+(``triangular_solves``) its cold solve performed, read from telemetry, and
+``build_s``: the median time to build the netlist and the solver from
+scratch.
 
 Acceptance bars enforced here:
 
@@ -152,7 +153,7 @@ def test_bench_solver_scaling(benchmark):
     for row in rows:
         line = (
             f"solver {row['size']:>4}x{row['size']:<4} nodes={row['nodes']:>7} "
-            f"lu={row['factorizations']:.0f}/{row['triangular_solves']:.0f} "
+            f"factors={row['factorizations']:.0f}/{row['triangular_solves']:.0f} "
             f"build={row['build_s'] * 1e3:7.2f}ms "
             f"cold={row['cold_s'] * 1e3:9.1f}ms warm={row['warm_s'] * 1e3:8.1f}ms"
         )

@@ -5,25 +5,24 @@ solves the framework needs: given driver voltages, wire resistances and the
 (nonlinear, state- and temperature-dependent) memristive devices, find all
 node voltages such that Kirchhoff's current law holds at every node.
 
-The solver performs damped Newton-Raphson iterations on the same equations
+The solver performs damped chord-Newton iterations on the same equations
 as the original dense implementation (kept as
 :class:`repro.circuit.reference.ReferenceCrossbarSolver` for validation and
 benchmarking), but every per-device Python loop has been replaced by
-array-native code, and the Jacobian is factored far less often than once per
-iteration:
+array-native code, and no general sparse factorization is needed:
 
 * all device currents and small-signal conductances are evaluated in one call
   through the model's :meth:`~repro.devices.base.MemristorModel.batched`
   interface (NumPy kernels for the shipped models), each call of one solve
   with the solve's :class:`~repro.devices.base.SolveScratch`;
-* the Jacobian is assembled from index arrays precomputed once per netlist —
-  the constant linear (wire + driver) stamps live in a cached CSR data
-  vector, and the device stamps are scattered into their CSR slots with
-  vectorized fancy indexing;
-* the Jacobian is factored with ``scipy.sparse.linalg.splu`` and the factor
-  is kept; each iteration is a chord (modified-Newton) step, one pair of
-  triangular solves of the KCL residual vector against the held factor (see
-  :class:`CrossbarSolver` for when it refactors and when a solve stops).
+* nodes are numbered chain by chain from each driver, so the Jacobian
+  without its word-line/bit-line device couplings is one symmetric
+  positive-definite tridiagonal matrix, the *chain band*, whose LDL^T
+  factor (LAPACK ``dpttrf``) costs O(nodes) and is held;
+* each iteration is a chord step: block Gauss-Seidel sweeps over the
+  word-line and bit-line chains against that factor, two where most lines
+  are driven (see :class:`CrossbarSolver` for how many, when the band is
+  rebuilt and when a solve stops).
 
 The KCL residual vector is both the convergence check and the right-hand
 side of the step; it reuses the device currents already evaluated for the
@@ -37,8 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from ..devices.base import (
     BatchedDeviceModel,
@@ -64,13 +62,18 @@ Cell = Tuple[int, int]
 StateLike = Union[DeviceStateArrays, Mapping[Cell, DeviceState]]
 
 #: A step larger than this fraction of the previous one means the held factor
-#: no longer tracks the Jacobian: the next iteration refactors.
+#: no longer tracks the Jacobian: the next iteration rebuilds it.
 REFACTOR_CONTRACTION = 0.3
 
-#: A solve may end on a chord step only when the step is below this fraction
-#: of ``voltage_tolerance_v``; a linearly contracting iteration leaves an
-#: error of the order of its last step.
+#: A solve may end only when its last step is below this fraction of
+#: ``voltage_tolerance_v``; a linearly contracting iteration leaves an error
+#: of the order of its last step.
 CHORD_STOP_FRACTION = 1e-5
+
+#: A chord step sweeps until the error its last two corrections predict is
+#: below this fraction of the step, or for at most MAX_SWEEPS sweeps.
+SWEEP_TOLERANCE = 1e-2
+MAX_SWEEPS = 1000
 
 
 class NodeVoltageMap(MappingABC):
@@ -139,11 +142,20 @@ class OperatingPoint:
 class CrossbarSolver:
     """Damped chord-Newton nodal-analysis solver over a crossbar netlist.
 
-    The solver holds one sparse LU factor (``splu``, minimum-degree ordering
-    on ``A^T + A``) of the last Jacobian it assembled.  Every iteration steps
-    by the held factor's solve of the KCL residual vector.  Device
-    conductances are evaluated and the Jacobian assembled and refactored at
-    the present iterate only when
+    The nodal Jacobian is J = T + C.  The chain band T is tridiagonal: the
+    wire and driver stamps of every word-line and bit-line chain, plus each
+    device's conductance g on the diagonal entries of its two nodes; C holds
+    the devices' word-line/bit-line couplings -g.  The solver holds the
+    LDL^T factor of the last band it built.  Every iteration steps by block
+    Gauss-Seidel sweeps on the held J against the KCL residual vector.  A
+    sweep solves the word-line chains, adds each device's g times its
+    word-line step into the bit-line right-hand side, then solves the
+    bit-line chains; each later sweep runs on the residual r - J*step the
+    earlier ones left.  Two sweeps make a step wherever most lines are
+    driven; where most lines float they contract slowly, and a step sweeps
+    on until the error estimated from its last two corrections is below
+    :data:`SWEEP_TOLERANCE` of the step.  Conductances are evaluated and
+    the band rebuilt at the present iterate only when
 
     * there is no factor yet,
     * the driver stamps of the bias (its driven-line set) differ from the
@@ -151,17 +163,24 @@ class CrossbarSolver:
     * the previous step shrank by less than :data:`REFACTOR_CONTRACTION`
       relative to the one before it.
 
+    Sweeps and chord contract because every device conductance is positive:
+    T is then positive definite, and J = T - (-C) is a regular splitting of
+    an M-matrix.  The JART and Yakopcic kernels floor their conductance at
+    1e-12 S (:func:`~repro.devices.base.finite_difference_conductance`);
+    linear ion drift's is 1/R.  A model whose conductances make the band
+    indefinite fails its factorization, and the solve raises
+    :class:`~repro.errors.ConvergenceError`.
+
     The factor lives as long as the solver, so it carries across solves —
     Picard iterations, attack phases, the sampled arrays of one batch — but
     never across crossbars.  So does the solution: each solve starts from the
-    previous one.  The first solve is a cold start: every node of a word-line
-    or bit-line chain starts at its driver's voltage (0 V on a floating
-    line), so a device between two driven lines starts at its wire-drop-free
-    bias and the solve typically needs a single factor.  A solve converges
-    when the KCL residual is below ``residual_tolerance_a`` and the last step
-    is below ``voltage_tolerance_v`` if it was a Newton step (factor built at
-    its iterate), or below :data:`CHORD_STOP_FRACTION` of that if it was a
-    chord step.
+    last successful one.  The first solve is a cold start: every node of a
+    word-line or bit-line chain starts at its driver's voltage (0 V on a
+    floating line), so a device between two driven lines starts at its
+    wire-drop-free bias and the solve typically needs a single factor.  No
+    step is an exact Newton step, so a solve converges when the KCL residual
+    is below ``residual_tolerance_a`` and the last step below
+    :data:`CHORD_STOP_FRACTION` of ``voltage_tolerance_v``.
 
     Each solve creates one :class:`~repro.devices.base.SolveScratch` and
     passes it to every device-kernel call it makes.  The device states and
@@ -193,69 +212,24 @@ class CrossbarSolver:
         self.max_step_v = max_step_v
         self._last_solution: Optional[np.ndarray] = None
         self._batched: BatchedDeviceModel = model.batched()
-        #: Held LU factor of the last assembled Jacobian and the driver
-        #: conductances it was assembled with.
-        self._factor: Optional[SuperLU] = None
+        #: Held LDL^T factor of the last chain band (D, L's subdiagonal, the
+        #: band's diagonal, the device conductances) and the driver
+        #: conductances it was built with.
+        self._factor: Optional[Tuple[np.ndarray, ...]] = None
         self._factor_g: Optional[np.ndarray] = None
 
         self._dev_w, self._dev_b = netlist.device_wordline, netlist.device_bitline
         self._dev_rows, self._dev_cols = netlist.device_rows, netlist.device_cols
-        # Nodes are numbered chain by chain, each chain from its driver node.
+        # Nodes are numbered chain by chain, each chain from its driver node,
+        # the word-line chains first.
         self._chain_lengths = np.diff(np.append(netlist.driver_nodes, netlist.node_count))
-        self._assemble_structure()
-
-    # -- assembly -----------------------------------------------------------
-
-    def _assemble_structure(self) -> None:
-        """Precompute the sparsity pattern and the constant (linear) stamps.
-
-        The nodal matrix is the sum of three contributions: the constant wire
-        resistor stamps, the per-solve driver Norton conductances (diagonal
-        only) and the device companion conductances.  All three are
-        expressed as entries of one fixed COO template whose mapping onto CSR
-        data slots is computed here once; each assembly then only fills a
-        data vector — no Python loops, no re-sorting.
-        """
-        netlist = self.netlist
-        n = netlist.node_count
-        # Drivers are Norton stamps, so no wire segment touches ground.
-        seg_a, seg_b = netlist.segment_a, netlist.segment_b
-        seg_g = np.full(seg_a.size, netlist.segment_conductance_s)
-
-        lin_rows = np.concatenate([seg_a, seg_b, seg_a, seg_b])
-        lin_cols = np.concatenate([seg_a, seg_b, seg_b, seg_a])
-        lin_data = np.concatenate([seg_g, seg_g, -seg_g, -seg_g])
-
-        diag = np.arange(n, dtype=np.int64)
-        dev_w, dev_b = self._dev_w, self._dev_b
-
-        rows = np.concatenate([lin_rows, diag, dev_w, dev_b, dev_w, dev_b])
-        cols = np.concatenate([lin_cols, diag, dev_w, dev_b, dev_b, dev_w])
-        keys = rows * np.int64(n) + cols
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-
-        self._nnz = int(unique_keys.size)
-        self._csr_indices = (unique_keys % n).astype(np.int32)
-        self._csr_indptr = np.searchsorted(
-            unique_keys, np.arange(n + 1, dtype=np.int64) * n
-        ).astype(np.int32)
-
-        n_lin = lin_rows.size
-        nd = dev_w.size
-        self._base_data = np.bincount(inverse[:n_lin], weights=lin_data, minlength=self._nnz)
-        self._diag_slots = inverse[n_lin : n_lin + n]
-        offset = n_lin + n
-        self._slot_ww = inverse[offset : offset + nd]
-        self._slot_bb = inverse[offset + nd : offset + 2 * nd]
-        self._slot_wb = inverse[offset + 2 * nd : offset + 3 * nd]
-        self._slot_bw = inverse[offset + 3 * nd : offset + 4 * nd]
-
-        get_telemetry().count("solver.jacobian.structure_builds")
-
-        self._linear_operator = sparse.csr_matrix(
-            (self._base_data.copy(), self._csr_indices.copy(), self._csr_indptr.copy()),
-            shape=(n, n),
-        )
+        self._word_nodes = netlist.geometry.rows * (netlist.geometry.columns + 1)
+        # Drivers are Norton stamps, so no wire segment touches ground, and a
+        # segment joins consecutive nodes of one chain: its off-diagonal
+        # entry sits at its first node, and the entry between chains is 0.
+        self._wire_off = np.zeros(netlist.node_count - 1)
+        self._wire_off[netlist.segment_a] = -netlist.segment_conductance_s
+        self._wire_diag = -np.append(self._wire_off, 0.0) - np.append(0.0, self._wire_off)
 
     def _driver_stamps(self, bias: BiasPattern) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Norton-equivalent driver stamps and the driver voltage of every line.
@@ -305,8 +279,8 @@ class CrossbarSolver:
     def solve(self, bias: BiasPattern, states: StateLike) -> OperatingPoint:
         """Solve the nonlinear operating point for one bias pattern.
 
-        Newton starts from the previous solution (warm start) or, on the
-        solver's first solve, from the cold start.
+        Starts from the last successful solve's voltages (warm start) or,
+        until a solve has succeeded, from the cold start.
 
         Args:
             bias: Driver voltages per line (None = floating).
@@ -330,9 +304,10 @@ class CrossbarSolver:
         scratch = SolveScratch()
         iterations = factorizations = 0
         prev_step = np.inf
-        stop_step = self.voltage_tolerance_v
+        stop_step = self.voltage_tolerance_v * CHORD_STOP_FRACTION
         refactor = False
         converged = False
+        failure = f"did not converge after {self.max_iterations} iterations"
         residual = np.inf
         tel = get_telemetry()
         residual_trajectory = [] if tel.enabled else None
@@ -348,15 +323,16 @@ class CrossbarSolver:
                 break
             if solve_count == self.max_iterations:
                 break
-            newton = refactor or self._factor is None
-            if newton:
+            if refactor or self._factor is None:
                 conductances = self._batched.conductance(branch_v, x_arr, t_arr, scratch)
-                self._factorize(extra_g, conductances, tel)
+                info = self._factorize(extra_g, conductances, tel)
+                if info:
+                    failure = f"has an indefinite chain band (dpttrf info {info})"
+                    break
                 factorizations += 1
-            step = self._factor.solve(kcl)
+            step = self._chord_step(kcl)
             max_step = float(np.abs(step).max())
             refactor = max_step > REFACTOR_CONTRACTION * prev_step
-            stop_step = self.voltage_tolerance_v * (1.0 if newton else CHORD_STOP_FRACTION)
             if max_step > self.max_step_v:
                 step *= self.max_step_v / max_step
             voltages = voltages + step
@@ -366,7 +342,7 @@ class CrossbarSolver:
         if tel.enabled:
             tel.count("solver.solves")
             tel.count("solver.iterations", iterations)
-            # Every iteration is one triangular solve against the held factor.
+            # Every iteration is one chord step against the held factor.
             tel.count("solver.triangular_solves", iterations)
             tel.count("solver.factorizations", factorizations)
             if warm_started:
@@ -382,10 +358,7 @@ class CrossbarSolver:
         if not converged:
             if tel.enabled:
                 tel.count("solver.failures")
-            raise ConvergenceError(
-                f"crossbar Newton solve did not converge after {self.max_iterations} iterations "
-                f"(residual {residual:.3g} A)"
-            )
+            raise ConvergenceError(f"crossbar Newton solve {failure} (residual {residual:.3g} A)")
 
         self._last_solution = voltages.copy()
         if tel.audit is not None:
@@ -402,28 +375,73 @@ class CrossbarSolver:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _factorize(self, extra_g: np.ndarray, conductances: np.ndarray, tel: Any) -> None:
-        """Assemble the Jacobian at the present iterate and hold its LU factor."""
-        n = self.netlist.node_count
-        data = self._base_data.copy()
-        data[self._diag_slots] += extra_g
+    def _factorize(self, extra_g: np.ndarray, conductances: np.ndarray, tel: Any) -> int:
+        """Build the chain band at the present iterate and hold its LDL^T
+        factor; return LAPACK's ``info``, nonzero (no factor) if indefinite."""
+        diag = self._wire_diag + extra_g
         # Every crosspoint owns its word-line and bit-line node, so the
         # scatter targets are unique and plain fancy indexing applies.
-        data[self._slot_ww] += conductances
-        data[self._slot_bb] += conductances
-        data[self._slot_wb] -= conductances
-        data[self._slot_bw] -= conductances
+        diag[self._dev_w] += conductances
+        diag[self._dev_b] += conductances
 
         if tel.enabled:
-            # Stamp-magnitude spread of the assembled Jacobian data: a cheap
-            # conditioning proxy that drifts with the true condition number.
-            tel.numerics.gauge_condition("solver.jacobian", data)
+            # Stamp-magnitude spread of the Jacobian (band plus couplings): a
+            # cheap conditioning proxy that drifts with the condition number.
+            tel.numerics.gauge_condition(
+                "solver.jacobian", np.concatenate([diag, self._wire_off, conductances])
+            )
 
-        # The nodal matrix is exactly symmetric, so its CSR arrays are also
-        # its CSC arrays.
-        jacobian = sparse.csc_matrix((data, self._csr_indices, self._csr_indptr), shape=(n, n))
-        self._factor = splu(jacobian, permc_spec="MMD_AT_PLUS_A")
+        d, e, info = dpttrf(diag, self._wire_off)
+        self._factor = None if info else (d, e, diag, conductances)
         self._factor_g = extra_g
+        return info
+
+    def _chord_step(self, kcl: np.ndarray) -> np.ndarray:
+        """Block Gauss-Seidel sweeps on the held Jacobian against ``kcl``.
+
+        The ratio q of the last two corrections estimates the sweeps'
+        contraction, so the error left is the tail c*q/(1 - q) of the last
+        correction c, and a step takes at least two sweeps."""
+        step = self._sweep(kcl)
+        previous = float(np.abs(step).max())
+        for _ in range(MAX_SWEEPS - 1):
+            correction = self._sweep(kcl - self._held_product(step))
+            step += correction
+            size = float(np.abs(correction).max())
+            q = size / previous if previous else 0.0
+            # Written so that a NaN step stops sweeping too.
+            if not size * q > SWEEP_TOLERANCE * (1.0 - q) * np.abs(step).max():
+                break
+            previous = size
+        return step
+
+    def _sweep(self, rhs: np.ndarray) -> np.ndarray:
+        """One block Gauss-Seidel sweep from zero: an approximate J^-1 rhs.
+
+        The band has no entry between the last word-line node and the first
+        bit-line node, so its factor splits into the two blocks' factors.
+        """
+        d, e, _, g = self._factor
+        nw = self._word_nodes
+        rhs = rhs.copy()
+        word = dpttrs(d[:nw], e[: nw - 1], rhs[:nw])[0]
+        rhs[self._dev_b] += g * word[self._dev_w]
+        return np.concatenate([word, dpttrs(d[nw:], e[nw:], rhs[nw:])[0]])
+
+    def _band_product(self, diag: np.ndarray, vector: np.ndarray) -> np.ndarray:
+        """Product of the band with diagonal ``diag`` and the wire off-diagonal."""
+        product = diag * vector
+        product[:-1] += self._wire_off * vector[1:]
+        product[1:] += self._wire_off * vector[:-1]
+        return product
+
+    def _held_product(self, step: np.ndarray) -> np.ndarray:
+        """Product of the held Jacobian (band plus device couplings) with ``step``."""
+        _, _, diag, g = self._factor
+        product = self._band_product(diag, step)
+        product[self._dev_w] -= g * step[self._dev_b]
+        product[self._dev_b] -= g * step[self._dev_w]
+        return product
 
     def _kcl_residual(
         self,
@@ -433,12 +451,13 @@ class CrossbarSolver:
         device_currents: np.ndarray,
     ) -> np.ndarray:
         """KCL residual vector of the present voltages [A]: net current into
-        each node, and the right-hand side of the Newton step.
+        each node, and the right-hand side of the chord step.
 
         Reuses the device currents evaluated for this iteration instead of
         recomputing them per device.
         """
-        residual = driver_currents - extra_g * voltages - self._linear_operator @ voltages
+        residual = driver_currents - extra_g * voltages
+        residual -= self._band_product(self._wire_diag, voltages)
         residual[self._dev_w] -= device_currents
         residual[self._dev_b] += device_currents
         return residual

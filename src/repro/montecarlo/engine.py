@@ -921,8 +921,8 @@ class MonteCarloEngine:
 
         Every sampled array gets per-cell device draws (optionally correlated
         within the die) and its own electro-thermal crossbar solve through
-        the batched solver kernel.  The crossbar, netlist and Jacobian
-        structure are built once and reused across arrays (the sampled
+        the batched solver kernel.  The crossbar, netlist and held chain-band
+        factor are built once and reused across arrays (the sampled
         parameters are swapped into the solver's batched model in place).
         The victims of all solved arrays are then integrated in one
         vectorized kinetics call, or in several when they stack beyond

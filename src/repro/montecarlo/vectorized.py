@@ -473,8 +473,8 @@ class JartArrayModel(BatchedDeviceModel):
     def rebind(self, kernel: VectorizedJartVcm) -> None:
         """Swap in a new population kernel (same lane count).
 
-        Lets one solver/crossbar instance be reused across sampled arrays —
-        the expensive netlist and Jacobian-structure setup happens once.
+        Lets one solver/crossbar instance, with its netlist and held
+        chain-band factor, be reused across sampled arrays.
         """
         if kernel.n != self._kernel.n:
             raise DeviceModelError(
@@ -536,7 +536,7 @@ class SampledArrayJartModel(MemristorModel):
     lane-remapped :class:`JartArrayModel`, so the nodal operating point of a
     *sampled* array is solved with exactly the machinery of the nominal one.
     :meth:`set_population` swaps the sampled lanes in place, letting one
-    crossbar/solver (netlist, Jacobian structure, warm start) be reused
+    crossbar/solver (netlist, held chain-band factor, warm start) be reused
     across every sampled array of a population.
 
     The scalar :class:`~repro.devices.base.MemristorModel` entry points are

@@ -7,7 +7,7 @@ voltages, device currents and residual behaviour — within 1e-9 relative
 tolerance across random geometries, bias patterns and mixed HRS/LRS states,
 including successive solves that step against a factor held from earlier
 ones.  In practice the two paths track each other to ~1e-13 (dense LU vs.
-chord steps on a sparse LU factor); the 1e-9 budget is the acceptance
+chord steps on a held chain-band factor); the 1e-9 budget is the acceptance
 criterion.
 """
 
@@ -34,7 +34,8 @@ from repro.devices import (
     ScalarBatchedModel,
     YakopcicModel,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ConvergenceError
+from repro.faults import is_retryable
 from repro.obs import telemetry_capture
 
 RTOL = 1e-9
@@ -235,6 +236,87 @@ class TestSparseSolverAgreement:
             # dense and the sparse LU moves that by ~5e-9 relative, above
             # RTOL over the 1e-27 W floor, whatever the start.
             assert_same_solution(op, ref_op)
+
+    def test_slow_contraction_regime_agrees_with_the_reference(self):
+        """Every cell LRS at 400 K on 0.5 Ohm segments: every device couples
+        its word line to its bit line at LRS conductance, and the block
+        Gauss-Seidel sweeps contract slower the more cells are LRS."""
+        geometry = CrossbarGeometry(rows=24, columns=24)
+        netlist = build_crossbar_netlist(geometry, WireParameters(segment_resistance_ohm=0.5))
+        model = JartVcmModel()
+        states = DeviceStateArrays(24, 24, x=1.0, temperature_k=400.0)
+        bias = write_bias(geometry, [(12, 12)], 1.05)
+        assert_same_operating_point(
+            CrossbarSolver(netlist, model).solve(bias, states),
+            ReferenceCrossbarSolver(netlist, model).solve(bias, states.as_mapping()),
+        )
+
+    def test_mostly_floating_lines_sweep_until_the_step_is_accurate(self):
+        """With one row and one column driven, the floating lines meet only
+        through devices and the block Gauss-Seidel sweeps contract slowly
+        (about 0.94 per sweep at 64x64).  Two sweeps per step then make
+        every step a poor one and the band is rebuilt at almost every
+        iteration; sweeping until the step is accurate keeps the factor."""
+        rng = np.random.default_rng(1)
+        geometry = CrossbarGeometry(rows=16, columns=16)
+        netlist = build_crossbar_netlist(geometry)
+        model = JartVcmModel()
+        states = DeviceStateArrays(16, 16)
+        states.x[...] = rng.choice([0.0, 1.0], size=states.shape)
+        bias = BiasPattern(
+            {row: (1.05 if row == 8 else None) for row in range(16)},
+            {column: (0.0 if column == 8 else None) for column in range(16)},
+            label="one line pair driven",
+        )
+        op, counters = counted_solve(CrossbarSolver(netlist, model), bias, states)
+        assert counters["solver.factorizations"] <= 5
+        reference = ReferenceCrossbarSolver(netlist, model).solve(bias, states.as_mapping())
+        assert_same_operating_point(op, reference)
+
+    def test_iteration_cap_raises_and_the_next_solve_starts_cold(self):
+        geometry = CrossbarGeometry(rows=16, columns=16)
+        netlist = build_crossbar_netlist(geometry)
+        model = JartVcmModel()
+        states = DeviceStateArrays(16, 16)
+        states.x[8, 8] = 1.0
+        bias = write_bias(geometry, [(8, 8)], 1.05)
+        solver = CrossbarSolver(netlist, model, max_iterations=2)
+        with telemetry_capture() as tel:
+            with pytest.raises(ConvergenceError, match="after 2 iterations"):
+                solver.solve(bias, states)
+        assert tel.counters["solver.failures"] == 1
+
+        solver.max_iterations = 200  # the default
+        op, counters = counted_solve(solver, bias, states)
+        # The failed iterate is not kept as a warm start.
+        assert "solver.warm_starts" not in counters
+        # Powers are not compared, as in test_cold_solve_factors_once.
+        reference = ReferenceCrossbarSolver(netlist, model).solve(bias, states.as_mapping())
+        assert_same_solution(op, reference)
+
+    def test_an_indefinite_chain_band_raises(self):
+        """A -1 S device outweighs the 0.8 S that two default 2.5 Ohm
+        segments put on its node's diagonal, so its chain block is
+        indefinite: the solve raises a retryable error instead of stepping
+        against a broken factor."""
+
+        class NegativeConductanceModel(LinearIonDriftModel):
+            def _make_batched(self):  # no native kernel: the loop adapter
+                return ScalarBatchedModel(self)
+
+            def conductance(self, voltage_v, state):
+                return -1.0
+
+        geometry = CrossbarGeometry(rows=4, columns=4)
+        model = NegativeConductanceModel()
+        assert isinstance(model.batched(), ScalarBatchedModel)
+        solver = CrossbarSolver(build_crossbar_netlist(geometry), model)
+        with telemetry_capture() as tel:
+            with pytest.raises(ConvergenceError, match="indefinite") as raised:
+                solver.solve(write_bias(geometry, [(1, 1)], 1.0), DeviceStateArrays(4, 4))
+        assert is_retryable(raised.value)
+        assert tel.counters["solver.failures"] == 1
+        assert tel.counters["solver.factorizations"] == 0
 
     def test_state_shape_mismatch_rejected(self, small_geometry):
         netlist = build_crossbar_netlist(small_geometry)
