@@ -24,7 +24,6 @@ Subcommands::
     repro obs audit RUN_A [RUN_B] [--check GOLDEN.jsonl] [--export OUT.jsonl]
                     [--cache-a DIR] [--cache-b DIR] [--json]
     repro obs top RUN [--once] [--poll S] [--timeout S]
-    repro obs export RUN [--output OUT.prom]
     repro obs check-bench [--bench-dir DIR] [--baselines FILE] [--json]
     repro version
 
@@ -73,8 +72,8 @@ additionally recorded in the run ledger under the obs dir (``--obs-dir``,
 with a live heartbeat file a concurrent process can tail.  The ``repro obs``
 group reads that ledger: ``runs`` lists recorded invocations, ``show``
 renders one snapshot, ``diff`` reports counter/gauge/span deltas between two
-runs, ``top`` tails a running job, ``export`` emits OpenMetrics text, and
-``check-bench`` gates the benchmark trajectory against committed baselines.
+runs, ``top`` tails a running job, and ``check-bench`` gates the benchmark
+trajectory against committed baselines.
 
 Recorded commands additionally accept ``--audit``: the run then collects a
 determinism fingerprint stream (SHA-256 of the numerical payloads at stage
@@ -123,7 +122,6 @@ from ..obs import (
     render_check_report,
     render_diff,
     render_heartbeat,
-    render_openmetrics,
     render_report,
     render_runs_table,
     resilience_counts,
@@ -390,14 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_dir_flag(obs_top)
     obs_top.set_defaults(handler=_cmd_obs_top)
-
-    obs_export = obs_sub.add_parser(
-        "export", help="render a recorded run's snapshot as OpenMetrics/Prometheus text"
-    )
-    obs_export.add_argument("run", help="run id, unique prefix, or `latest`/`latest~N`")
-    obs_export.add_argument("--output", metavar="OUT.prom", default=None, help="write to a file instead of stdout")
-    _add_obs_dir_flag(obs_export)
-    obs_export.set_defaults(handler=_cmd_obs_export)
 
     obs_check = obs_sub.add_parser(
         "check-bench", help="gate the benchmark trajectory against committed baselines"
@@ -1300,19 +1290,6 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
         return 0
     for state in follow_heartbeat(path, poll_s=args.poll, timeout_s=args.timeout):
         print(render_heartbeat(state), flush=True)
-    return 0
-
-
-def _cmd_obs_export(args: argparse.Namespace) -> int:
-    ledger = _open_ledger(args)
-    text = render_openmetrics(ledger.load_snapshot(args.run))
-    if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote OpenMetrics exposition to {path}")
-    else:
-        print(text, end="")
     return 0
 
 

@@ -353,7 +353,9 @@ class CrossbarSolver:
             numerics.check_array("solver.solve", "node_voltages_v", voltages)
             numerics.check_array("solver.solve", "device_currents_a", currents)
             numerics.check_iterations("solver.solve", iterations, self.max_iterations)
-            numerics.check_residuals("solver.solve", residual_trajectory)
+            numerics.check_residuals(
+                "solver.solve", residual_trajectory, self.residual_tolerance_a
+            )
 
         if not converged:
             if tel.enabled:

@@ -34,9 +34,9 @@ pattern, and ``--telemetry out.json`` on ``mc run`` / ``mc map`` /
 On top of the in-process layer sit the cross-run surfaces: the run ledger
 (:mod:`repro.obs.store` — every CLI run's snapshot persisted under the obs
 dir, ``repro obs runs/show/diff``), live heartbeat monitoring
-(:mod:`repro.obs.live` — ``campaign status --follow`` / ``repro obs top``),
-OpenMetrics export (:mod:`repro.obs.metrics_export`) and the benchmark
-regression gate (:mod:`repro.obs.regress` — ``repro obs check-bench``).
+(:mod:`repro.obs.live` — ``campaign status --follow`` / ``repro obs top``)
+and the benchmark regression gate (:mod:`repro.obs.regress` —
+``repro obs check-bench``).
 """
 
 from .audit import (
@@ -60,7 +60,6 @@ from .live import (
     render_heartbeat,
 )
 from .manifest import MANIFEST_SCHEMA_VERSION, build_manifest, telemetry_summary
-from .metrics_export import metric_name, parse_openmetrics, render_openmetrics
 from .regress import (
     BASELINES_FILENAME,
     HISTORY_FILENAME,
@@ -162,17 +161,14 @@ __all__ = [
     "load_baselines",
     "load_bench_records",
     "load_history",
-    "metric_name",
     "new_run_id",
     "numerics_counts",
-    "parse_openmetrics",
     "read_heartbeat",
     "render_aggregate_table",
     "render_check_report",
     "render_diff",
     "render_heartbeat",
     "render_metrics",
-    "render_openmetrics",
     "render_report",
     "render_runs_table",
     "render_span_table",

@@ -6,7 +6,7 @@ ceiling, a Jacobian drifting toward singularity — corrupts results long
 before anything crashes.  The watchdog turns those conditions into
 structured ``numerics.*`` counters, gauges and events through the existing
 :class:`~repro.obs.telemetry.Telemetry` registry, so they ride the same
-snapshots, ledger records and OpenMetrics export as every other signal.
+snapshots and ledger records as every other signal.
 
 Every live telemetry carries one watchdog (``tel.numerics``), so the checks
 run exactly when telemetry is on and cost nothing beyond the one
@@ -69,13 +69,16 @@ class NumericsWatchdog:
         )
         return False
 
-    def check_residuals(self, stage: str, residuals: Sequence[float]) -> bool:
+    def check_residuals(
+        self, stage: str, residuals: Sequence[float], tolerance: float = 0.0
+    ) -> bool:
         """Detect a non-contracting or blowing-up residual trajectory.
 
-        A healthy damped-Newton trajectory ends below where it started and
-        never jumps by more than :data:`RESIDUAL_BLOWUP_FACTOR` in one
-        step.  Violations emit a ``numerics.residual_anomaly`` event with
-        the offending step.
+        A healthy damped-Newton trajectory ends below where it started, or
+        below the solve's residual ``tolerance`` (a converged warm re-solve
+        starts and ends at roundoff), and never jumps by more than
+        :data:`RESIDUAL_BLOWUP_FACTOR` in one step.  Violations emit a
+        ``numerics.residual_anomaly`` event with the offending step.
         """
         trajectory = [float(r) for r in residuals]
         if len(trajectory) < 2:
@@ -86,7 +89,7 @@ class NumericsWatchdog:
             if previous > 0.0 and current > previous * RESIDUAL_BLOWUP_FACTOR:
                 blowup_step = index
                 break
-        stalled = trajectory[-1] >= trajectory[0] and trajectory[0] > 0.0
+        stalled = trajectory[-1] >= max(trajectory[0], tolerance) and trajectory[0] > 0.0
         if blowup_step is None and not stalled:
             return True
         self.telemetry.count("numerics.residual_anomalies")

@@ -140,6 +140,24 @@ class TestCampaignSpec:
         with pytest.raises(CampaignError, match="invalid"):
             spec.materialise()
 
+    def test_invalid_point_error_names_the_point_and_its_overrides(self):
+        spec = small_spec(axes=[{"path": "attack.pulse.length_s", "values": [10e-9, -1.0, 50e-9]}])
+        with pytest.raises(CampaignError) as excinfo:
+            spec.materialise()
+        assert str(excinfo.value).startswith(
+            "campaign 'small': point 1 ({'attack.pulse.length_s': -1.0}) is invalid: "
+        )
+
+    def test_base_job_is_canonical_and_untouched_sections_match_it(self):
+        spec = small_spec()
+        base = spec.base_job()
+        assert base == json.loads(json.dumps(base, sort_keys=True))
+        assert json.dumps(base) == json.dumps(base, sort_keys=True)
+        points = spec.materialise()
+        # The axis touches only ``attack``; ``simulation`` is the base's.
+        assert all(p.job["simulation"] == base["simulation"] for p in points)
+        assert all(json.dumps(p.job) == json.dumps(p.job, sort_keys=True) for p in points)
+
     def test_axis_path_must_be_rooted(self):
         with pytest.raises(CampaignError):
             SweepAxis(path="pulse.length_s", values=[1e-8])

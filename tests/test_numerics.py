@@ -90,6 +90,14 @@ class TestDetectors:
         assert watchdog.check_residuals("s", [1e-3, 5e-4, 1e-3]) is False
         assert tel.events["numerics.residual_anomaly"][-1]["kind"] == "stall"
 
+    def test_stall_counts_only_at_or_above_tolerance(self):
+        tel = Telemetry()
+        watchdog = tel.numerics
+        assert watchdog.check_residuals("s", [1e-17, 2e-17], tolerance=1e-9) is True
+        assert watchdog.check_residuals("s", [1e-6, 5e-6], tolerance=1e-9) is False
+        assert tel.events["numerics.residual_anomaly"][-1]["kind"] == "stall"
+        assert tel.snapshot()["counters"]["numerics.residual_anomalies"] == 1.0
+
     def test_contracting_residuals_pass(self):
         tel = Telemetry()
         watchdog = tel.numerics
@@ -130,6 +138,20 @@ class TestSolverIntegration:
             name.startswith("numerics.condition_proxy.solver.jacobian")
             for name in snapshot["gauges"]
         )
+
+    @pytest.mark.parametrize("rows", [3, 8])
+    def test_converged_warm_resolve_is_not_a_stall(self, rows):
+        # A warm re-solve starts at the converged point, so its residuals
+        # sit at roundoff (~1e-16 A) and may tick up by an ulp; far below
+        # the solve's 1e-9 A tolerance that is not a stall.
+        solver, bias, states = _solver_setup(rows=rows)
+        solver.solve(bias, states)
+        with telemetry_capture() as tel:
+            solver.solve(bias, states)
+        counters = tel.snapshot()["counters"]
+        assert counters["solver.warm_starts"] == 1.0
+        assert "numerics.residual_anomalies" not in counters
+        assert "numerics.residual_anomaly" not in tel.events
 
 
 

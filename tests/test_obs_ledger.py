@@ -1,8 +1,8 @@
 """Tests of the cross-run observability layer: run ledger, snapshot diffing,
-OpenMetrics export, histogram percentiles, and the benchmark regression gate.
+histogram percentiles, and the benchmark regression gate.
 
 The ledger is exercised both at the library level (:mod:`repro.obs.store`)
-and through the CLI surfaces (``repro obs runs/show/diff/export/check-bench``
+and through the CLI surfaces (``repro obs runs/show/diff/check-bench``
 plus the silent recording every ``campaign run`` / ``mc run`` / ``mc map`` /
 ``profile`` invocation now performs).
 """
@@ -31,10 +31,8 @@ from repro.obs import (
     load_bench_records,
     load_history,
     numerics_counts,
-    parse_openmetrics,
     render_diff,
     render_metrics,
-    render_openmetrics,
     render_runs_table,
     render_span_table,
     spans_from_snapshot,
@@ -298,66 +296,6 @@ class TestSpanTableOrdering:
 
 
 # ----------------------------------------------------------------------
-# OpenMetrics
-# ----------------------------------------------------------------------
-
-
-class TestOpenMetrics:
-    def test_round_trip_through_parser(self):
-        tel = Telemetry()
-        tel.count("solver.solves", 7)
-        tel.gauge("campaign.worker_utilization", 0.75)
-        for value in (0.001, 0.01, 0.01, 0.1, -1.0):
-            tel.observe("solver.residual_a", value)
-        with tel.span("mc.run"):
-            with tel.span("mc.batch"):
-                pass
-        snapshot = tel.snapshot()
-        text = render_openmetrics(snapshot)
-        assert text.endswith("# EOF\n")
-        families = parse_openmetrics(text)
-
-        counters = families["repro_solver_solves"]
-        assert counters["type"] == "counter"
-        assert counters["samples"][("repro_solver_solves_total", ())] == 7.0
-        gauge = families["repro_campaign_worker_utilization"]
-        assert gauge["samples"][("repro_campaign_worker_utilization", ())] == 0.75
-
-        hist = families["repro_solver_residual_a"]
-        samples = hist["samples"]
-        assert samples[("repro_solver_residual_a_count", ())] == 5.0
-        # Cumulative buckets: the +Inf bucket equals the count, every bucket
-        # (which includes the nonpositive tally) is monotone non-decreasing.
-        buckets = sorted(
-            (float(dict(labels)["le"]) if dict(labels)["le"] != "+Inf" else math.inf, value)
-            for (name, labels) in samples
-            if name.endswith("_bucket")
-            for value in [samples[(name, labels)]]
-        )
-        values = [v for _, v in buckets]
-        assert values == sorted(values)
-        assert buckets[-1][1] == 5.0
-        assert buckets[0][1] >= 1.0  # the nonpositive sample sits below every edge
-
-        spans = families["repro_span_calls"]
-        assert spans["samples"][("repro_span_calls_total", (("span", "mc.run"),))] == 1.0
-
-    def test_parser_rejects_missing_eof(self):
-        with pytest.raises(ValueError, match="EOF"):
-            parse_openmetrics("# TYPE repro_x counter\nrepro_x_total 1\n")
-
-    def test_parser_rejects_malformed_sample(self):
-        with pytest.raises(ValueError, match="malformed"):
-            parse_openmetrics("what even is this\n# EOF\n")
-
-    def test_names_are_sanitised(self):
-        tel = Telemetry()
-        tel.count("weird-name.with$chars", 1)
-        text = render_openmetrics(tel.snapshot())
-        assert "repro_weird_name_with_chars_total 1" in text
-
-
-# ----------------------------------------------------------------------
 # regression gate
 # ----------------------------------------------------------------------
 
@@ -539,22 +477,6 @@ class TestObsCli:
         deltas = payload["diff"]["counters"]
         assert deltas["campaign.cache.hits"]["delta"] == 4.0
         assert deltas["campaign.cache.misses"]["delta"] == -4.0
-
-    def test_obs_export_round_trips(self, tmp_path, spec_path, capsys):
-        obs = tmp_path / "obs"
-        assert main(["campaign", "run", str(spec_path), "--no-cache", "--obs-dir", str(obs)]) == 0
-        capsys.readouterr()
-        assert main(["obs", "export", "latest", "--obs-dir", str(obs)]) == 0
-        text = capsys.readouterr().out
-        families = parse_openmetrics(text)
-        assert families["repro_campaign_points"]["samples"][("repro_campaign_points_total", ())] == 4.0
-
-    def test_obs_export_to_file(self, tmp_path, spec_path, capsys):
-        obs = tmp_path / "obs"
-        main(["campaign", "run", str(spec_path), "--no-cache", "--obs-dir", str(obs)])
-        out_path = tmp_path / "metrics.prom"
-        assert main(["obs", "export", "latest", "--obs-dir", str(obs), "--output", str(out_path)]) == 0
-        parse_openmetrics(out_path.read_text())
 
     def test_obs_show_unknown_run_fails_cleanly(self, tmp_path, capsys):
         assert main(["obs", "runs", "--obs-dir", str(tmp_path / "void")]) == 0

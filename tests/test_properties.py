@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -222,6 +224,185 @@ class TestEngineDifferential:
                 getattr(vectorized, name)[valid], getattr(scalar, name)[valid],
                 rtol=1e-9, atol=0.0, err_msg=name,
             )
+
+
+#: Override values per sweepable path: valid and invalid leaves, ints in
+#: float fields, whole sub-trees, and fields the configs do not have.
+_DISTRIBUTIONS = st.sampled_from([
+    {"path": "device.series_resistance_ohm", "kind": "normal", "mean": 1, "sigma": 0.05,
+     "relative": True},
+    {"path": "attack.pulse.length_s", "kind": "lognormal", "mean": 1.0, "sigma": 0.3,
+     "relative": True},
+    {"path": "device.activation_energy_ev", "kind": "uniform", "low": 0.9, "high": 1.1,
+     "relative": True, "within_die": 0.5},
+    {"path": "device.activation_energy_ev", "kind": "normal", "mean": 1.0, "sigma": -1.0},
+])
+_SWEEP_VALUES = {
+    "attack.pulse.length_s": st.sampled_from([1e-8, 3.3e-8, 1, 2, -1.0, 0]),
+    "attack.pulse.amplitude_v": st.sampled_from([0.8, 1, 1.2]),
+    "attack.pulse": st.fixed_dictionaries(
+        {},
+        optional={
+            "length_s": st.sampled_from([2e-8, 5e-8, 1]),
+            "amplitude_v": st.sampled_from([1, 1.1]),
+            "duty_cycle": st.sampled_from([0.25, 1, 2.0]),
+            "bogus": st.just(1),
+        },
+    ),
+    "attack.aggressors": st.lists(
+        st.lists(st.integers(0, 2), min_size=2, max_size=2), max_size=2
+    ),
+    "attack.ambient_temperature_k": st.sampled_from([250.0, 300, 340.5, 0]),
+    "attack.max_pulses": st.sampled_from([1, 5000, 0]),
+    "attack.pattern": st.sampled_from([None, "single", "quad", "bogus"]),
+    "attack.bogus": st.just(1),
+    "simulation.geometry.rows": st.sampled_from([2, 3, 4, 0]),
+    "simulation.geometry.electrode_spacing_m": st.sampled_from([1e-8, 5e-8, 1, -1e-8]),
+    "simulation.geometry.bogus": st.just(1),
+    "simulation.wires.segment_resistance_ohm": st.sampled_from([0, 2.5, 10, -1.0]),
+    "montecarlo.n_samples": st.sampled_from([1, 16, 0]),
+    "montecarlo.seed": st.integers(0, 2**31 - 1),
+    "montecarlo.x_start": st.sampled_from([0, 0.1, 1.5]),
+    "montecarlo.mode": st.sampled_from(["anchored", "full_array"]),
+    "montecarlo.distributions": st.lists(_DISTRIBUTIONS, max_size=2),
+}
+#: Float paths a random-mode axis may also sample from a range.
+_SWEEP_RANGES = {
+    "attack.pulse.length_s": (1e-8, 1e-7),
+    "attack.ambient_temperature_k": (250.0, 400.0),
+    "simulation.geometry.electrode_spacing_m": (1e-8, 9e-8),
+}
+
+
+@st.composite
+def _campaign_specs(draw):
+    from repro.campaign.spec import JOB_KINDS, SWEEP_MODES, CampaignSpec
+
+    kind = draw(st.sampled_from(JOB_KINDS))
+    mode = draw(st.sampled_from(SWEEP_MODES))
+    pool = [path for path in _SWEEP_VALUES if kind == "montecarlo" or not path.startswith("montecarlo.")]
+    paths = draw(st.lists(st.sampled_from(pool), unique=True, max_size=3), label="paths")
+    length = draw(st.integers(1, 3), label="zip length")
+    axes = []
+    for path in paths:
+        if mode == "random" and path in _SWEEP_RANGES and draw(st.booleans()):
+            low, high = _SWEEP_RANGES[path]
+            axes.append({"path": path, "low": low, "high": high, "log": draw(st.booleans())})
+            continue
+        size = length if mode == "zip" else draw(st.integers(1, 3))
+        values = draw(st.lists(_SWEEP_VALUES[path], min_size=size, max_size=size), label=path)
+        axes.append({"path": path, "values": values})
+    montecarlo = {}
+    if kind == "montecarlo":
+        montecarlo = {"n_samples": 8, "seed": 3, "distributions": [draw(_DISTRIBUTIONS.filter(
+            lambda dist: dist["sigma" if "sigma" in dist else "high"] > 0))]}
+    return CampaignSpec(
+        name="differential",
+        kind=kind,
+        mode=mode,
+        samples=draw(st.integers(1, 4)) if mode == "random" else 0,
+        seed=draw(st.integers(0, 2**31 - 1)),
+        simulation={"geometry": {"rows": 3, "columns": 3, "electrode_spacing_m": 5e-8}},
+        attack={"aggressors": [[1, 1]], "victim": [1, 2], "ambient_temperature_k": 300},
+        montecarlo=montecarlo,
+        axes=axes,
+    )
+
+
+def _full_tree_points(spec):
+    """Every point the way the runner keyed it before the one-base rule.
+
+    The validated base goes through a JSON round trip, the overrides are
+    spliced in, every section is rebuilt with ``from_dict``/``to_dict``
+    whatever the overrides touch, and the job is canonicalised through a
+    sorted JSON round trip before it is hashed.
+    """
+    from repro.campaign.spec import CampaignPoint, _set_by_path, point_key
+    from repro.config import AttackConfig, SimulationConfig
+    from repro.errors import CampaignError, ReproError
+    from repro.montecarlo import MonteCarloConfig
+
+    def validated(tree):
+        job = {
+            "kind": spec.kind,
+            "simulation": SimulationConfig.from_dict(tree["simulation"]).to_dict(),
+            "attack": AttackConfig.from_dict(tree["attack"]).to_dict(),
+        }
+        if spec.kind == "montecarlo":
+            job["montecarlo"] = MonteCarloConfig.from_dict(tree.get("montecarlo", {})).to_dict()
+        return job
+
+    try:
+        base = validated({"simulation": spec.simulation, "attack": spec.attack, "montecarlo": spec.montecarlo})
+    except ReproError as exc:
+        raise CampaignError(f"campaign {spec.name!r}: invalid base configuration: {exc}") from exc
+    points = []
+    for index, overrides in enumerate(spec._override_sets()):
+        tree = json.loads(json.dumps(base))
+        for path, value in overrides.items():
+            _set_by_path(tree, path, value)
+        try:
+            job = validated(tree)
+        except ReproError as exc:
+            raise CampaignError(
+                f"campaign {spec.name!r}: point {index} ({overrides!r}) is invalid: {exc}"
+            ) from exc
+        job = json.loads(json.dumps(job, sort_keys=True))
+        points.append(CampaignPoint(index=index, overrides=dict(overrides), job=job, key=point_key(job)))
+    return points
+
+
+def _points_or_error(materialise):
+    from repro.errors import CampaignError
+
+    try:
+        points = materialise()
+    except CampaignError as exc:
+        return f"CampaignError: {exc}"
+    # json.dumps without sort_keys also pins the key order of every job.
+    return [(p.index, p.overrides, p.job, json.dumps(p.job), p.key) for p in points]
+
+
+class TestPointMaterialisationDifferential:
+    """Points keyed from one validated base against a full per-point rebuild.
+
+    ``iter_points`` rebuilds only the sections a point's axis paths touch;
+    the reference rebuilds all of them at every point.  Jobs, their key
+    order, keys and ``CampaignError`` messages must agree.
+    """
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=_campaign_specs())
+    def test_one_base_points_match_the_full_tree_rebuild(self, spec):
+        assert _points_or_error(spec.materialise) == _points_or_error(lambda: _full_tree_points(spec))
+
+    def test_point_jobs_share_no_subtree(self):
+        from repro.campaign.spec import CampaignSpec
+
+        spec = CampaignSpec(
+            name="aliasing",
+            kind="montecarlo",
+            simulation={"geometry": {"rows": 3, "columns": 3}},
+            attack={"aggressors": [[1, 1]], "victim": [1, 2]},
+            montecarlo={"n_samples": 8, "distributions": [
+                {"path": "device.series_resistance_ohm", "kind": "normal", "mean": 1.0,
+                 "sigma": 0.05, "relative": True},
+            ]},
+            axes=[
+                {"path": "attack.pulse.length_s", "values": [1e-8, 5e-8]},
+                {"path": "attack.ambient_temperature_k", "values": [300.0, 340.0]},
+            ],
+        )
+        points = spec.materialise()
+        before = json.loads(json.dumps([p.job for p in points]))
+        job = points[0].job
+        job["simulation"]["geometry"]["rows"] = 99
+        job["attack"]["pulse"]["amplitude_v"] = -1.0
+        job["attack"]["aggressors"][0][0] = 7
+        job["montecarlo"]["distributions"][0]["sigma"] = 9.0
+        job["montecarlo"]["distributions"].append({})
+        assert [p.job for p in points[1:]] == before[1:]
+        assert [p.job for p in spec.materialise()] == before
 
 
 class TestCouplingProperties:
