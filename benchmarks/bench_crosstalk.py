@@ -1,23 +1,24 @@
-"""CROSSTALK OPERATOR — structured FFT/stencil apply vs. the seed dense table.
+"""CROSSTALK HUB — FFT convolution vs. the seed dense alpha table.
 
 For a ladder of square crossbars this benchmark times the crosstalk hub's
-Eq. 5 application through the structured operator (FFT convolution with
-cached plans; direct stencil for the compact nearest-neighbour kernel) and,
-up to ``REPRO_BENCH_CROSSTALK_DENSE_MAX``, through the dense
-``(cells, cells)`` alpha-table matvec of the seed implementation, checking
-element-for-element agreement and reporting the speedup and the alpha-state
-memory footprint.  A large FFT-only case (``REPRO_BENCH_CROSSTALK_LARGE``,
-default 256x256) proves the structured path constructs where the dense table
-(~34 GB) cannot.  A full-array Monte-Carlo section times
-``MonteCarloEngine(mode="full_array")`` re-solving the nodal operating point
-per sampled array on top of the freed memory.
+Eq. 5 application (FFT convolution with a precomputed kernel spectrum) and,
+up to ``REPRO_BENCH_CROSSTALK_DENSE_MAX``, the dense ``(cells, cells)``
+alpha-table matvec of the seed implementation (the coupling model's
+``alpha_table()`` with its diagonal zeroed), checking element-for-element
+agreement and reporting the speedup and the alpha-state memory footprint.
+A large FFT-only case (``REPRO_BENCH_CROSSTALK_LARGE``, default 256x256)
+proves the hub constructs where the dense table (~34 GB) cannot.  A
+full-array Monte-Carlo section times ``MonteCarloEngine(mode="full_array")``
+re-solving the nodal operating point per sampled array on top of the freed
+memory.
 
 Acceptance bars enforced here:
 
-* at and above 128x128 the hub must run a structured backend (CI's smoke run
-  fails if it silently falls back to the dense table),
-* every structured apply must finish under ``REPRO_BENCH_CROSSTALK_CEILING_S``,
-* wherever the dense matvec is measured at >= 64x64 the structured apply must
+* at every size the hub must hold O(cells) alpha state, at most
+  ``MAX_STATE_BYTES_PER_CELL`` bytes per cell (CI's smoke run fails if the
+  state grows towards the quadratic dense table),
+* every apply must finish under ``REPRO_BENCH_CROSSTALK_CEILING_S``,
+* wherever the dense matvec is measured at >= 64x64 the hub's apply must
   be >= 10x faster,
 * the large case must hold <= ~4.5 MB of alpha state.
 
@@ -44,12 +45,7 @@ from conftest import run_once, write_bench_json
 from repro.circuit import CrosstalkHub
 from repro.config import CrossbarGeometry, SimulationConfig
 from repro.montecarlo import MonteCarloConfig, MonteCarloEngine
-from repro.thermal import (
-    AnalyticCouplingModel,
-    DenseCrosstalkOperator,
-    UniformCouplingModel,
-    make_crosstalk_operator,
-)
+from repro.thermal import AnalyticCouplingModel
 
 SIZES = [int(s) for s in os.environ.get("REPRO_BENCH_CROSSTALK_SIZES", "32,64,128").split(",") if s]
 DENSE_MAX = int(os.environ.get("REPRO_BENCH_CROSSTALK_DENSE_MAX", "64"))
@@ -58,9 +54,12 @@ CEILING_S = float(os.environ.get("REPRO_BENCH_CROSSTALK_CEILING_S", "5"))
 MC_ARRAYS = int(os.environ.get("REPRO_BENCH_CROSSTALK_MC_ARRAYS", "100"))
 MC_SIZE = int(os.environ.get("REPRO_BENCH_CROSSTALK_MC_SIZE", "64"))
 
-#: Required structured-vs-dense apply speedup at >= 64x64 (acceptance bar).
+#: Required hub-vs-dense apply speedup at >= 64x64 (acceptance bar).
 REQUIRED_SPEEDUP = 10.0
-#: Agreement budget between the structured and the dense path.
+#: O(cells) bound on the hub's alpha state (the kernel and its spectrum
+#: hold about 63 bytes per cell from 32x32 to 256x256).
+MAX_STATE_BYTES_PER_CELL = 80
+#: Agreement budget between the hub and the dense path.
 RTOL = 1e-12
 
 
@@ -86,51 +85,49 @@ def _bench_size(size: int, with_dense: bool) -> dict:
     temperatures = _temperatures(size)
 
     start = time.perf_counter()
-    structured = hub.additional_temperatures(temperatures)
+    additional = hub.additional_temperatures(temperatures)
     first_apply_s = time.perf_counter() - start
     apply_s = _median_time(lambda: hub.additional_temperatures(temperatures))
-
-    stencil_hub = CrosstalkHub(UniformCouplingModel(geometry, 0.1), 300.0)
-    stencil_s = _median_time(lambda: stencil_hub.additional_temperatures(temperatures))
 
     row = {
         "size": size,
         "cells": size * size,
-        "backend": hub.operator_backend,
         "apply_s": apply_s,
         "first_apply_s": first_apply_s,
         "alpha_state_bytes": hub.alpha_state_bytes,
         "dense_table_bytes": 8 * (size * size) ** 2,
-        "stencil_backend": stencil_hub.operator_backend,
-        "stencil_apply_s": stencil_s,
     }
 
     assert apply_s < CEILING_S, f"{size}x{size} apply took {apply_s:.2f}s (ceiling {CEILING_S}s)"
-    if size >= 128:
-        assert hub.operator_backend != "dense", (
-            f"{size}x{size} hub fell back to the dense table — the structured "
-            "operator must engage for the shipped translation-invariant models"
-        )
-    assert stencil_hub.operator_backend == "stencil"
+    _assert_state_is_linear(size, hub)
 
     if with_dense:
         build_start = time.perf_counter()
-        dense = DenseCrosstalkOperator(hub.coupling)
+        table = hub.coupling.alpha_table()
+        np.fill_diagonal(table, 0.0)
         dense_build_s = time.perf_counter() - build_start
-        rises = np.maximum(temperatures - 300.0, 0.0)
-        dense_apply_s = _median_time(lambda: dense.apply(rises))
+        rises = np.maximum(temperatures - 300.0, 0.0).ravel()
+        dense_apply_s = _median_time(lambda: table.T @ rises)
         np.testing.assert_allclose(
-            dense.apply(rises), structured, rtol=RTOL,
-            atol=1e-12 * float(np.abs(structured).max()),
+            (table.T @ rises).reshape(size, size), additional, rtol=RTOL,
+            atol=1e-12 * float(np.abs(additional).max()),
         )
         row["dense_build_s"] = dense_build_s
         row["dense_apply_s"] = dense_apply_s
-        row["dense_state_bytes"] = dense.state_bytes
+        row["dense_state_bytes"] = table.nbytes
         row["speedup_apply"] = dense_apply_s / apply_s
     return row
 
 
-def test_bench_crosstalk_operator(benchmark):
+def _assert_state_is_linear(size: int, hub: CrosstalkHub) -> None:
+    per_cell = hub.alpha_state_bytes / (size * size)
+    assert per_cell <= MAX_STATE_BYTES_PER_CELL, (
+        f"{size}x{size} hub holds {per_cell:.0f} bytes of alpha state per cell "
+        f"(bound {MAX_STATE_BYTES_PER_CELL})"
+    )
+
+
+def test_bench_crosstalk_hub(benchmark):
     rows = [_bench_size(size, with_dense=size <= DENSE_MAX) for size in SIZES]
 
     large_row = None
@@ -142,7 +139,7 @@ def test_bench_crosstalk_operator(benchmark):
         temperatures = _temperatures(LARGE_SIZE)
         result = run_once(benchmark, lambda: hub.additional_temperatures(temperatures))
         apply_s = _median_time(lambda: hub.additional_temperatures(temperatures), repeats=5)
-        assert hub.operator_backend == "fft"
+        _assert_state_is_linear(LARGE_SIZE, hub)
         assert hub.alpha_state_bytes <= 4.5 * 1024 * 1024, (
             f"{LARGE_SIZE}x{LARGE_SIZE} alpha state holds {hub.alpha_state_bytes} bytes"
         )
@@ -151,7 +148,6 @@ def test_bench_crosstalk_operator(benchmark):
         large_row = {
             "size": LARGE_SIZE,
             "cells": LARGE_SIZE * LARGE_SIZE,
-            "backend": hub.operator_backend,
             "construct_s": build_s,
             "apply_s": apply_s,
             "alpha_state_bytes": hub.alpha_state_bytes,
@@ -193,7 +189,7 @@ def test_bench_crosstalk_operator(benchmark):
     print()
     for row in rows:
         line = (
-            f"crosstalk {row['size']:>4}x{row['size']:<4} backend={row['backend']:<7}"
+            f"crosstalk {row['size']:>4}x{row['size']:<4}"
             f" apply={row['apply_s'] * 1e6:9.1f}us state={row['alpha_state_bytes'] / 1e6:8.3f}MB"
             f" (dense table would be {row['dense_table_bytes'] / 1e9:8.3f}GB)"
         )
@@ -214,17 +210,17 @@ def test_bench_crosstalk_operator(benchmark):
     for row in rows:
         if row["size"] >= 64 and "speedup_apply" in row:
             assert row["speedup_apply"] >= REQUIRED_SPEEDUP, (
-                f"structured apply is only {row['speedup_apply']:.1f}x faster than the dense "
+                f"hub apply is only {row['speedup_apply']:.1f}x faster than the dense "
                 f"matvec at {row['size']}x{row['size']} (required {REQUIRED_SPEEDUP:.0f}x)"
             )
 
-    # Telemetry sanity: every structured operator built above registered its
-    # backend, and at least one structured apply was recorded.
+    # Telemetry sanity: every hub built above registered its build, and at
+    # least one apply was recorded.
     from repro.obs import get_telemetry
 
     counters = get_telemetry().counters
-    built = sum(v for k, v in counters.items() if k.startswith("crosstalk.operator.built."))
-    assert built >= len(rows), f"telemetry saw only {built:.0f} operator builds for {len(rows)} sizes"
+    built = counters.get("crosstalk.hub.built", 0.0)
+    assert built >= len(rows), f"telemetry saw only {built:.0f} hub builds for {len(rows)} sizes"
     applies = sum(v for k, v in counters.items() if k.startswith("crosstalk.apply"))
     assert applies > 0, "telemetry recorded no crosstalk applies"
 

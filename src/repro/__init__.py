@@ -113,7 +113,6 @@ from .thermal import (
     HeatSolver,
     build_voxel_model,
     extract_alpha_values,
-    make_crosstalk_operator,
 )
 
 __version__ = "1.19.0"
@@ -169,7 +168,6 @@ __all__ = [
     "StreamingBinomialEstimator",
     "flip_probability_map",
     "refine_flip_probability_map",
-    "make_crosstalk_operator",
     "YieldScenario",
     "WorstCaseCornerScenario",
     "Telemetry",

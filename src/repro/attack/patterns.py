@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import CrossbarGeometry
 from ..errors import AttackError
-from ..circuit.drivers import FULL_SELECTED, classify_cells
 
 Cell = Tuple[int, int]
 
@@ -78,21 +77,27 @@ class AttackPattern:
         return len(self.phases)
 
     def validate(self, geometry: CrossbarGeometry) -> None:
-        """Check the pattern fits the geometry and never full-selects the victim."""
+        """Check the pattern fits the geometry and never full-selects the victim.
+
+        A phase fully selects exactly its selected rows x selected columns,
+        so both checks run on that product, not on every cell.
+        """
         geometry.validate_cell(*self.victim)
         for cell in self.aggressors:
             geometry.validate_cell(*cell)
         for phase in self.phases:
-            classification = classify_cells(geometry, phase.aggressors)
-            if classification[self.victim] == FULL_SELECTED:
+            rows = sorted({int(cell[0]) for cell in phase.aggressors})
+            columns = sorted({int(cell[1]) for cell in phase.aggressors})
+            if self.victim[0] in rows and self.victim[1] in columns:
                 raise AttackError(
                     f"pattern {self.name!r}: phase {phase.aggressors} fully selects the victim; "
                     "this would be a write, not a disturbance attack"
                 )
             unintended = [
-                cell
-                for cell, kind in classification.items()
-                if kind == FULL_SELECTED and cell not in phase.aggressors
+                (row, column)
+                for row in rows
+                for column in columns
+                if (row, column) not in phase.aggressors
             ]
             if unintended:
                 raise AttackError(

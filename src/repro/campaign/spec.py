@@ -42,6 +42,7 @@ at every point would give, at a fraction of the cost.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -190,7 +191,13 @@ def _canonical(tree: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def _set_by_path(tree: Dict[str, Any], path: str, value: Any) -> None:
-    """Assign ``value`` at a dotted ``path`` inside a nested config dict."""
+    """Assign ``value`` at a dotted ``path`` inside a nested config dict.
+
+    Dict and list values are spliced in as deep copies, so a later override
+    beneath the same path (axes ``attack.pulse`` and
+    ``attack.pulse.length_s``) writes into the job, never into the axis's
+    own value.
+    """
     parts = path.split(".")
     node = tree
     for depth, part in enumerate(parts[:-1]):
@@ -200,7 +207,7 @@ def _set_by_path(tree: Dict[str, Any], path: str, value: Any) -> None:
     leaf = parts[-1]
     if not isinstance(node, dict) or leaf not in node:
         raise CampaignError(f"sweep path {path!r}: unknown configuration field {leaf!r}")
-    node[leaf] = value
+    node[leaf] = copy.deepcopy(value) if isinstance(value, (dict, list)) else value
 
 
 @dataclass

@@ -896,23 +896,20 @@ class MonteCarloEngine:
     # -- full-array path ---------------------------------------------------
 
     def _victim_cells(self, pattern: AttackPattern) -> List[tuple]:
-        """Victim cells evaluated per sampled array, in row-major lane order."""
+        """Victim cells evaluated per sampled array, in row-major lane order.
+
+        The cells on the aggressors' rows and columns (every cell in
+        ``"all"`` mode), minus the aggressors, plus the pattern's victim.
+        """
         geometry = self.simulation.geometry
-        aggressors = {tuple(cell) for cell in pattern.aggressors}
-        if self.montecarlo.victim_mode == "all":
-            selected = [cell for cell in geometry.iter_cells() if cell not in aggressors]
-        else:
-            agg_rows = {cell[0] for cell in aggressors}
-            agg_cols = {cell[1] for cell in aggressors}
-            selected = [
-                cell
-                for cell in geometry.iter_cells()
-                if cell not in aggressors and (cell[0] in agg_rows or cell[1] in agg_cols)
-            ]
-        victim = tuple(pattern.victim)
-        if victim not in selected:
-            selected = sorted(selected + [victim])
-        return selected
+        agg_rows, agg_cols = np.array(pattern.aggressors).T
+        mask = np.full((geometry.rows, geometry.columns), self.montecarlo.victim_mode == "all")
+        mask[agg_rows, :] = True
+        mask[:, agg_cols] = True
+        mask[agg_rows, agg_cols] = False
+        mask[tuple(pattern.victim)] = True
+        rows, cols = np.nonzero(mask)
+        return list(zip(rows.tolist(), cols.tolist()))
 
     def _run_full_array(
         self, n_arrays: int, conditions: NominalConditions, spawn=()

@@ -15,11 +15,9 @@ every statistical workload shares:
   estimator for populations drawn from a tilted proposal distribution, with
   a delta-method interval and the effective-sample-size diagnostic.
 
-The special functions needed for the intervals (inverse normal CDF,
-regularized incomplete beta and its inverse) are implemented here with
-library-grade algorithms (Acklam's rational approximation; the Lentz
-continued fraction), so the estimator layer has no dependency beyond NumPy —
-SciPy, where installed, is only used by the tests to cross-check them.
+The intervals take their quantiles from :mod:`scipy.special`: the inverse
+normal CDF (``ndtri``) and the inverse regularized incomplete beta
+(``betaincinv``).
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy import special
 
 from ..errors import MonteCarloError
 
@@ -36,128 +35,18 @@ from ..errors import MonteCarloError
 INTERVAL_METHODS = ("wilson", "jeffreys")
 
 
-# ----------------------------------------------------------------------
-# special functions (NumPy/stdlib only)
-# ----------------------------------------------------------------------
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard-normal CDF (Acklam's algorithm, |rel err| < 1.2e-9)."""
-    if not 0.0 < p < 1.0:
-        raise MonteCarloError(f"normal quantile needs p in (0, 1), got {p}")
-    # Coefficients of Acklam's rational approximation.
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    # One Halley refinement step against the exact CDF (erfc is in math).
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction of the incomplete beta function (Lentz's method)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    return h  # converged to double precision long before 300 terms in practice
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """``I_x(a, b)``, the CDF of the Beta(a, b) distribution at ``x``."""
-    if a <= 0.0 or b <= 0.0:
-        raise MonteCarloError("beta parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    # The continued fraction converges fast for x < (a + 1) / (a + b + 2);
-    # use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) otherwise.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def beta_quantile(q: float, a: float, b: float) -> float:
-    """Inverse CDF of Beta(a, b) by bisection on the regularized beta."""
-    if not 0.0 <= q <= 1.0:
-        raise MonteCarloError(f"beta quantile needs q in [0, 1], got {q}")
-    if q == 0.0:
-        return 0.0
-    if q == 1.0:
-        return 1.0
-    low, high = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        if regularized_incomplete_beta(a, b, mid) < q:
-            low = mid
-        else:
-            high = mid
-        if high - low < 1e-14:
-            break
-    return 0.5 * (low + high)
+def _z(confidence: float) -> float:
+    """Two-sided standard-normal quantile of a confidence level."""
+    if not 0.0 < confidence < 1.0:
+        raise MonteCarloError(f"confidence must be in (0, 1), got {confidence}")
+    return float(special.ndtri(0.5 + 0.5 * confidence))
 
 
 def wilson_interval(successes: float, trials: float, confidence: float = 0.95) -> Tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
+    z = _z(confidence)
     if trials <= 0:
         return 0.0, 1.0
-    z = normal_quantile(0.5 + 0.5 * confidence)
     p = successes / trials
     z2 = z * z
     denominator = 1.0 + z2 / trials
@@ -173,13 +62,15 @@ def jeffreys_interval(successes: float, trials: float, confidence: float = 0.95)
     were observed and the upper bound is 1 when no failures were, so the
     interval never excludes a boundary the data cannot rule out.
     """
+    if not 0.0 < confidence < 1.0:
+        raise MonteCarloError(f"confidence must be in (0, 1), got {confidence}")
     if trials <= 0:
         return 0.0, 1.0
     alpha = 1.0 - confidence
     a = successes + 0.5
     b = trials - successes + 0.5
-    low = 0.0 if successes <= 0 else beta_quantile(alpha / 2.0, a, b)
-    high = 1.0 if successes >= trials else beta_quantile(1.0 - alpha / 2.0, a, b)
+    low = 0.0 if successes <= 0 else float(special.betaincinv(a, b, alpha / 2.0))
+    high = 1.0 if successes >= trials else float(special.betaincinv(a, b, 1.0 - alpha / 2.0))
     return low, high
 
 
@@ -193,7 +84,7 @@ def fixed_sample_size(target_half_width: float, confidence: float = 0.95) -> int
     """
     if target_half_width <= 0.0:
         raise MonteCarloError("target_half_width must be positive")
-    z = normal_quantile(0.5 + 0.5 * confidence)
+    z = _z(confidence)
     n = z * z / (4.0 * target_half_width * target_half_width) - z * z
     return max(1, int(math.ceil(n)))
 
@@ -356,7 +247,7 @@ class ClusteredBinomialEstimator:
         se = self.standard_error()
         if not math.isfinite(se):
             return 0.0, 1.0
-        z = normal_quantile(0.5 + 0.5 * self.confidence)
+        z = _z(self.confidence)
         p = self.estimate
         return max(0.0, p - z * se), min(1.0, p + z * se)
 
@@ -405,7 +296,7 @@ class StreamingMeanEstimator:
         """Normal-approximation interval on the mean."""
         if self.count < 2:
             return float("-inf"), float("inf")
-        z = normal_quantile(0.5 + 0.5 * self.confidence)
+        z = _z(self.confidence)
         half = z * math.sqrt(self.variance / self.count)
         return self._mean - half, self._mean + half
 
@@ -487,7 +378,7 @@ class ImportanceEstimator:
             ess = self.effective_sample_size
             successes = 0.0 if self._sum_wf <= 0.0 else ess
             return wilson_interval(successes, ess, self.confidence)
-        z = normal_quantile(0.5 + 0.5 * self.confidence)
+        z = _z(self.confidence)
         p = self.estimate
         return max(0.0, p - z * se), min(1.0, p + z * se)
 

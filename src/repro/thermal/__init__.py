@@ -43,15 +43,6 @@ from .materials import (
     filament_material,
 )
 from .network import ThermalNetworkParameters, ThermalResistanceNetwork
-from .operator import (
-    STENCIL_MAX_TAPS,
-    CrosstalkOperator,
-    DenseCrosstalkOperator,
-    FftCrosstalkOperator,
-    KernelCrosstalkOperator,
-    StencilCrosstalkOperator,
-    make_crosstalk_operator,
-)
 
 __all__ = [
     "AlphaExtractionResult",
@@ -91,11 +82,4 @@ __all__ = [
     "PLATINUM",
     "ThermalNetworkParameters",
     "ThermalResistanceNetwork",
-    "CrosstalkOperator",
-    "KernelCrosstalkOperator",
-    "FftCrosstalkOperator",
-    "StencilCrosstalkOperator",
-    "DenseCrosstalkOperator",
-    "make_crosstalk_operator",
-    "STENCIL_MAX_TAPS",
 ]

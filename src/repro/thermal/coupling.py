@@ -4,14 +4,16 @@ The circuit-level simulation consumes thermal crosstalk as *alpha values*: the
 fraction of the aggressor's filament temperature rise that appears at a
 neighbouring cell (paper Eq. 4).  This module provides
 
-* :class:`CouplingModel` — an abstract source of alpha values,
+* :class:`CouplingModel` — an abstract source of alpha values, stated both
+  per cell pair and as the offset kernel the crosstalk hub convolves with
+  (every model is translation-invariant),
 * :class:`AnalyticCouplingModel` — a distance-decay kernel calibrated against
   the paper's Fig. 2a temperature matrix (fast default path),
 * :class:`ExtractedCouplingModel` — alpha values taken from the finite-volume
   solver sweep (:mod:`repro.thermal.alpha`) or from the resistance-network
   model, assuming translation invariance of the kernel,
-* :class:`AlphaMatrix` — a dense per-aggressor matrix view used by the
-  crosstalk hub.
+* :class:`UniformCouplingModel` — a constant nearest-neighbour bound,
+* :class:`AlphaMatrix` — a dense per-aggressor matrix view.
 
 The analytic model captures the two features visible in Fig. 2a: cells that
 share an electrode line with the aggressor couple more strongly (the metal
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -45,70 +47,45 @@ class CouplingModel(abc.ABC):
     def alpha_between(self, aggressor: Cell, victim: Cell) -> float:
         """Alpha value describing how strongly ``aggressor`` heats ``victim``."""
 
-    def kernel(self) -> Optional[np.ndarray]:
-        """Offset kernel of a translation-invariant model, or None.
+    @abc.abstractmethod
+    def kernel(self) -> np.ndarray:
+        """Offset kernel of the (translation-invariant) model.
 
-        A stationary model returns the full ``(2*rows - 1, 2*cols - 1)``
-        array with ``kernel[dr + rows - 1, dc + cols - 1] ==
-        alpha_between(a, a + (dr, dc))`` for every offset two in-array cells
-        can realise; the centre entry (zero offset, the 1.0 self-coupling) is
-        ignored by consumers and should be 0.0.  This is the capability probe
-        of :func:`repro.thermal.operator.make_crosstalk_operator`: models
-        returning None (the default, for couplings that depend on absolute
-        position) are applied through the dense alpha table instead.
+        The full ``(2*rows - 1, 2*cols - 1)`` array with
+        ``kernel[dr + rows - 1, dc + cols - 1] == alpha_between(a, a + (dr, dc))``
+        for every offset two in-array cells can realise; the centre entry
+        (zero offset, the 1.0 self-coupling) is ignored by consumers and
+        should be 0.0.  The crosstalk hub convolves rise maps with it.
         """
-        return None
 
     def alpha_table(self) -> np.ndarray:
         """Full ``(cells, cells)`` alpha table in row-major cell order.
 
         ``table[a, v]`` is ``alpha_between(cell_a, cell_v)`` (1.0 on the
-        diagonal).  Stationary models are expanded from their offset
-        :meth:`kernel` with one gather; only kernel-less custom models pay
-        the pairwise Python loop.  Note the quadratic memory: the structured
-        operator path never calls this for stationary models — it exists for
-        the dense fallback and the equivalence test suite.
+        diagonal), expanded from the offset :meth:`kernel` with one gather.
+        Note the quadratic memory: the crosstalk hub never builds it; it is
+        the dense reference the hub is checked against.
         """
         g = self.geometry
-        kernel = self.kernel()
-        if kernel is not None:
-            cell_rows = np.repeat(np.arange(g.rows), g.columns)
-            cell_cols = np.tile(np.arange(g.columns), g.rows)
-            dr = cell_rows[None, :] - cell_rows[:, None] + g.rows - 1
-            dc = cell_cols[None, :] - cell_cols[:, None] + g.columns - 1
-            table = kernel[dr, dc]
-            np.fill_diagonal(table, 1.0)
-            return table
-        cells = list(g.iter_cells())
-        count = len(cells)
-        table = np.ones((count, count))
-        for a_index, aggressor in enumerate(cells):
-            for v_index, victim in enumerate(cells):
-                if a_index != v_index:
-                    table[a_index, v_index] = self.alpha_between(aggressor, victim)
+        cell_rows = np.repeat(np.arange(g.rows), g.columns)
+        cell_cols = np.tile(np.arange(g.columns), g.rows)
+        dr = cell_rows[None, :] - cell_rows[:, None] + g.rows - 1
+        dc = cell_cols[None, :] - cell_cols[:, None] + g.columns - 1
+        table = self.kernel()[dr, dc]
+        np.fill_diagonal(table, 1.0)
         return table
 
     def matrix_for(self, aggressor: Cell) -> "AlphaMatrix":
-        """Dense (rows x columns) alpha matrix for one aggressor cell.
-
-        Stationary models slice their offset kernel (one O(cells) copy);
-        kernel-less models fall back to the per-cell loop.
-        """
+        """Dense (rows x columns) alpha matrix for one aggressor cell,
+        sliced from the offset :meth:`kernel` (one O(cells) copy)."""
         g = self.geometry
         g.validate_cell(*aggressor)
         aggressor = tuple(aggressor)
-        kernel = self.kernel()
-        if kernel is not None:
-            ar, ac = aggressor
-            values = kernel[
-                g.rows - 1 - ar : 2 * g.rows - 1 - ar,
-                g.columns - 1 - ac : 2 * g.columns - 1 - ac,
-            ].copy()
-        else:
-            values = np.zeros((g.rows, g.columns))
-            for cell in g.iter_cells():
-                if cell != aggressor:
-                    values[cell] = self.alpha_between(aggressor, cell)
+        ar, ac = aggressor
+        values = self.kernel()[
+            g.rows - 1 - ar : 2 * g.rows - 1 - ar,
+            g.columns - 1 - ac : 2 * g.columns - 1 - ac,
+        ].copy()
         values[aggressor] = 1.0
         return AlphaMatrix(aggressor=aggressor, values=values, geometry=g)
 
@@ -202,9 +179,7 @@ class AnalyticCouplingModel(CouplingModel):
         """The closed-form exponential-decay kernel over all cell offsets.
 
         Built from broadcast distance arithmetic — O(cells) memory, a handful
-        of array operations — and consumed by the structured crosstalk
-        operator (and by the base-class :meth:`alpha_table`/:meth:`matrix_for`
-        expansions).
+        of array operations.
         """
         g = self.geometry
         p = self.parameters
@@ -296,7 +271,7 @@ class UniformCouplingModel(CouplingModel):
         return self.alpha if dr + dc == 1 else 0.0
 
     def kernel(self) -> np.ndarray:
-        """Compact four-tap nearest-neighbour kernel (stencil-path bait)."""
+        """Compact four-tap nearest-neighbour kernel."""
         g = self.geometry
         kernel = np.zeros((2 * g.rows - 1, 2 * g.columns - 1))
         centre = (g.rows - 1, g.columns - 1)

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.config import AttackConfig, SimulationConfig
 from repro.defense import evaluate_defenses_under_variation
@@ -37,11 +38,6 @@ from repro.montecarlo import (
     jeffreys_interval,
     refine_flip_probability_map,
     wilson_interval,
-)
-from repro.montecarlo.estimators import (
-    beta_quantile,
-    normal_quantile,
-    regularized_incomplete_beta,
 )
 from repro.montecarlo.maps import MapAxis
 from repro.utils.rng import child_rng
@@ -73,31 +69,41 @@ def small_engine(montecarlo: MonteCarloConfig, max_pulses: int = 100_000) -> Mon
 
 
 class TestIntervalNumerics:
-    def test_normal_quantile_known_values(self):
-        assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
-        assert normal_quantile(0.975) == pytest.approx(1.959963985, abs=1e-7)
-        assert normal_quantile(0.995) == pytest.approx(2.575829304, abs=1e-7)
-        assert normal_quantile(0.025) == pytest.approx(-1.959963985, abs=1e-7)
+    #: The standard-normal quantile Phi^-1(0.975) to double precision.
+    Z_975 = 1.959963984540054
 
-    def test_normal_quantile_rejects_boundaries(self):
+    def test_wilson_interval_known_values(self):
+        z = self.Z_975
+        low, high = wilson_interval(50, 100)
+        margin = z / (1.0 + z * z / 100) * math.sqrt(0.25 / 100 + z * z / 40_000)
+        assert low == pytest.approx(0.5 - margin, rel=1e-15)
+        assert high == pytest.approx(0.5 + margin, rel=1e-15)
+        # With no successes the upper Wilson bound is z^2 / (n + z^2).
+        assert wilson_interval(0, 20) == (0.0, pytest.approx(z * z / (20 + z * z), rel=1e-15))
+
+    def test_jeffreys_bounds_match_scipy_beta_ppf(self):
+        for successes, trials, confidence in [(5, 100, 0.95), (37, 40, 0.95), (1, 3, 0.9)]:
+            alpha = 1.0 - confidence
+            a, b = successes + 0.5, trials - successes + 0.5
+            low, high = jeffreys_interval(successes, trials, confidence)
+            assert low == pytest.approx(float(stats.beta.ppf(alpha / 2, a, b)), rel=1e-12)
+            assert high == pytest.approx(float(stats.beta.ppf(1 - alpha / 2, a, b)), rel=1e-12)
+            assert type(low) is float and type(high) is float
+
+    def test_fixed_sample_size_known_values(self):
+        z = self.Z_975
+        for target, expected in ((0.05, 381), (0.01, 9600)):
+            assert math.ceil(z * z / (4 * target * target) - z * z) == expected
+            assert fixed_sample_size(target) == expected
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5])
+    def test_interval_functions_reject_confidence_outside_unit_interval(self, confidence):
         with pytest.raises(MonteCarloError):
-            normal_quantile(0.0)
+            wilson_interval(3, 10, confidence)
         with pytest.raises(MonteCarloError):
-            normal_quantile(1.0)
-
-    def test_regularized_beta_matches_scipy(self):
-        scipy_stats = pytest.importorskip("scipy.stats")
-        for a, b, x in [(0.5, 0.5, 0.3), (5.5, 95.5, 0.04), (20.0, 2.0, 0.9), (1.0, 1.0, 0.42)]:
-            assert regularized_incomplete_beta(a, b, x) == pytest.approx(
-                float(scipy_stats.beta.cdf(x, a, b)), abs=1e-10
-            )
-
-    def test_beta_quantile_matches_scipy(self):
-        scipy_stats = pytest.importorskip("scipy.stats")
-        for a, b, q in [(5.5, 95.5, 0.025), (5.5, 95.5, 0.975), (0.5, 10.5, 0.5)]:
-            assert beta_quantile(q, a, b) == pytest.approx(
-                float(scipy_stats.beta.ppf(q, a, b)), abs=1e-9
-            )
+            jeffreys_interval(3, 10, confidence)
+        with pytest.raises(MonteCarloError):
+            fixed_sample_size(0.05, confidence)
 
     def test_wilson_and_jeffreys_stay_inside_unit_interval(self):
         for successes, trials in [(0, 10), (10, 10), (1, 3), (500, 1000)]:

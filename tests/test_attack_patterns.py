@@ -14,8 +14,10 @@ from repro.attack import (
     single_aggressor,
     standard_patterns,
 )
-from repro.config import CrossbarGeometry
+from repro.circuit.drivers import FULL_SELECTED, UNSELECTED, classify_cells
+from repro.config import CrossbarGeometry, SimulationConfig
 from repro.errors import AttackError
+from repro.montecarlo import MonteCarloConfig, MonteCarloEngine
 
 
 class TestPatternFactories:
@@ -113,3 +115,104 @@ class TestPatternValidation:
     def test_empty_phase_rejected(self):
         with pytest.raises(AttackError):
             HammerPhase(())
+
+
+def classified_validation_error(pattern: AttackPattern, geometry: CrossbarGeometry):
+    """The cell-by-cell answer: classify every cell for each phase."""
+    for phase in pattern.phases:
+        classification = classify_cells(geometry, phase.aggressors)
+        if classification[pattern.victim] == FULL_SELECTED:
+            return (
+                f"pattern {pattern.name!r}: phase {phase.aggressors} fully selects the victim; "
+                "this would be a write, not a disturbance attack"
+            )
+        unintended = [
+            cell
+            for cell, kind in classification.items()
+            if kind == FULL_SELECTED and cell not in phase.aggressors
+        ]
+        if unintended:
+            return (
+                f"pattern {pattern.name!r}: phase {phase.aggressors} fully selects unintended cells "
+                f"{unintended}; split the phase"
+            )
+    return None
+
+
+def classified_victims(pattern: AttackPattern, geometry: CrossbarGeometry, mode: str):
+    """Row-major victim lanes from the cell-by-cell classification."""
+    classification = classify_cells(geometry, pattern.aggressors)
+    return [
+        cell
+        for cell, kind in classification.items()
+        if cell == pattern.victim
+        or (cell not in pattern.aggressors and (mode == "all" or kind != UNSELECTED))
+    ]
+
+
+def standard_layouts(geometry: CrossbarGeometry):
+    """Every standard pattern around every victim, as hammered and with all
+    its aggressors pulsed in one phase (quad then full-selects its victim)."""
+    factories = (single_aggressor, double_sided_row, double_sided_column, quad_surround, row_sweep)
+    for victim in geometry.iter_cells():
+        for factory in factories:
+            try:
+                pattern = factory(geometry, victim)
+            except AttackError:
+                continue
+            yield pattern
+            yield AttackPattern(
+                name=f"{pattern.name}_one_phase",
+                victim=pattern.victim,
+                aggressors=pattern.aggressors,
+                phases=(HammerPhase(pattern.aggressors),),
+            )
+
+
+def validation_error(pattern: AttackPattern, geometry: CrossbarGeometry):
+    try:
+        pattern.validate(geometry)
+    except AttackError as exc:
+        return str(exc)
+    return None
+
+
+class TestSelectionProductMatchesClassification:
+    """Validation and the full-array victim lanes read the selected rows x
+    columns product; both must give the cell-by-cell classification's answer."""
+
+    GEOMETRIES = [(3, 3), (5, 5), (8, 5)]
+
+    @pytest.mark.parametrize("rows,columns", GEOMETRIES)
+    def test_validate_matches_classification(self, rows, columns):
+        geometry = CrossbarGeometry(rows=rows, columns=columns)
+        rejected = 0
+        for pattern in standard_layouts(geometry):
+            expected = classified_validation_error(pattern, geometry)
+            assert validation_error(pattern, geometry) == expected, pattern
+            rejected += expected is not None
+        assert rejected > 0
+
+    def test_invalid_multi_row_phase_lists_unintended_cells_row_major(self, paper_geometry):
+        pattern = AttackPattern(
+            name="bad",
+            victim=(0, 4),
+            aggressors=((3, 1), (1, 3), (1, 0)),
+            phases=(HammerPhase(((3, 1), (1, 3), (1, 0))),),
+        )
+        expected = classified_validation_error(pattern, paper_geometry)
+        assert "[(1, 1), (3, 0), (3, 3)]" in expected
+        assert validation_error(pattern, paper_geometry) == expected
+
+    @pytest.mark.parametrize("mode", ["half_selected", "all"])
+    @pytest.mark.parametrize("rows,columns", GEOMETRIES)
+    def test_full_array_victims_match_classification(self, rows, columns, mode):
+        geometry = CrossbarGeometry(rows=rows, columns=columns)
+        engine = MonteCarloEngine(
+            MonteCarloConfig(mode="full_array", victim_mode=mode),
+            simulation=SimulationConfig(geometry={"rows": rows, "columns": columns}),
+        )
+        for pattern in standard_layouts(geometry):
+            victims = engine._victim_cells(pattern)
+            assert victims == classified_victims(pattern, geometry, mode), pattern
+            assert all(type(index) is int for cell in victims for index in cell)

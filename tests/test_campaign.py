@@ -158,6 +158,24 @@ class TestCampaignSpec:
         assert all(p.job["simulation"] == base["simulation"] for p in points)
         assert all(json.dumps(p.job) == json.dumps(p.job, sort_keys=True) for p in points)
 
+    def test_overlapping_axes_leave_axis_values_and_overrides_intact(self):
+        pulse = {"length_s": 1e-8, "amplitude_v": 1.0}
+        spec = small_spec(
+            axes=[
+                {"path": "attack.pulse", "values": [dict(pulse)]},
+                {"path": "attack.pulse.length_s", "values": [2e-8, 3e-8]},
+            ]
+        )
+        points = spec.materialise()
+        # The second axis writes into each point's job, not into the first
+        # axis's value dict (which every point's overrides share).
+        assert spec.axes[0].values == [pulse]
+        for point, length in zip(points, (2e-8, 3e-8)):
+            assert point.overrides == {"attack.pulse": pulse, "attack.pulse.length_s": length}
+            assert point.job["attack"]["pulse"]["length_s"] == length
+            assert point.job["attack"]["pulse"]["amplitude_v"] == 1.0
+        assert [p.key for p in points] == [p.key for p in spec.materialise()]
+
     def test_axis_path_must_be_rooted(self):
         with pytest.raises(CampaignError):
             SweepAxis(path="pulse.length_s", values=[1e-8])

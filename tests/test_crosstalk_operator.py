@@ -1,9 +1,9 @@
-"""Equivalence suite for the structured crosstalk operator.
+"""Equivalence suite for the crosstalk hub's FFT convolution (paper Eq. 5).
 
-The FFT and stencil operators must reproduce the dense alpha-table path
+The hub must reproduce the dense alpha-table matvec (diagonal zeroed)
 element for element (<= 1e-12) for every shipped coupling model, including
-edge/corner cells and non-square geometries, and the crosstalk hub must be
-invariant to the backend choice.
+edge/corner cells, non-square and single-row geometries and sub-ambient
+temperature maps, while holding only O(cells) alpha state.
 """
 
 from __future__ import annotations
@@ -17,13 +17,8 @@ from repro.errors import ConfigurationError
 from repro.thermal import (
     AlphaExtractionResult,
     AnalyticCouplingModel,
-    CouplingModel,
-    DenseCrosstalkOperator,
     ExtractedCouplingModel,
-    FftCrosstalkOperator,
-    StencilCrosstalkOperator,
     UniformCouplingModel,
-    make_crosstalk_operator,
 )
 
 #: Equivalence budget of the suite (relative; victims receiving exactly zero
@@ -33,6 +28,7 @@ ATOL = 1e-12
 
 GEOMETRIES = [
     (5, 5),  # the paper's square array
+    (3, 3),  # the Monte-Carlo maps' nominal array
     (3, 7),  # wide non-square
     (6, 2),  # tall non-square
     (1, 8),  # single row (degenerate kernel axis)
@@ -80,36 +76,37 @@ def rise_maps(rows: int, columns: int, seed: int = 1):
     return maps
 
 
-class NonStationaryCoupling(CouplingModel):
-    """A coupling that depends on absolute position (no offset kernel)."""
+def dense_additional_temperatures(coupling, temperatures: np.ndarray) -> np.ndarray:
+    """The seed's dense Eq. 5: the (cells, cells) alpha table, diagonal
+    zeroed, applied to the rise map clamped at the 300 K ambient."""
+    table = coupling.alpha_table()
+    np.fill_diagonal(table, 0.0)
+    rises = np.maximum(temperatures - 300.0, 0.0)
+    return (table.T @ rises.ravel()).reshape(rises.shape)
 
-    def alpha_between(self, aggressor, victim):
-        if tuple(aggressor) == tuple(victim):
-            return 1.0
-        return 0.01 * (aggressor[0] + 1) / (1 + abs(victim[1] - aggressor[1]))
+
+def assert_matches_dense(actual, reference, err_msg=""):
+    np.testing.assert_allclose(
+        actual,
+        reference,
+        rtol=RTOL,
+        atol=ATOL * max(1.0, float(np.abs(reference).max())),
+        err_msg=err_msg,
+    )
 
 
 class TestOperatorEquivalence:
     @pytest.mark.parametrize("rows,columns", GEOMETRIES)
     def test_structured_backends_match_dense_elementwise(self, rows, columns):
         for coupling in coupling_models(rows, columns):
-            dense = DenseCrosstalkOperator(coupling)
-            kernel = coupling.kernel()
-            assert kernel is not None, type(coupling).__name__
-            structured = [
-                FftCrosstalkOperator(coupling, kernel),
-                StencilCrosstalkOperator(coupling, kernel),
-            ]
+            hub = CrosstalkHub(coupling, 300.0)
             for rises in rise_maps(rows, columns):
-                reference = dense.apply(rises)
-                for operator in structured:
-                    np.testing.assert_allclose(
-                        operator.apply(rises),
-                        reference,
-                        rtol=RTOL,
-                        atol=ATOL * max(1.0, float(np.abs(reference).max())),
-                        err_msg=f"{type(coupling).__name__} via {operator.backend}",
-                    )
+                temperatures = 300.0 + rises
+                assert_matches_dense(
+                    hub.additional_temperatures(temperatures),
+                    dense_additional_temperatures(coupling, temperatures),
+                    err_msg=type(coupling).__name__,
+                )
 
     @pytest.mark.parametrize("rows,columns", GEOMETRIES)
     def test_single_victim_fast_path_matches_full_apply(self, rows, columns):
@@ -123,24 +120,24 @@ class TestOperatorEquivalence:
             (rows // 2, columns // 2),
         }
         for coupling in coupling_models(rows, columns):
-            operator = make_crosstalk_operator(coupling)
-            rises = rise_maps(rows, columns, seed=2)[0]
-            full = operator.apply(rises)
+            hub = CrosstalkHub(coupling, 300.0)
+            temperatures = 300.0 + rise_maps(rows, columns, seed=2)[0]
+            full = hub.additional_temperatures(temperatures)
             for victim in corners_and_edges:
-                assert operator.apply_single(victim, rises) == pytest.approx(
+                assert hub.additional_temperature_for(victim, temperatures) == pytest.approx(
                     full[victim], rel=RTOL, abs=ATOL * max(1.0, abs(float(full[victim])))
                 )
 
     @pytest.mark.parametrize("rows,columns", GEOMETRIES)
     def test_alpha_between_matches_coupling_model(self, rows, columns):
         for coupling in coupling_models(rows, columns):
-            operator = make_crosstalk_operator(coupling)
+            hub = CrosstalkHub(coupling, 300.0)
             for aggressor in [(0, 0), (rows - 1, columns - 1), (rows // 2, columns // 2)]:
                 for victim in [(0, columns - 1), (rows - 1, 0), (rows // 2, columns // 2)]:
                     if aggressor == victim:
-                        assert operator.alpha_between(aggressor, victim) == 0.0
+                        assert hub.alpha_between(aggressor, victim) == 0.0
                     else:
-                        assert operator.alpha_between(aggressor, victim) == pytest.approx(
+                        assert hub.alpha_between(aggressor, victim) == pytest.approx(
                             coupling.alpha_between(aggressor, victim), rel=RTOL
                         )
 
@@ -156,40 +153,13 @@ class TestOperatorEquivalence:
 
 
 class TestBackendSelection:
-    def test_uniform_coupling_selects_the_stencil(self):
-        geometry = CrossbarGeometry(rows=8, columns=8)
-        operator = make_crosstalk_operator(UniformCouplingModel(geometry, 0.1))
-        assert operator.backend == "stencil"
-        assert operator.taps == 4
-
-    def test_analytic_coupling_selects_fft(self):
-        geometry = CrossbarGeometry(rows=8, columns=8)
-        operator = make_crosstalk_operator(AnalyticCouplingModel(geometry))
-        assert operator.backend == "fft"
-
-    def test_non_stationary_model_falls_back_to_dense(self):
-        geometry = CrossbarGeometry(rows=4, columns=4)
-        coupling = NonStationaryCoupling(geometry)
-        assert coupling.kernel() is None
-        operator = make_crosstalk_operator(coupling)
-        assert operator.backend == "dense"
-        # The dense fallback is still the exact pairwise answer.
-        rises = rise_maps(4, 4)[0]
-        out = operator.apply(rises)
-        victim = (2, 3)
-        expected = sum(
-            coupling.alpha_between(a, victim) * rises[a]
-            for a in geometry.iter_cells()
-            if a != victim
-        )
-        assert out[victim] == pytest.approx(expected, rel=1e-12)
+    """The hub's alpha state stays O(cells) at sizes the dense table cannot reach."""
 
     def test_large_array_constructs_without_dense_table(self):
-        # The acceptance bar of the PR: a 256x256 hub must hold only O(N)
-        # alpha state (the dense table would be ~34 GB and would not build).
+        # A 256x256 hub must hold only O(N) alpha state (the dense table
+        # would be ~34 GB and would not build).
         geometry = CrossbarGeometry(rows=256, columns=256)
         hub = CrosstalkHub(AnalyticCouplingModel(geometry), 300.0)
-        assert hub.operator_backend == "fft"
         assert hub.alpha_state_bytes <= 4.5 * 1024 * 1024
         rises = np.zeros((256, 256))
         rises[128, 128] = 650.0
@@ -197,41 +167,33 @@ class TestBackendSelection:
         assert additional[128, 129] > additional[100, 100] >= 0.0
         assert additional[128, 128] == pytest.approx(0.0)
 
+    def test_kernel_of_the_wrong_shape_is_rejected(self):
+        class CroppedKernel(UniformCouplingModel):
+            def kernel(self):
+                return super().kernel()[1:-1, 1:-1]
+
+        with pytest.raises(ConfigurationError, match="offset kernel shape"):
+            CrosstalkHub(CroppedKernel(CrossbarGeometry(rows=4, columns=4)), 300.0)
+
 
 class TestHubBackendInvariance:
     @pytest.mark.parametrize("rows,columns", [(5, 5), (3, 7)])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_hub_results_invariant_to_backend(self, rows, columns, seed):
-        """Property: the hub's answers do not depend on its operator."""
-        geometry = CrossbarGeometry(rows=rows, columns=columns)
+        """Property: the hub's answers equal the dense alpha-table matvec,
+        also on maps with sub-ambient cells and for random single victims."""
         rng = np.random.default_rng(seed)
         temperatures = 300.0 + rng.uniform(-30.0, 650.0, size=(rows, columns))
         victim = (int(rng.integers(rows)), int(rng.integers(columns)))
         for coupling in coupling_models(rows, columns):
-            kernel = coupling.kernel()
-            operators = (
-                FftCrosstalkOperator(coupling, kernel),
-                StencilCrosstalkOperator(coupling, kernel),
-                DenseCrosstalkOperator(coupling),
+            hub = CrosstalkHub(coupling, 300.0)
+            reference = dense_additional_temperatures(coupling, temperatures)
+            assert_matches_dense(hub.additional_temperatures(temperatures), reference)
+            assert hub.additional_temperature_for(victim, temperatures) == pytest.approx(
+                float(reference[victim]),
+                rel=RTOL,
+                abs=ATOL * max(1.0, abs(float(reference[victim]))),
             )
-            hubs = []
-            for operator in operators:
-                hub = CrosstalkHub(coupling, 300.0)
-                hub.operator = operator
-                hubs.append(hub)
-            reference = hubs[-1].additional_temperatures(temperatures)
-            for hub in hubs[:-1]:
-                np.testing.assert_allclose(
-                    hub.additional_temperatures(temperatures),
-                    reference,
-                    rtol=RTOL,
-                    atol=ATOL * max(1.0, float(np.abs(reference).max())),
-                )
-                assert hub.additional_temperature_for(victim, temperatures) == pytest.approx(
-                    float(reference[victim]),
-                    rel=RTOL,
-                    abs=ATOL * max(1.0, abs(float(reference[victim]))),
-                )
 
     def test_hub_keeps_seed_semantics(self):
         """Rises are clamped at ambient and the diagonal contributes nothing."""
@@ -299,7 +261,10 @@ class TestVectorizedSatellites:
         geometry = CrossbarGeometry(rows=4, columns=4)
         extraction = synthetic_extraction(4, 4, selected=(0, 0), seed=6)
         coupling = ExtractedCouplingModel(geometry, extraction)
-        operator = make_crosstalk_operator(coupling)
-        dense = DenseCrosstalkOperator(coupling)
-        rises = rise_maps(4, 4, seed=7)[0]
-        np.testing.assert_allclose(operator.apply(rises), dense.apply(rises), rtol=RTOL, atol=1e-9)
+        temperatures = 300.0 + rise_maps(4, 4, seed=7)[0]
+        np.testing.assert_allclose(
+            CrosstalkHub(coupling, 300.0).additional_temperatures(temperatures),
+            dense_additional_temperatures(coupling, temperatures),
+            rtol=RTOL,
+            atol=1e-9,
+        )

@@ -69,6 +69,24 @@ def test_switching_time_has_one_rule_and_no_step_options():
     assert not options & {"max_dx_per_step", "max_dx_per_batch", "record"}
 
 
+def test_crosstalk_has_one_eq5_path():
+    """The operator module with its FFT, stencil and dense backends made way
+    for the hub's own FFT convolution, and the estimator layer takes its
+    quantiles from SciPy."""
+    import importlib.util
+
+    from repro import thermal
+    from repro.circuit import CrosstalkHub
+    from repro.montecarlo import estimators
+
+    assert importlib.util.find_spec("repro.thermal.operator") is None
+    for namespace in (repro, thermal, CrosstalkHub):
+        leftovers = [name for name in dir(namespace) if "operator" in name.lower() or "STENCIL" in name]
+        assert not leftovers, f"{namespace.__name__} still has {leftovers}"
+    for name in ("normal_quantile", "regularized_incomplete_beta", "beta_quantile"):
+        assert not hasattr(estimators, name), f"estimators.{name} is back"
+
+
 def test_headline_entry_point_signature():
     from repro import hammer_once
 
