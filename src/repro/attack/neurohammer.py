@@ -24,7 +24,11 @@ Two execution paths are provided and validated against each other:
   operating point is solved once per hammer phase.  The victim's rate per
   round is taken at the nodes of the package's one switching-time rule,
   :func:`repro.devices.kinetics.switching_time`, which counts the rounds to
-  the flip.
+  the flip.  The operating points and the victim's rates at the nodes form
+  the attack's :class:`SteadyState`, which does not depend on the pulse
+  length, the duty cycle or the pulse budget: only the count reads those
+  (:data:`COUNT_FIELDS`), so attacks that differ in nothing else can share
+  one steady state.
 * :meth:`NeuroHammer.run_transient` — the full circuit-level transient
   simulation, pulse by pulse, used by tests and short demonstrations.
 """
@@ -74,6 +78,51 @@ class PhaseOperatingPoint:
     aggressor_voltage_v: float = 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class SteadyState:
+    """What one round of an attack does to its victim, at any pulse length.
+
+    Under the quasi-static model the phases' operating points and the
+    victim's self-consistent rate at each quadrature node depend on the
+    geometry, wires, device, pattern, amplitude, bias scheme, ambient and
+    flip threshold, but not on the pulse length, the duty cycle or the pulse
+    budget.  :meth:`NeuroHammer.run` solves one, or takes one an earlier run
+    of the same attack returned, and counts its pulses from it.
+    """
+
+    #: Pattern, amplitude, bias scheme, ambient and flip threshold solved for.
+    conditions: Tuple
+    phase_points: Tuple[PhaseOperatingPoint, ...]
+    #: Victim state the attack starts from.
+    x_start: float
+    flip_threshold: float
+    #: Victim state rate [1/s] and filament temperature [K] during each
+    #: phase's pulse (columns) at each node of the flip (rows).
+    rates: np.ndarray
+    temperatures_k: np.ndarray
+
+    def rounds_to_flip(self, pulse_length_s: float, budget_rounds: float) -> SwitchingTime:
+        """Rounds the victim needs from ``x_start`` to the flip threshold.
+
+        Every phase pulses once per round, so a round moves the victim by
+        ``t_p * sum_p max(r_p(x), 0)``, at the hottest phase's temperature.
+        """
+        round_dx = np.zeros(QUADRATURE_NODES)
+        for rate in self.rates.T:
+            round_dx += np.maximum(rate, 0.0) * pulse_length_s
+        return switching_time(
+            self.x_start, self.flip_threshold, round_dx,
+            self.temperatures_k.max(axis=1), budget_rounds,
+        )
+
+
+#: The :class:`AttackConfig` leaves that only the count of
+#: :meth:`NeuroHammer.run` reads, as dotted paths: the budget in rounds, the
+#: dx per round and the wall clock.  A :class:`SteadyState` reads none of
+#: them.
+COUNT_FIELDS = ("pulse.length_s", "pulse.duty_cycle", "max_pulses")
+
+
 @dataclass
 class AttackResult:
     """Outcome of a NeuroHammer campaign."""
@@ -97,6 +146,8 @@ class AttackResult:
     #: Pulse length used [s].
     pulse_length_s: float = 0.0
     ambient_temperature_k: float = DEFAULT_AMBIENT_TEMPERATURE_K
+    #: The steady state the pulses were counted from (quasi-static runs).
+    steady_state: Optional[SteadyState] = field(default=None, repr=False, compare=False)
 
     @property
     def pulses_per_aggressor(self) -> float:
@@ -183,15 +234,22 @@ class NeuroHammer:
         self,
         pattern: Optional[AttackPattern] = None,
         config: Optional[AttackConfig] = None,
+        steady_state: Optional[SteadyState] = None,
     ) -> AttackResult:
         """Run a campaign with the fast quasi-static integrator.
 
         Either an explicit ``pattern`` or an :class:`AttackConfig` (whose
         aggressors become a single simultaneous phase) must be given.
 
-        Every phase pulses once per round, so a round moves the victim by
-        ``t_p * sum_p max(r_p(x), 0)``.  The victim's rates are taken at the
-        nodes of :func:`~repro.devices.kinetics.quadrature_states` and
+        The run solves the attack's :class:`SteadyState` (the phases'
+        operating points and the victim's rates at the nodes of
+        :func:`~repro.devices.kinetics.quadrature_states`) and counts its
+        pulses from it.  ``steady_state`` is one an earlier run of the same
+        attack returned on its result, on a crossbar built alike; it may
+        have had another pulse length, duty cycle or pulse budget
+        (:data:`COUNT_FIELDS`), which only the count reads.
+
+        Every phase pulses once per round, and
         :func:`~repro.devices.kinetics.switching_time` counts the rounds to
         the flip threshold; the pulses are the whole rounds times the
         phases.  A campaign that does not flip within the budget's whole
@@ -209,27 +267,59 @@ class NeuroHammer:
             )
 
         self.prepare(pattern)
-        pulse = config.pulse
-        phase_points = [
-            self.phase_operating_point(pattern, phase, pulse.amplitude_v, config.bias_scheme)
-            for phase in pattern.phases
-        ]
-
-        ambient = config.ambient_temperature_k
-        threshold = config.flip_threshold
-        phases = len(phase_points)
-        rounds, left = divmod(config.max_pulses, phases)
-        outcome = self._rounds_to_flip(
-            phase_points, self.crossbar.get_state(pattern.victim).x, threshold,
-            pulse.length_s, ambient, rounds,
+        conditions = (
+            pattern, config.pulse.amplitude_v, config.bias_scheme,
+            config.ambient_temperature_k, config.flip_threshold,
         )
+        if steady_state is None:
+            steady_state = self._solve_steady_state(pattern, config, conditions)
+        elif steady_state.conditions != conditions:
+            raise AttackError("the steady state was solved for another attack")
+        return self._count(pattern, config, steady_state)
+
+    def _solve_steady_state(
+        self, pattern: AttackPattern, config: AttackConfig, conditions: Tuple
+    ) -> SteadyState:
+        """Phase operating points and the victim's rate at each node of its flip."""
+        points = tuple(
+            self.phase_operating_point(pattern, phase, config.pulse.amplitude_v, config.bias_scheme)
+            for phase in pattern.phases
+        )
+        x_start = self.crossbar.get_state(pattern.victim).x
+        threshold = config.flip_threshold
+        model = self.crossbar.model
+        rates = np.zeros((QUADRATURE_NODES, len(points)))
+        temperatures = np.zeros_like(rates)
+        for node, x in enumerate(quadrature_states(x_start, threshold)):
+            for phase, point in enumerate(points):
+                rates[node, phase], temperatures[node, phase] = self._victim_rate(
+                    model, point, float(x), config.ambient_temperature_k
+                )
+        rates.setflags(write=False)
+        temperatures.setflags(write=False)
+        return SteadyState(conditions, points, x_start, threshold, rates, temperatures)
+
+    def _count(
+        self, pattern: AttackPattern, config: AttackConfig, steady: SteadyState
+    ) -> AttackResult:
+        """The pulses to the flip, within the budget, and the victim they leave.
+
+        Of ``config`` the count reads the :data:`COUNT_FIELDS` and the
+        ambient; of the crossbar, only the device model, for the partial
+        last round.  It leaves the victim at its final state.
+        """
+        pulse = config.pulse
+        ambient = config.ambient_temperature_k
+        phases = len(steady.phase_points)
+        rounds, left = divmod(config.max_pulses, phases)
+        outcome = steady.rounds_to_flip(pulse.length_s, rounds)
         x = float(outcome.final_x[0])
         if outcome.switched[0]:
             pulses = max(1, math.ceil(outcome.time[0])) * phases
         else:
             pulses = config.max_pulses
             model = self.crossbar.model
-            for point in phase_points[:left]:
+            for point in steady.phase_points[:left]:
                 rate, _ = self._victim_rate(model, point, x, ambient)
                 x = model.clamp_state(x + max(rate, 0.0) * pulse.length_s)
 
@@ -238,40 +328,17 @@ class NeuroHammer:
             pattern_name=pattern.name,
             victim=pattern.victim,
             aggressors=pattern.aggressors,
-            flipped=x >= threshold,
+            flipped=x >= steady.flip_threshold,
             pulses=pulses,
             stress_time_s=pulses * pulse.length_s,
             wall_clock_s=pulses * pulse.period_s,
             victim_final_x=x,
             victim_temperature_k=float(outcome.final_temperature_k[0]),
-            phase_points=phase_points,
+            phase_points=list(steady.phase_points),
             pulse_length_s=pulse.length_s,
             ambient_temperature_k=ambient,
+            steady_state=steady,
         )
-
-    def _rounds_to_flip(
-        self,
-        phase_points: List[PhaseOperatingPoint],
-        x_start: float,
-        threshold: float,
-        pulse_length_s: float,
-        ambient: float,
-        budget_rounds: float,
-    ) -> SwitchingTime:
-        """Rounds the victim needs from ``x_start`` to ``threshold``.
-
-        One victim rate per quadrature node and phase; a round's rate is the
-        phases' dx per pulse summed, and its temperature the hottest phase's.
-        """
-        model = self.crossbar.model
-        round_dx = np.zeros(QUADRATURE_NODES)
-        temperature = np.zeros(QUADRATURE_NODES)
-        for node, x in enumerate(quadrature_states(x_start, threshold)):
-            for point in phase_points:
-                rate, phase_temperature = self._victim_rate(model, point, float(x), ambient)
-                round_dx[node] += max(rate, 0.0) * pulse_length_s
-                temperature[node] = max(temperature[node], phase_temperature)
-        return switching_time(x_start, threshold, round_dx, temperature, budget_rounds)
 
     def _victim_rate(
         self,

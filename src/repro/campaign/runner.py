@@ -26,6 +26,8 @@ tolerant (see :mod:`repro.faults`):
 from __future__ import annotations
 
 import contextlib
+import copy
+import json
 import multiprocessing
 import multiprocessing.pool
 import os
@@ -33,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..attack.neurohammer import AttackResult, NeuroHammer
+from ..attack.neurohammer import COUNT_FIELDS, AttackResult, NeuroHammer, SteadyState
 from ..circuit.crossbar import CrossbarArray
 from ..config import AttackConfig, SimulationConfig
 from ..errors import CampaignError, CampaignInterrupted, StoreError
@@ -95,9 +97,29 @@ logger = get_logger("campaign.runner")
 #: in the parent and on the serial path.
 _worker_start_queue: Optional[Any] = None
 
+#: Most steady states one share holds; a full share forgets its oldest.
+STEADY_STATE_SHARE_SIZE = 256
+
+#: The attack steady states of the running :meth:`CampaignRunner.run` (or
+#: of this pool worker), keyed by :func:`_steady_state_key`; ``None``
+#: outside a run, where every point solves its own.
+_steady_states: Optional[Dict[str, SteadyState]] = None
+
+
+@contextlib.contextmanager
+def _steady_state_share() -> Iterator[None]:
+    """An empty steady-state share for the enclosed run, dropped at its end."""
+    global _steady_states
+    enclosing, _steady_states = _steady_states, {}
+    try:
+        yield
+    finally:
+        _steady_states = enclosing
+
 
 def _init_worker(telemetry_on: bool, start_queue: Optional[Any] = None) -> None:
-    """Pool initializer: arm worker-local telemetry and the start sentinel.
+    """Pool initializer: arm worker-local telemetry, the start sentinel and
+    the worker's own steady-state share.
 
     The job payload tuple stays untouched (its content feeds the cache keys),
     so the telemetry flag and the sentinel queue travel through the pool
@@ -118,8 +140,9 @@ def _init_worker(telemetry_on: bool, start_queue: Optional[Any] = None) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if hasattr(signal, "SIGTERM"):
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    global _worker_start_queue
+    global _worker_start_queue, _steady_states
     _worker_start_queue = start_queue
+    _steady_states = {}
     if telemetry_on:
         enable_telemetry(Telemetry())
 
@@ -183,11 +206,36 @@ def attack_result_to_dict(result: AttackResult) -> Dict[str, Any]:
     }
 
 
+def _steady_state_key(job: Dict[str, Any]) -> str:
+    """``job`` as canonical JSON without the attack leaves only the count reads.
+
+    Every other field stays in the key, so a field the steady state does not
+    read can only make two points miss each other, never hit wrongly.
+    """
+    job = copy.deepcopy(job)
+    for path in COUNT_FIELDS:
+        *sections, leaf = path.split(".")
+        node = job["attack"]
+        for section in sections:
+            node = node.get(section, {})
+        node.pop(leaf, None)
+    return json.dumps(job, sort_keys=True, default=str)
+
+
 def execute_attack_point(job: Dict[str, Any]) -> Dict[str, Any]:
     """Run one attack point: the campaign equivalent of ``hammer_once``.
 
     The crossbar is built from the point's simulation config at the attack's
     ambient temperature, and the fast quasi-static engine runs the attack.
+
+    The attack's steady state (:class:`~repro.attack.neurohammer.SteadyState`)
+    does not depend on its pulse length, duty cycle or pulse budget, so
+    within one :meth:`CampaignRunner.run` the points that differ only in
+    those share it: the first solves it and the others count from it
+    (``attack.steady_state.shared`` counts them).  Each point still builds
+    its own crossbar.  The nodal solver warm-starts from its last solve, so
+    a shared crossbar would make a point's result depend on the points run
+    before it.  Called outside a run, a point shares nothing.
     """
     simulation = SimulationConfig.from_dict(job["simulation"])
     attack = AttackConfig.from_dict(job["attack"])
@@ -196,7 +244,20 @@ def execute_attack_point(job: Dict[str, Any]) -> Dict[str, Any]:
         wires=simulation.wires,
         ambient_temperature_k=attack.ambient_temperature_k,
     )
-    outcome = NeuroHammer(crossbar).run(config=attack)
+    share = _steady_states
+    key = shared = None
+    if share is not None:
+        key = _steady_state_key(job)
+        shared = share.get(key)
+    outcome = NeuroHammer(crossbar).run(config=attack, steady_state=shared)
+    if shared is not None:
+        tel = get_telemetry()
+        if tel.enabled:
+            tel.count("attack.steady_state.shared")
+    elif share is not None:
+        if len(share) >= STEADY_STATE_SHARE_SIZE:
+            del share[next(iter(share))]
+        share[key] = outcome.steady_state
     return attack_result_to_dict(outcome)
 
 
@@ -476,6 +537,10 @@ class CampaignRunner:
         materialised.  Without sharding there is exactly one shard, which is
         the original all-at-once behaviour.
 
+        Attack points of one run share their steady states (see
+        :func:`execute_attack_point`); the share is dropped when the run
+        ends, and each pool worker keeps its own.
+
         On SIGINT/SIGTERM the run drains its bookkeeping (completed records
         are stored and cached) and raises
         :class:`~repro.errors.CampaignInterrupted`; a second signal aborts
@@ -519,7 +584,7 @@ class CampaignRunner:
                 record.duration_s,
             )
 
-        with graceful_shutdown() as shutdown:
+        with graceful_shutdown() as shutdown, _steady_state_share():
             self._shutdown = shutdown
             try:
                 with tel.span("campaign.run", spec=self.spec.name, workers=self.workers):

@@ -12,21 +12,34 @@ import time
 
 import pytest
 
-from repro.attack.neurohammer import hammer_once
+from repro.attack.neurohammer import NeuroHammer, hammer_once
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
     JobRecord,
     ResultCache,
     SweepAxis,
+    attack_result_to_dict,
+    execute_point,
     point_key,
     run_campaign_job,
     summarise,
     to_experiment_result,
 )
+from repro.campaign import runner as runner_module
 from repro.campaign.aggregate import ensure_complete, scenario_success_rates
-from repro.errors import CampaignError
-from repro.experiments import fig3a_campaign_spec, run_fig3a, run_fig3c
+from repro.circuit import CrossbarArray
+from repro.config import AttackConfig, SimulationConfig
+from repro.errors import AttackError, CampaignError
+from repro.experiments import (
+    fig3a_campaign_spec,
+    fig3b_campaign_spec,
+    fig3c_campaign_spec,
+    fig3d_campaign_spec,
+    run_fig3a,
+    run_fig3c,
+)
+from repro.obs import Telemetry, telemetry_capture
 
 
 def small_spec(**kwargs) -> CampaignSpec:
@@ -484,3 +497,109 @@ class TestFigureCampaignEquivalence:
         data = json.loads(path.read_text(encoding="utf-8"))
         assert data["experiment"] == "fig3a" and data["mode"] == "grid"
         assert CampaignSpec.from_json(path).materialise()[0].job["attack"]["victim"] == [2, 3]
+
+
+def _fresh_record(job):
+    """One point's record from ``NeuroHammer.run`` on its own new crossbar."""
+    simulation = SimulationConfig.from_dict(job["simulation"])
+    attack = AttackConfig.from_dict(job["attack"])
+    crossbar = CrossbarArray(
+        geometry=simulation.geometry, wires=simulation.wires,
+        ambient_temperature_k=attack.ambient_temperature_k,
+    )
+    return attack_result_to_dict(NeuroHammer(crossbar).run(config=attack))
+
+
+@pytest.fixture
+def snapshot_count(monkeypatch):
+    """A counter of every crossbar thermal snapshot taken from here on."""
+    calls = []
+    solve = CrossbarArray.thermal_snapshot
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(CrossbarArray, "thermal_snapshot", counted)
+    return calls
+
+
+def shared_points(spec):
+    """How many points of one serial run of ``spec`` the share served."""
+    with telemetry_capture(Telemetry()) as tel:
+        report = CampaignRunner(spec).run()
+    assert all(record.ok for record in report.records)
+    return tel.counter_value("attack.steady_state.shared")
+
+
+class TestSteadyStateShare:
+    """One run shares each attack's pulse-length-free steady state."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_every_figure_record_equals_a_fresh_attack(self, workers):
+        specs = [
+            fig3a_campaign_spec(), fig3b_campaign_spec(), fig3c_campaign_spec(),
+            fig3d_campaign_spec(),
+            # Budget-limited: 9 of 10 fig3a victims and 4 of 5 fig3d victims
+            # end unflipped, the two-phase quad after a partial last round.
+            fig3a_campaign_spec(max_pulses=3_000), fig3d_campaign_spec(max_pulses=87),
+        ]
+        unflipped = 0
+        for spec in specs:
+            report = CampaignRunner(spec, workers=workers).run()
+            points = spec.materialise()
+            assert [record.key for record in report.records] == [point.key for point in points]
+            for record, point in zip(report.records, points):
+                assert record.result == _fresh_record(point.job)
+                unflipped += not record.result["flipped"]
+        assert unflipped == 13
+
+    def test_each_run_shares_within_itself_only(self, snapshot_count):
+        for _ in range(2):
+            with telemetry_capture(Telemetry()) as tel:
+                run_fig3a()
+            assert len(snapshot_count) == 1
+            assert tel.counter_value("attack.steady_state.shared") == 9
+            snapshot_count.clear()
+        jobs = [point.job for point in fig3a_campaign_spec(pulse_lengths_s=(10e-9, 20e-9)).materialise()]
+        for job in jobs:
+            execute_point(job)
+        assert len(snapshot_count) == 2
+
+    def test_pulse_length_duty_cycle_and_budget_share(self):
+        spec = small_spec(mode="zip", axes=[
+            {"path": "attack.pulse.length_s", "values": [10e-9, 30e-9, 10e-9, 10e-9]},
+            {"path": "attack.pulse.duty_cycle", "values": [0.5, 0.5, 0.25, 0.5]},
+            {"path": "attack.max_pulses", "values": [10_000_000, 10_000_000, 10_000_000, 7]},
+        ])
+        assert shared_points(spec) == 3
+
+    @pytest.mark.parametrize("path, values", [
+        ("attack.pulse.amplitude_v", [1.05, 1.0]),
+        ("attack.flip_threshold", [0.5, 0.4]),
+        ("attack.ambient_temperature_k", [300.0, 325.0]),
+        ("attack.bias_scheme", ["v_half", "v_third"]),
+        ("attack.victim", [[1, 2], [1, 0]]),
+        ("simulation.geometry.electrode_spacing_m", [50e-9, 30e-9]),
+        ("simulation.wires.segment_resistance_ohm", [2.5, 5.0]),
+    ])
+    def test_any_other_field_keeps_points_apart(self, path, values):
+        assert shared_points(small_spec(axes=[{"path": path, "values": values}])) == 0
+
+    def test_patterns_keep_points_apart(self):
+        assert shared_points(fig3d_campaign_spec(pattern_names=["single", "double_row"])) == 0
+
+    def test_a_full_share_forgets_its_oldest_steady_state(self, monkeypatch):
+        spec = small_spec(mode="zip", axes=[
+            {"path": "attack.ambient_temperature_k", "values": [300.0, 325.0, 300.0]},
+            {"path": "attack.pulse.length_s", "values": [10e-9, 10e-9, 30e-9]},
+        ])
+        assert shared_points(spec) == 1
+        monkeypatch.setattr(runner_module, "STEADY_STATE_SHARE_SIZE", 1)
+        assert shared_points(spec) == 0
+
+    def test_a_steady_state_of_another_attack_is_rejected(self, paper_geometry):
+        solved = NeuroHammer(CrossbarArray(geometry=paper_geometry)).run(config=AttackConfig())
+        attack = NeuroHammer(CrossbarArray(geometry=paper_geometry))
+        with pytest.raises(AttackError):
+            attack.run(config=AttackConfig(flip_threshold=0.4), steady_state=solved.steady_state)

@@ -201,15 +201,15 @@ EULER_STEP = 1e-3
 THRESHOLD = 0.5
 
 
-def prepared_attack(length_s, ambient_k, pattern_name, model=None):
-    """An attack with its phase operating points solved, as ``run`` solves them."""
+def attack_run(length_s, ambient_k, pattern_name):
+    """One run of an attack at 1.05 V; its result carries the steady state."""
     geometry = CrossbarGeometry()
-    crossbar = CrossbarArray(geometry=geometry, model=model, ambient_temperature_k=ambient_k)
-    attack = NeuroHammer(crossbar)
+    crossbar = CrossbarArray(geometry=geometry, ambient_temperature_k=ambient_k)
+    config = AttackConfig(
+        pulse=PulseConfig(amplitude_v=1.05, length_s=length_s), ambient_temperature_k=ambient_k
+    )
     pattern = standard_patterns(geometry)[pattern_name]
-    attack.prepare(pattern)
-    points = [attack.phase_operating_point(pattern, phase, 1.05) for phase in pattern.phases]
-    return attack, pattern, points
+    return NeuroHammer(crossbar).run(pattern=pattern, config=config)
 
 
 def extrapolated_rounds(round_rate):
@@ -230,12 +230,12 @@ class TestSwitchingTimeAccuracy:
 
     @pytest.fixture(scope="class")
     def jart_points(self):
-        """Each point's attack, phases and Euler reference, from one batched solve."""
+        """Each point's run and Euler reference, from one batched solve."""
         from repro.montecarlo import VectorizedJartVcm, solve_operating_point_batch
 
         grid = np.arange(0.0, THRESHOLD, 0.5 * EULER_STEP)
-        cases = {name: prepared_attack(*point) for name, point in ACCURACY_POINTS.items()}
-        phases = [(name, point) for name, (_, _, points) in cases.items() for point in points]
+        cases = {name: attack_run(*point) for name, point in ACCURACY_POINTS.items()}
+        phases = [(name, point) for name, result in cases.items() for point in result.phase_points]
         voltage = np.concatenate([np.full(grid.size, p.victim_voltage_v) for _, p in phases])
         crosstalk = np.concatenate([np.full(grid.size, p.victim_crosstalk_k) for _, p in phases])
         ambient = np.concatenate(
@@ -249,29 +249,27 @@ class TestSwitchingTimeAccuracy:
         for (name, _), rate in zip(phases, rates.reshape(len(phases), grid.size)):
             round_rate[name] += np.maximum(rate, 0.0) * ACCURACY_POINTS[name][0]
         return {
-            name: (attack, pattern, points, extrapolated_rounds(round_rate[name]))
-            for name, (attack, pattern, points) in cases.items()
+            name: (result, extrapolated_rounds(round_rate[name]))
+            for name, result in cases.items()
         }
 
     @pytest.mark.parametrize("name", list(ACCURACY_POINTS))
     def test_rounds_to_flip_match_the_euler_limit(self, jart_points, name):
-        attack, pattern, points, reference = jart_points[name]
-        length_s, ambient_k, _ = ACCURACY_POINTS[name]
-        rule = attack._rounds_to_flip(points, 0.0, THRESHOLD, length_s, ambient_k, math.inf)
+        result, reference = jart_points[name]
+        length_s, _, _ = ACCURACY_POINTS[name]
+        rule = result.steady_state.rounds_to_flip(length_s, math.inf)
         assert rule.switched[0]
         assert abs(rule.time[0] / reference[-1] - 1.0) < 5e-4
         # The campaign pulses every phase for each whole round the rule counts.
-        config = AttackConfig(pulse=PulseConfig(length_s=length_s), ambient_temperature_k=ambient_k)
-        result = attack.run(pattern=pattern, config=config)
-        assert result.pulses == math.ceil(rule.time[0]) * len(points)
+        assert result.pulses == math.ceil(rule.time[0]) * len(result.phase_points)
 
     @pytest.mark.parametrize("name", ["fig3a_50ns", "fig3c_373K", "quad"])
     @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
     def test_budget_limited_state_matches_the_euler_limit(self, jart_points, name, fraction):
-        attack, _, points, reference = jart_points[name]
-        length_s, ambient_k, _ = ACCURACY_POINTS[name]
+        result, reference = jart_points[name]
+        length_s, _, _ = ACCURACY_POINTS[name]
         budget = math.floor(fraction * reference[-1])
-        rule = attack._rounds_to_flip(points, 0.0, THRESHOLD, length_s, ambient_k, budget)
+        rule = result.steady_state.rounds_to_flip(length_s, budget)
         assert not rule.switched[0]
         ends = EULER_STEP * np.arange(reference.size + 1)
         expected = np.interp(budget, np.concatenate([[0.0], reference]), ends)
@@ -280,12 +278,13 @@ class TestSwitchingTimeAccuracy:
     def test_linear_ion_drift_rounds_match_the_euler_limit(self, paper_geometry):
         attack = NeuroHammer(CrossbarArray(geometry=paper_geometry, model=LinearIonDriftModel()))
         pattern = single_aggressor(paper_geometry)
-        attack.prepare(pattern)
-        point = attack.phase_operating_point(pattern, pattern.phases[0], 1.05)
+        config = AttackConfig(pulse=PulseConfig(amplitude_v=1.05, length_s=1e-3))
+        steady = attack.run(pattern=pattern, config=config).steady_state
+        point = steady.phase_points[0]
         grid = np.arange(0.0, THRESHOLD, 0.5 * EULER_STEP)
         rate = [attack._victim_rate(attack.crossbar.model, point, x, 300.0)[0] for x in grid]
         reference = extrapolated_rounds(np.asarray(rate) * 1e-3)
-        rule = attack._rounds_to_flip([point], 0.0, THRESHOLD, 1e-3, 300.0, math.inf)
+        rule = steady.rounds_to_flip(1e-3, math.inf)
         assert abs(rule.time[0] / reference[-1] - 1.0) < 5e-4
 
     def test_fig3a_victim_flips_after_the_converged_pulse_count(self):
