@@ -120,7 +120,7 @@ def _solve_size(size: int, with_reference: bool) -> dict:
 
     if with_reference:
         reference = ReferenceCrossbarSolver(netlist, model)
-        ref_op, reference_s = _timed(lambda: reference.solve(bias, states.as_mapping()))
+        ref_op, reference_s = _timed(lambda: reference.solve(bias, states))
         np.testing.assert_allclose(
             fast_op.device_voltages_v, ref_op.device_voltages_v, rtol=RTOL, atol=1e-12
         )

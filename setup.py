@@ -26,7 +26,9 @@ setup(
     packages=find_packages(where="src"),
     package_dir={"": "src"},
     python_requires=">=3.10",
-    # scipy powers the sparse LU nodal solver and the FFT crosstalk operator.
+    # scipy provides LAPACK dpttrf for the nodal solve, scipy.fft for the
+    # crosstalk hub, scipy.sparse for the FDM heat solver and scipy.special
+    # for the Monte-Carlo estimators.
     install_requires=["numpy>=1.20", "scipy>=1.8"],
     extras_require={
         "test": ["pytest>=7", "pytest-benchmark>=4", "hypothesis>=6"],

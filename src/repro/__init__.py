@@ -107,7 +107,7 @@ from .obs import (
     get_telemetry,
     telemetry_capture,
 )
-from .store import LeaseManager, ResultStore, migrate_legacy_cache
+from .store import LeaseManager, ResultStore
 from .thermal import (
     AnalyticCouplingModel,
     HeatSolver,
@@ -156,7 +156,6 @@ __all__ = [
     "ResultCache",
     "ResultStore",
     "LeaseManager",
-    "migrate_legacy_cache",
     "MonteCarloConfig",
     "MonteCarloEngine",
     "MonteCarloResult",

@@ -257,16 +257,7 @@ class NeuroHammer:
         only the leading phases the budget still allows.
         """
         config = config if config is not None else AttackConfig()
-        if pattern is None:
-            pattern = self._pattern_from_config(config)
-        pattern.validate(self.crossbar.geometry)
-        if self.crossbar.ambient_temperature_k != config.ambient_temperature_k:
-            raise ConfigurationError(
-                "attack config ambient temperature does not match the crossbar; "
-                "build the CrossbarArray with the same ambient_temperature_k"
-            )
-
-        self.prepare(pattern)
+        pattern = self._prepare_attack(pattern, config)
         conditions = (
             pattern, config.pulse.amplitude_v, config.bias_scheme,
             config.ambient_temperature_k, config.flip_threshold,
@@ -377,10 +368,7 @@ class NeuroHammer:
     ) -> AttackResult:
         """Run the campaign pulse by pulse through the transient engine."""
         config = config if config is not None else AttackConfig()
-        if pattern is None:
-            pattern = self._pattern_from_config(config)
-        pattern.validate(self.crossbar.geometry)
-        self.prepare(pattern)
+        pattern = self._prepare_attack(pattern, config)
         pulse = config.pulse
         budget = max_pulses if max_pulses is not None else config.max_pulses
 
@@ -423,6 +411,25 @@ class NeuroHammer:
         )
 
     # ------------------------------------------------------------------
+
+    def _prepare_attack(
+        self, pattern: Optional[AttackPattern], config: AttackConfig
+    ) -> AttackPattern:
+        """Check the attack against the crossbar and prepare the array for it.
+
+        The crossbar simulates at its own ambient, so a config with another
+        one is refused rather than reported under the wrong temperature.
+        """
+        if pattern is None:
+            pattern = self._pattern_from_config(config)
+        pattern.validate(self.crossbar.geometry)
+        if self.crossbar.ambient_temperature_k != config.ambient_temperature_k:
+            raise ConfigurationError(
+                "attack config ambient temperature does not match the crossbar; "
+                "build the CrossbarArray with the same ambient_temperature_k"
+            )
+        self.prepare(pattern)
+        return pattern
 
     def _pattern_from_config(self, config: AttackConfig) -> AttackPattern:
         geometry = self.crossbar.geometry

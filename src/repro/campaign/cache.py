@@ -10,10 +10,8 @@ duplicating it.  A damaged entry reads as a miss and is quarantined to
 ``quarantine/<key>.corrupt``, so the point is recomputed.
 
 Opening a cache raises :class:`~repro.errors.StoreUnavailableError` when the
-root cannot host a store, and when it still holds a per-file cache of
-``<key>.json`` entries: ``repro store migrate DIR`` converts such a directory,
-and no store is ever built on top of one.  The CLI turns either error into a
-warning and runs without a cache.
+root cannot host a store; the CLI turns that into a warning and runs without
+a cache.
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from ..errors import CampaignError, StoreUnavailableError
-from ..store import DEFAULT_LEASE_TTL_S, ResultStore, is_store_dir
+from ..errors import CampaignError
+from ..store import DEFAULT_LEASE_TTL_S, ResultStore
 from ..store.store import is_hex_key
 
 
@@ -47,11 +45,6 @@ class ResultCache:
         if backend != "store":
             raise CampaignError(f"unknown cache backend {backend!r}; the result store is the only one")
         self.root = Path(root)
-        if not is_store_dir(self.root) and any(is_hex_key(path.stem) for path in self.root.glob("*.json")):
-            raise StoreUnavailableError(
-                f"{self.root} holds a legacy per-file result cache; "
-                f"convert it with `repro store migrate {self.root}`"
-            )
         self.store = ResultStore(
             self.root, lease_ttl_s=lease_ttl_s if lease_ttl_s is not None else DEFAULT_LEASE_TTL_S
         )

@@ -10,7 +10,6 @@ Subcommands::
     repro campaign status SPEC.json [--cache DIR]
     repro store verify [ROOT] [--repair] [--json]
     repro store gc [ROOT] [--json]
-    repro store migrate [ROOT] [--lease-ttl S] [--json]
     repro mc run SPEC.json [--samples N] [--seed N] [--mode anchored|full_array]
                            [--scalar] [--rows N] [--export-cells OUT.npz]
                            [--show-distributions] [--save DIR] [--json]
@@ -48,8 +47,7 @@ partition the sweep instead of duplicating it.  A cache directory that
 cannot host a store costs the cache, not the command: the run warns and
 proceeds without one.  The ``repro store`` group operates on a store
 directory: ``verify`` re-hashes every entry (``--repair`` quarantines
-damage), ``gc`` sweeps orphan payloads / temp files / stale leases, and
-``migrate`` converts an old per-file cache directory in place.
+damage) and ``gc`` sweeps orphan payloads / temp files / stale leases.
 
 ``mc run`` evaluates one Monte-Carlo cell population from a
 ``kind="montecarlo"`` spec (``--export-cells`` dumps the per-cell sampled
@@ -170,8 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("figure", choices=sorted(_FIGURE_IDS), help="figure to regenerate")
     fig.add_argument("--save", metavar="DIR", help="also write CSV/JSON exports into DIR")
     fig.add_argument("--chart", action="store_true", help="print an ASCII chart next to the table")
-    fig.add_argument("--workers", type=int, default=0, help="worker processes (figures 3a/3c only)")
-    fig.add_argument("--cache", metavar="DIR", help="result cache directory (figures 3a/3c only)")
+    campaign_figures = f"figures {'/'.join(CAMPAIGN_FIGURES)} only"
+    fig.add_argument("--workers", type=int, default=0, help=f"worker processes ({campaign_figures})")
+    fig.add_argument("--cache", metavar="DIR", help=f"result cache directory ({campaign_figures})")
     fig.set_defaults(handler=_cmd_run_fig)
 
     campaign = subparsers.add_parser("campaign", help="run or inspect a sweep campaign")
@@ -433,20 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     store_gc.add_argument("--json", action="store_true", help="print the sweep counts as JSON")
     store_gc.set_defaults(handler=_cmd_store_gc)
 
-    store_migrate = store_sub.add_parser(
-        "migrate", help="convert a legacy per-file result cache in place"
-    )
-    store_migrate.add_argument(
-        "root", nargs="?", default=DEFAULT_CACHE_DIR,
-        help=f"cache directory to convert (default {DEFAULT_CACHE_DIR})",
-    )
-    store_migrate.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="S",
-        help="point-lease lifetime of the migrated store (default 600)",
-    )
-    store_migrate.add_argument("--json", action="store_true", help="print the report as JSON")
-    store_migrate.set_defaults(handler=_cmd_store_migrate)
-
     version = subparsers.add_parser("version", help="print the library version")
     version.set_defaults(handler=_cmd_version)
     return parser
@@ -501,9 +486,9 @@ def _open_cache(
 ) -> Optional[ResultCache]:
     """The result cache at ``cache_dir`` (default ``.repro-cache``), or None.
 
-    A store that cannot be opened — unusable root or index, or a per-file
-    cache awaiting ``repro store migrate`` — costs the cache, not the
-    command: it logs a warning, counts ``store.degraded`` and returns None.
+    A store that cannot be opened (unusable root or index) costs the cache,
+    not the command: it logs a warning, counts ``store.degraded`` and
+    returns None.
     """
     if disabled:
         return None
@@ -1321,10 +1306,7 @@ def _open_store(root: str):
 
     root_path = Path(root)
     if not is_store_dir(root_path):
-        raise ReproError(
-            f"{root} is not a result store (no index.sqlite); "
-            f"convert an old per-file cache with `repro store migrate {root}`"
-        )
+        raise ReproError(f"{root} is not a result store (no index.sqlite)")
     return ResultStore(root_path)
 
 
@@ -1367,26 +1349,6 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
         print(
             f"store {args.root}: swept {swept['orphan_payloads']} orphan payload(s), "
             f"{swept['tmp_files']} temp file(s), {swept['stale_leases']} stale lease(s)"
-        )
-    return 0
-
-
-def _cmd_store_migrate(args: argparse.Namespace) -> int:
-    from ..store import DEFAULT_LEASE_TTL_S, migrate_legacy_cache
-
-    if args.lease_ttl is not None and args.lease_ttl <= 0:
-        raise ReproError("--lease-ttl must be positive")
-    report = migrate_legacy_cache(
-        args.root,
-        lease_ttl_s=args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL_S,
-    )
-    if args.json:
-        print(json.dumps(report, indent=2, default=str))
-    else:
-        print(
-            f"migrated {report['root']}: {report['migrated']} legacy entries converted, "
-            f"{report['quarantined']} quarantined, {report['skipped']} other file(s) left in place, "
-            f"{report['entries']} entries in the store"
         )
     return 0
 

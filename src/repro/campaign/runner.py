@@ -1245,18 +1245,13 @@ class CampaignRunner:
         payload = self.cache.get(point.key)
         if payload is None or payload.get("status") != "ok" or "result" not in payload:
             return None
-        duration = payload.get("duration_s")
-        if duration is None:
-            # Entries written before the runner recorded job durations: fall
-            # back to the engine's own wall time preserved in the result.
-            duration = (payload.get("result") or {}).get("engine_duration_s", 0.0)
         return JobRecord(
             index=point.index,
             key=point.key,
             status="ok",
             overrides=dict(point.overrides),
             result=payload["result"],
-            duration_s=float(duration),
+            duration_s=float(payload.get("duration_s", 0.0)),
             cached=True,
         )
 

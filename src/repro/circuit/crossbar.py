@@ -8,27 +8,19 @@ cell's self-heating (Eq. 6) with the crosstalk hub contribution (Eq. 5).
 
 Device state is stored as ``(rows, columns)`` float arrays
 (:class:`~repro.devices.base.DeviceStateArrays`) so the solver and the
-transient engine can evaluate the whole array in vectorized calls; the
-historic per-cell Mapping API remains available through :attr:`states`, a
-live :class:`~repro.devices.base.DeviceStateMapView`.
+transient engine can evaluate the whole array in vectorized calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Mapping, Tuple
 
 import numpy as np
 
 from ..config import CrossbarGeometry, WireParameters
 from ..constants import DEFAULT_AMBIENT_TEMPERATURE_K
-from ..devices.base import (
-    DeviceState,
-    DeviceStateArrays,
-    DeviceStateMapView,
-    MemristorModel,
-    bit_from_state,
-)
+from ..devices.base import DeviceState, DeviceStateArrays, MemristorModel, bit_from_state
 from ..devices.jart_vcm import JartVcmModel
 from ..errors import ConfigurationError, DeviceModelError, GeometryError
 from ..obs import get_telemetry
@@ -97,15 +89,13 @@ class CrossbarArray:
         self.solver = CrossbarSolver(self.netlist, self.model)
         self.hub = CrosstalkHub(coupling, ambient_temperature_k)
         pristine = self.model.hrs_state(ambient_temperature_k)
-        #: Array-native device state (authoritative storage).
+        #: Device state of every cell.
         self.state = DeviceStateArrays(
             self.geometry.rows,
             self.geometry.columns,
             x=pristine.x,
             temperature_k=pristine.filament_temperature_k,
         )
-        #: Live Mapping[Cell, DeviceState]-compatible view of :attr:`state`.
-        self.states = DeviceStateMapView(self.state)
 
     # ------------------------------------------------------------------
     # state management
@@ -129,9 +119,10 @@ class CrossbarArray:
         self.state.temperature_k[cell] = written.filament_temperature_k
 
     def get_state(self, cell: Cell) -> DeviceState:
-        """Return the (live) device state of a cell."""
+        """Return a detached copy of one cell's device state."""
         self.geometry.validate_cell(*cell)
-        return self.states[tuple(cell)]
+        cell = tuple(cell)
+        return DeviceState(float(self.state.x[cell]), float(self.state.temperature_k[cell]))
 
     def get_bit(self, cell: Cell, lrs_is_one: bool = True) -> int:
         """Decode the logical bit of a cell from its state."""
@@ -273,28 +264,13 @@ class CrossbarArray:
         """The middle cell — the paper's default aggressor."""
         return self.geometry.centre_cell()
 
-    def copy_states(self) -> Dict[Cell, DeviceState]:
-        """Deep copy of the per-cell states (for checkpoint/restore).
-
-        Prefer :meth:`copy_state_arrays` in hot paths: it checkpoints the
-        whole array with two array copies instead of one object per cell.
-        """
-        return {cell: self.states[cell].copy() for cell in self.geometry.iter_cells()}
-
     def copy_state_arrays(self) -> DeviceStateArrays:
-        """Array-native checkpoint of the full device state (O(1) Python)."""
+        """Checkpoint of every cell's device state, for :meth:`restore_states`."""
         return self.state.copy()
 
-    def restore_states(
-        self, snapshot: Union[DeviceStateArrays, Mapping[Cell, DeviceState]]
-    ) -> None:
-        """Restore a snapshot from :meth:`copy_states` or :meth:`copy_state_arrays`."""
-        if isinstance(snapshot, DeviceStateArrays):
-            if snapshot.shape != self.state.shape:
-                raise GeometryError("state snapshot shape does not match the crossbar")
-            self.state.x[...] = snapshot.x
-            self.state.temperature_k[...] = snapshot.temperature_k
-            return
-        for cell, state in snapshot.items():
-            self.geometry.validate_cell(*cell)
-            self.states[tuple(cell)] = state.copy()
+    def restore_states(self, snapshot: DeviceStateArrays) -> None:
+        """Restore a snapshot from :meth:`copy_state_arrays`."""
+        if snapshot.shape != self.state.shape:
+            raise GeometryError("state snapshot shape does not match the crossbar")
+        self.state.x[...] = snapshot.x
+        self.state.temperature_k[...] = snapshot.temperature_k

@@ -19,7 +19,7 @@ array-native build cannot hide in code both solvers share.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -139,14 +139,15 @@ class ReferenceCrossbarSolver:
     def solve(
         self,
         bias: BiasPattern,
-        states: Mapping[Cell, DeviceState],
+        states: DeviceStateArrays,
         initial_guess: Optional[np.ndarray] = None,
     ) -> OperatingPoint:
         n = len(self._index)
-        if isinstance(states, DeviceStateArrays):
-            # Accept the array-native container too, so a CrossbarArray's
-            # solver can be swapped for this reference in validation runs.
-            states = states.as_mapping()
+        # The seed stamp loops read one DeviceState per cell.
+        cell_states = {
+            cell: DeviceState(float(states.x[cell]), float(states.temperature_k[cell]))
+            for cell, _, _ in self._elements.devices
+        }
         extra_g, driver_currents = self._driver_stamps(bias)
 
         if initial_guess is not None:
@@ -169,7 +170,7 @@ class ReferenceCrossbarSolver:
             rhs = driver_currents.copy()
 
             for cell, iw, ib in device_index:
-                state = states[cell]
+                state = cell_states[cell]
                 branch_v = voltages[iw] - voltages[ib]
                 current = self.model.current(branch_v, state)
                 conductance = self.model.conductance(branch_v, state)
@@ -189,7 +190,7 @@ class ReferenceCrossbarSolver:
             voltages = voltages + step
 
             residual = self._kcl_residual(
-                voltages, bias, states, extra_g, driver_currents, device_index
+                voltages, bias, cell_states, extra_g, driver_currents, device_index
             )
             if max_step < self.voltage_tolerance_v and residual < self.residual_tolerance_a:
                 break
@@ -200,7 +201,7 @@ class ReferenceCrossbarSolver:
             )
 
         self._last_solution = voltages.copy()
-        return self._operating_point(voltages, states, device_index, iterations, residual)
+        return self._operating_point(voltages, cell_states, device_index, iterations, residual)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -208,7 +209,7 @@ class ReferenceCrossbarSolver:
         self,
         voltages: np.ndarray,
         bias: BiasPattern,
-        states: Mapping[Cell, DeviceState],
+        states: Dict[Cell, DeviceState],
         extra_g: np.ndarray,
         driver_currents: np.ndarray,
         device_index,
@@ -231,7 +232,7 @@ class ReferenceCrossbarSolver:
     def _operating_point(
         self,
         voltages: np.ndarray,
-        states: Mapping[Cell, DeviceState],
+        states: Dict[Cell, DeviceState],
         device_index,
         iterations: int,
         residual: float,
@@ -259,10 +260,11 @@ class ReferenceTransientSimulator(TransientSimulator):
     """The seed per-cell-dict transient stepping loop.
 
     Runs the exact seed control flow (per-cell rate dicts, per-cell state
-    advance, per-cell flip detection) through the Mapping-compatible state
-    view of :class:`CrossbarArray`.  Electrical/thermal solves go through the
-    crossbar exactly as in the vectorized engine, so any disagreement between
-    the two isolates the transient-loop vectorization.
+    advance, per-cell flip detection), one cell at a time through
+    :meth:`CrossbarArray.get_state` and :attr:`CrossbarArray.state`.
+    Electrical/thermal solves go through the crossbar exactly as in the
+    vectorized engine, so any disagreement between the two isolates the
+    transient-loop vectorization.
     """
 
     def run(
@@ -274,8 +276,8 @@ class ReferenceTransientSimulator(TransientSimulator):
         trace = TransientTrace()
         flips: List[BitFlipEvent] = []
         previous_bits = {
-            cell: bit_from_state(state, threshold=self.flip_threshold)
-            for cell, state in crossbar.states.items()
+            cell: bit_from_state(crossbar.get_state(cell), threshold=self.flip_threshold)
+            for cell in crossbar.cells()
         }
         time_s = 0.0
         steps = 0
@@ -323,20 +325,22 @@ class ReferenceTransientSimulator(TransientSimulator):
     def _state_rates(self, device_voltages_v: np.ndarray) -> Dict[Cell, float]:
         rates: Dict[Cell, float] = {}
         for cell in self.crossbar.cells():
-            state = self.crossbar.states[cell]
+            state = self.crossbar.get_state(cell)
             rates[cell] = self.crossbar.model.state_derivative(
                 float(device_voltages_v[cell[0], cell[1]]), state
             )
         return rates
 
     def _advance_states(self, rates: Dict[Cell, float], divisor: float, factor: float) -> None:
+        model = self.crossbar.model
         for cell, rate in rates.items():
-            state = self.crossbar.states[cell]
-            state.x = self.crossbar.model.clamp_state(state.x + rate / divisor * factor)
+            x = self.crossbar.get_state(cell).x
+            self.crossbar.state.x[cell] = model.clamp_state(x + rate / divisor * factor)
 
     def _detect_flips(self, previous_bits: Dict[Cell, int], time_s: float) -> List[BitFlipEvent]:
         events: List[BitFlipEvent] = []
-        for cell, state in self.crossbar.states.items():
+        for cell in self.crossbar.cells():
+            state = self.crossbar.get_state(cell)
             bit = bit_from_state(state, threshold=self.flip_threshold)
             if bit != previous_bits[cell]:
                 direction = "set" if bit == 1 else "reset"

@@ -33,18 +33,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Optional, Tuple, Union
+from typing import Any, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from ..devices.base import (
-    BatchedDeviceModel,
-    DeviceState,
-    DeviceStateArrays,
-    MemristorModel,
-    SolveScratch,
-)
+from ..devices.base import BatchedDeviceModel, DeviceStateArrays, MemristorModel, SolveScratch
 from ..errors import ConfigurationError, ConvergenceError
 from ..faults import register_retryable
 from ..obs import get_telemetry
@@ -56,10 +50,6 @@ from .netlist import GROUND_NODE, CrossbarNetlist
 register_retryable(ConvergenceError)
 
 Cell = Tuple[int, int]
-
-#: Per-cell device states accepted by :meth:`CrossbarSolver.solve`: either the
-#: array-native container or the legacy per-cell mapping.
-StateLike = Union[DeviceStateArrays, Mapping[Cell, DeviceState]]
 
 #: A step larger than this fraction of the previous one means the held factor
 #: no longer tracks the Jacobian: the next iteration rebuilds it.
@@ -254,29 +244,22 @@ class CrossbarSolver:
         currents[nodes] += g * line_v[driven]
         return extra_g, currents, line_v
 
-    def _state_arrays(self, states: StateLike) -> Tuple[np.ndarray, np.ndarray]:
+    def _state_arrays(self, states: DeviceStateArrays) -> Tuple[np.ndarray, np.ndarray]:
         """Per-device state and temperature vectors in netlist device order."""
-        arrays = states if isinstance(states, DeviceStateArrays) else getattr(states, "arrays", None)
-        if isinstance(arrays, DeviceStateArrays):
-            geometry = self.netlist.geometry
-            if arrays.shape != (geometry.rows, geometry.columns):
-                raise ConfigurationError(
-                    f"state array shape {arrays.shape} does not match the "
-                    f"{geometry.rows}x{geometry.columns} netlist"
-                )
-            return (
-                arrays.x[self._dev_rows, self._dev_cols],
-                arrays.temperature_k[self._dev_rows, self._dev_cols],
+        geometry = self.netlist.geometry
+        if states.shape != (geometry.rows, geometry.columns):
+            raise ConfigurationError(
+                f"state array shape {states.shape} does not match the "
+                f"{geometry.rows}x{geometry.columns} netlist"
             )
-        cells = [states[cell] for cell in zip(self._dev_rows.tolist(), self._dev_cols.tolist())]
         return (
-            np.array([state.x for state in cells], dtype=float),
-            np.array([state.filament_temperature_k for state in cells], dtype=float),
+            states.x[self._dev_rows, self._dev_cols],
+            states.temperature_k[self._dev_rows, self._dev_cols],
         )
 
     # -- solving --------------------------------------------------------------
 
-    def solve(self, bias: BiasPattern, states: StateLike) -> OperatingPoint:
+    def solve(self, bias: BiasPattern, states: DeviceStateArrays) -> OperatingPoint:
         """Solve the nonlinear operating point for one bias pattern.
 
         Starts from the last successful solve's voltages (warm start) or,
@@ -284,9 +267,7 @@ class CrossbarSolver:
 
         Args:
             bias: Driver voltages per line (None = floating).
-            states: Device state per cell — a :class:`DeviceStateArrays`
-                container (fast path) or any mapping with every crosspoint
-                present (legacy path).
+            states: Device state of every cell.
         """
         extra_g, driver_currents, line_v = self._driver_stamps(bias)
         x_arr, t_arr = self._state_arrays(states)

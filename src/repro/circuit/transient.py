@@ -5,8 +5,9 @@ framework run over a stimuli file): every time step re-solves the nonlinear
 crossbar network for the active bias pattern, recomputes the electro-thermal
 picture including crosstalk, and integrates every device's state ODE.  It is
 used by the integration tests and the short demonstration examples; the
-figure-scale sweeps use the quasi-static fast path in
-:mod:`repro.attack.analysis`, which is validated against this engine.
+figure-scale sweeps use the quasi-static fast path
+:meth:`repro.attack.neurohammer.NeuroHammer.run`, which is validated against
+this engine.
 
 The stepping loop is array-native: state rates, state advance and flip
 detection operate on whole ``(rows, columns)`` arrays through the device

@@ -10,8 +10,6 @@ from .base import (
     BatchedDeviceModel,
     DeviceState,
     DeviceStateArrays,
-    DeviceStateMapView,
-    DeviceStateView,
     MemristorModel,
     ScalarBatchedModel,
     SolveScratch,
@@ -39,8 +37,6 @@ from .yakopcic import YakopcicModel, YakopcicParameters
 __all__ = [
     "DeviceState",
     "DeviceStateArrays",
-    "DeviceStateMapView",
-    "DeviceStateView",
     "BatchedDeviceModel",
     "ScalarBatchedModel",
     "SolveScratch",

@@ -8,16 +8,13 @@ interchangeable everywhere (crossbar, transient engine, attack estimator).
 from __future__ import annotations
 
 import abc
-from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
 from ..constants import DEFAULT_AMBIENT_TEMPERATURE_K
 from ..errors import DeviceModelError
-
-Cell = Tuple[int, int]
 
 
 @dataclass
@@ -42,11 +39,8 @@ class DeviceState:
 class DeviceStateArrays:
     """Struct-of-arrays device state of a whole crossbar.
 
-    Replaces the per-cell ``Dict[Cell, DeviceState]`` of the original engine
-    with two ``(rows, columns)`` float64 arrays, so the nodal solver and the
-    transient engine can evaluate every device in one vectorized call.  The
-    Mapping-based API of :class:`~repro.circuit.crossbar.CrossbarArray` is
-    preserved through :class:`DeviceStateMapView`.
+    Two ``(rows, columns)`` float64 arrays, so the nodal solver and the
+    transient engine can evaluate every device in one vectorized call.
     """
 
     __slots__ = ("x", "temperature_k")
@@ -77,17 +71,6 @@ class DeviceStateArrays:
         out.temperature_k[...] = temperature_k
         return out
 
-    @classmethod
-    def from_mapping(
-        cls, rows: int, columns: int, states: Mapping[Cell, "DeviceState"]
-    ) -> "DeviceStateArrays":
-        """Convert a legacy per-cell state mapping into arrays."""
-        out = cls(rows, columns)
-        for cell, state in states.items():
-            out.x[cell] = state.x
-            out.temperature_k[cell] = state.filament_temperature_k
-        return out
-
     @property
     def rows(self) -> int:
         return self.x.shape[0]
@@ -103,101 +86,6 @@ class DeviceStateArrays:
     def copy(self) -> "DeviceStateArrays":
         """Independent deep copy (checkpoint/restore)."""
         return DeviceStateArrays.from_arrays(self.x, self.temperature_k)
-
-    def view(self, cell: Cell) -> "DeviceStateView":
-        """Live per-cell proxy with the :class:`DeviceState` attribute API."""
-        return DeviceStateView(self, tuple(cell))
-
-    def as_mapping(self) -> "DeviceStateMapView":
-        """Live Mapping[Cell, DeviceState]-compatible view of the arrays."""
-        return DeviceStateMapView(self)
-
-
-class DeviceStateView:
-    """Per-cell proxy exposing the :class:`DeviceState` attribute API.
-
-    Reads and writes go straight through to the owning
-    :class:`DeviceStateArrays`, which preserves the original semantics where
-    ``crossbar.states[cell]`` returned a live, mutable object.
-    """
-
-    __slots__ = ("_arrays", "_cell")
-
-    def __init__(self, arrays: DeviceStateArrays, cell: Cell):
-        object.__setattr__(self, "_arrays", arrays)
-        object.__setattr__(self, "_cell", cell)
-
-    @property
-    def x(self) -> float:
-        return float(self._arrays.x[self._cell])
-
-    @x.setter
-    def x(self, value: float) -> None:
-        self._arrays.x[self._cell] = value
-
-    @property
-    def filament_temperature_k(self) -> float:
-        return float(self._arrays.temperature_k[self._cell])
-
-    @filament_temperature_k.setter
-    def filament_temperature_k(self, value: float) -> None:
-        self._arrays.temperature_k[self._cell] = value
-
-    def copy(self) -> DeviceState:
-        """Detached :class:`DeviceState` snapshot of this cell."""
-        return DeviceState(self.x, self.filament_temperature_k)
-
-    def __repr__(self) -> str:
-        return f"DeviceStateView(cell={self._cell}, x={self.x}, T={self.filament_temperature_k})"
-
-
-class DeviceStateMapView(MappingABC):
-    """Mapping[Cell, DeviceState]-compatible view over :class:`DeviceStateArrays`.
-
-    Keeps every caller of the historic ``crossbar.states`` dict working
-    (lookup, iteration, ``items()``/``values()``, assignment of
-    :class:`DeviceState` objects) while the authoritative storage stays in
-    flat arrays.  Exposes the backing container as :attr:`arrays` so
-    array-native code can skip the per-cell proxies entirely.
-    """
-
-    __slots__ = ("arrays",)
-
-    def __init__(self, arrays: DeviceStateArrays):
-        self.arrays = arrays
-
-    def _check(self, cell) -> Cell:
-        cell = tuple(cell)
-        if (
-            len(cell) != 2
-            or not (0 <= cell[0] < self.arrays.rows)
-            or not (0 <= cell[1] < self.arrays.columns)
-        ):
-            raise KeyError(cell)
-        return cell
-
-    def __getitem__(self, cell) -> DeviceStateView:
-        return DeviceStateView(self.arrays, self._check(cell))
-
-    def __setitem__(self, cell, state) -> None:
-        cell = self._check(cell)
-        self.arrays.x[cell] = state.x
-        self.arrays.temperature_k[cell] = state.filament_temperature_k
-
-    def __iter__(self) -> Iterator[Cell]:
-        for row in range(self.arrays.rows):
-            for column in range(self.arrays.columns):
-                yield (row, column)
-
-    def __len__(self) -> int:
-        return self.arrays.rows * self.arrays.columns
-
-    def __contains__(self, cell) -> bool:
-        try:
-            self._check(cell)
-        except KeyError:
-            return False
-        return True
 
 
 def finite_difference_conductance(

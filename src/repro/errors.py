@@ -59,9 +59,8 @@ class StoreError(CampaignError):
 
 class StoreUnavailableError(StoreError):
     """The shared result store cannot be opened (read-only root, locked-out
-    index, unusable sqlite), or a result cache directory still holds per-file
-    entries awaiting ``repro store migrate``.  The CLI turns it into a warning
-    and runs the command without a cache instead of failing it."""
+    index, unusable sqlite).  The CLI turns it into a warning and runs the
+    command without a cache instead of failing it."""
 
 
 class FaultInjectionError(ReproError):

@@ -161,8 +161,9 @@ def follow_heartbeat(
 ) -> Iterator[Dict[str, Any]]:
     """Yield each new heartbeat state (by ``seq``) until it terminates.
 
-    Stops after the terminal status (``done``/``failed``) is yielded, or
-    when ``timeout_s`` elapses with no new state — whichever comes first.
+    Stops after a terminal status (``done``/``failed``/``interrupted``) is
+    yielded, or when ``timeout_s`` elapses with no new state — whichever
+    comes first.
     The timeout clock resets on every new ``seq``, so a slow-but-alive run
     is followed indefinitely while a dead one is abandoned promptly.
     """

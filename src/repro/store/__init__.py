@@ -12,10 +12,9 @@ once.
 * :class:`~repro.store.lease.LeaseManager` — advisory point leases (pid +
   expiry lock files with stale-steal after a liveness probe) that let N
   concurrent campaigns partition one sweep instead of duplicating it.
-* :func:`~repro.store.store.migrate_legacy_cache` plus
-  :meth:`~repro.store.store.ResultStore.verify` /
-  :meth:`~repro.store.store.ResultStore.gc` — the operational trio behind
-  ``repro store migrate|verify|gc``.
+* :meth:`~repro.store.store.ResultStore.verify` /
+  :meth:`~repro.store.store.ResultStore.gc` — the operational pair behind
+  ``repro store verify|gc``.
 
 :class:`~repro.campaign.cache.ResultCache` is the campaign-facing front of
 one :class:`~repro.store.store.ResultStore`; every result cache is a store.
@@ -32,7 +31,6 @@ from .store import (
     QUARANTINE_DIRNAME,
     ResultStore,
     is_store_dir,
-    migrate_legacy_cache,
 )
 
 __all__ = [
@@ -49,5 +47,4 @@ __all__ = [
     "StoreError",
     "StoreUnavailableError",
     "is_store_dir",
-    "migrate_legacy_cache",
 ]

@@ -20,10 +20,9 @@ index is sqlite.
 Payloads are content-addressed: identical results share one file, and a
 replaced entry simply re-points its row (the old payload becomes garbage for
 :meth:`gc`).  :meth:`verify` re-hashes every live payload and reports
-checksum failures, missing payloads, orphans and lease states;
-:func:`migrate_legacy_cache` converts an old per-file cache directory in
-place.  :class:`~repro.campaign.cache.ResultCache` is the campaign-facing
-front of this class.
+checksum failures, missing payloads, orphans and lease states.
+:class:`~repro.campaign.cache.ResultCache` is the campaign-facing front of
+this class.
 """
 
 from __future__ import annotations
@@ -386,54 +385,3 @@ class ResultStore:
         """
         with self.index.write("lock-hold"):
             time.sleep(duration_s)
-
-
-# ----------------------------------------------------------------------
-# migration
-# ----------------------------------------------------------------------
-
-
-def migrate_legacy_cache(
-    root: Union[str, Path], lease_ttl_s: float = DEFAULT_LEASE_TTL_S
-) -> Dict[str, Any]:
-    """Convert a legacy per-file result cache directory in place.
-
-    Every readable ``<key>.json`` entry is published into a fresh store at
-    the same root (content-addressed payload + index row) and the legacy
-    file removed; unparseable legacy entries move to ``quarantine/``; legacy
-    ``<key>.corrupt`` quarantine files move along unchanged.  Only files
-    whose stem is a hex key are legacy entries: any other ``*.json`` file
-    (a spec, an export) stays in place and is counted as ``skipped``.
-    Idempotent — re-running on a migrated (or partially migrated) directory
-    only processes what is left.
-    """
-    root = Path(root)
-    if not root.is_dir():
-        raise StoreError(f"cannot migrate {root}: not a directory")
-    store = ResultStore(root, lease_ttl_s=lease_ttl_s)
-    report = {"root": str(root), "migrated": 0, "quarantined": 0, "skipped": 0}
-    for path in sorted(root.glob("*.json")):
-        key = path.stem
-        if not is_hex_key(key):
-            report["skipped"] += 1
-            continue
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            payload = None
-        if not isinstance(payload, dict):
-            with contextlib.suppress(OSError):
-                os.replace(path, store.quarantine_dir / f"{key}.corrupt")
-            report["quarantined"] += 1
-            continue
-        store.put(key, payload, spec_name=payload.get("spec_name"))
-        with contextlib.suppress(OSError):
-            os.unlink(path)
-        report["migrated"] += 1
-    for path in sorted(root.glob("*.corrupt")):
-        with contextlib.suppress(OSError):
-            os.replace(path, store.quarantine_dir / path.name)
-            report["quarantined"] += 1
-    report["entries"] = len(store)
-    store.close()
-    return report

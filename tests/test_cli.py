@@ -80,6 +80,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run-fig", "9z"])
 
+    def test_store_migrate_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["store", "migrate", "cache"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
+
+    def test_run_fig_help_names_every_campaign_figure(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run-fig", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert help_text.count("(figures 3a/3b/3c/3d only)") == 2
+
 
 class TestCampaignRun:
     def test_twelve_point_grid_through_pool_then_cache(self, spec_path, tmp_path, capsys):
@@ -152,13 +164,27 @@ class TestRunFig:
         assert "pulse_length_ns" in out
         assert (save_dir / "fig3a.csv").exists()
 
+    @staticmethod
+    def cached_points(tmp_path, capsys, figure, workers):
+        """``metadata.campaign.cached`` of each run, all on one cache."""
+        cached = []
+        for run, run_workers in enumerate(workers):
+            save_dir = tmp_path / f"run-{run}"
+            assert main([
+                "run-fig", figure, "--workers", str(run_workers),
+                "--cache", str(tmp_path / "cache"), "--save", str(save_dir),
+            ]) == 0
+            capsys.readouterr()
+            export = json.loads((save_dir / f"fig{figure}.json").read_text())
+            cached.append(export["metadata"]["campaign"]["cached"])
+        return cached
+
     def test_run_fig_3a_uses_cache_when_asked(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        assert main(["run-fig", "3a", "--cache", str(cache_dir)]) == 0
-        capsys.readouterr()
-        assert len(ResultCache(cache_dir).store) == 10
-        assert main(["run-fig", "3a", "--workers", "2", "--cache", str(cache_dir)]) == 0
-        capsys.readouterr()
+        assert self.cached_points(tmp_path, capsys, "3a", workers=(0, 2)) == [0, 10]
+        assert len(ResultCache(tmp_path / "cache").store) == 10
+
+    def test_run_fig_3d_with_workers_uses_cache(self, tmp_path, capsys):
+        assert self.cached_points(tmp_path, capsys, "3d", workers=(2, 2)) == [0, 5]
 
     def test_version_command(self, capsys):
         from repro import __version__

@@ -119,9 +119,17 @@ class TestCrossbarArrayState:
         with pytest.raises(ConfigurationError):
             small_crossbar.initialise_bits(np.zeros((2, 2), dtype=int))
 
+    def test_get_state_is_a_detached_copy(self, small_crossbar):
+        small_crossbar.set_state((1, 1), 0.8)
+        state = small_crossbar.get_state((1, 1))
+        state.x = 0.1
+        state.filament_temperature_k = 900.0
+        assert small_crossbar.get_state((1, 1)).x == pytest.approx(0.8)
+        assert small_crossbar.state.temperature_k[1, 1] == small_crossbar.ambient_temperature_k
+
     def test_copy_and_restore_states(self, small_crossbar):
         small_crossbar.set_state((0, 1), 0.6)
-        snapshot = small_crossbar.copy_states()
+        snapshot = small_crossbar.copy_state_arrays()
         small_crossbar.set_state((0, 1), 0.1)
         small_crossbar.restore_states(snapshot)
         assert small_crossbar.get_state((0, 1)).x == pytest.approx(0.6)

@@ -13,7 +13,14 @@ from repro.circuit import (
 )
 from repro.circuit.reference import expand_crossbar_netlist
 from repro.config import CrossbarGeometry, WireParameters
-from repro.devices import DeviceState, JartVcmModel, LinearIonDriftModel
+from repro.devices import DeviceStateArrays, JartVcmModel, LinearIonDriftModel
+
+
+def uniform_states(geometry, state):
+    """Every cell of ``geometry`` in ``state``."""
+    return DeviceStateArrays(
+        geometry.rows, geometry.columns, x=state.x, temperature_k=state.filament_temperature_k
+    )
 
 
 def reference_indices(expanded):
@@ -98,8 +105,7 @@ class TestSolver:
         return CrossbarSolver(netlist, JartVcmModel()), small_geometry
 
     def _hrs_states(self, geometry):
-        model = JartVcmModel()
-        return {cell: model.hrs_state() for cell in geometry.iter_cells()}
+        return uniform_states(geometry, JartVcmModel().hrs_state())
 
     def test_selected_cell_sees_nearly_full_voltage(self, solver):
         engine, geometry = solver
@@ -131,7 +137,9 @@ class TestSolver:
         states = self._hrs_states(geometry)
         bias = write_bias(geometry, [(1, 1)], 1.05)
         hrs_current = engine.solve(bias, states).cell_current((1, 1))
-        states[(1, 1)] = JartVcmModel().lrs_state()
+        lrs = JartVcmModel().lrs_state()
+        states.x[1, 1] = lrs.x
+        states.temperature_k[1, 1] = lrs.filament_temperature_k
         lrs_current = engine.solve(bias, states).cell_current((1, 1))
         assert lrs_current > 50.0 * hrs_current
 
@@ -141,7 +149,7 @@ class TestSolver:
             JartVcmModel(),
         )
         model = JartVcmModel()
-        states = {cell: model.lrs_state() for cell in small_geometry.iter_cells()}
+        states = uniform_states(small_geometry, model.lrs_state())
         op = lossy.solve(write_bias(small_geometry, [(1, 1)], 1.05), states)
         assert op.cell_voltage((1, 1)) < 1.0
 
@@ -166,7 +174,7 @@ class TestSolver:
     def test_works_with_other_device_models(self, small_geometry):
         model = LinearIonDriftModel()
         engine = CrossbarSolver(build_crossbar_netlist(small_geometry), model)
-        states = {cell: model.hrs_state() for cell in small_geometry.iter_cells()}
+        states = uniform_states(small_geometry, model.hrs_state())
         op = engine.solve(write_bias(small_geometry, [(0, 0)], 1.0), states)
         assert op.cell_voltage((0, 0)) == pytest.approx(1.0, abs=0.05)
 

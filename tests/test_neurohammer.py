@@ -113,6 +113,19 @@ class TestNeuroHammerEngine:
         with pytest.raises(ConfigurationError):
             attack.run(config=config)
 
+    def test_transient_ambient_mismatch_rejected(self):
+        """The transient engine simulates at the crossbar's ambient, so a
+        config at another ambient is refused as :meth:`NeuroHammer.run`
+        refuses it, instead of being reported under the config's ambient."""
+        crossbar = CrossbarArray(geometry=CrossbarGeometry(rows=3, columns=3))
+        config = AttackConfig(
+            aggressors=[(1, 1)], victim=(1, 2), pulse=PulseConfig(length_s=20e-6),
+            ambient_temperature_k=380.0,
+        )
+        with pytest.raises(ConfigurationError, match="ambient temperature"):
+            NeuroHammer(crossbar).run_transient(config=config, max_pulses=3)
+        assert np.all(crossbar.state_map() == 0.0)
+
     def test_multi_aggressor_config_needs_victim(self, paper_crossbar):
         attack = NeuroHammer(paper_crossbar)
         config = AttackConfig(aggressors=[(2, 1), (2, 3)])

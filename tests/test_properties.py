@@ -112,7 +112,7 @@ class TestSolverDifferential:
         bias = write_bias(geometry, [aggressor], amplitude, scheme=scheme)
         fast = crossbar.solve_bias(bias)
         reference = ReferenceCrossbarSolver(crossbar.netlist, crossbar.model).solve(
-            bias, crossbar.state.as_mapping()
+            bias, crossbar.state
         )
         np.testing.assert_allclose(
             fast.device_voltages_v, reference.device_voltages_v, rtol=1e-9, atol=1e-12
@@ -154,7 +154,7 @@ class TestSolverDifferential:
         temperatures[aggressor] += rise
         fast = crossbar.solve_bias(bias)
         reference = ReferenceCrossbarSolver(crossbar.netlist, crossbar.model).solve(
-            bias, crossbar.state.as_mapping()
+            bias, crossbar.state
         )
         np.testing.assert_allclose(
             fast.device_voltages_v, reference.device_voltages_v, rtol=1e-9, atol=1e-12

@@ -87,6 +87,33 @@ def test_crosstalk_has_one_eq5_path():
         assert not hasattr(estimators, name), f"estimators.{name} is back"
 
 
+def test_one_state_representation_and_one_cache_layout():
+    """The per-cell state views and the per-file cache migration made way
+    for :class:`DeviceStateArrays` and the result store."""
+    from repro import devices, store
+    from repro.circuit import CrossbarArray
+    from repro.devices import DeviceStateArrays, base
+
+    for module, name in (
+        (devices, "DeviceStateView"),
+        (devices, "DeviceStateMapView"),
+        (base, "DeviceStateView"),
+        (base, "DeviceStateMapView"),
+        (repro, "migrate_legacy_cache"),
+        (store, "migrate_legacy_cache"),
+        (store.store, "migrate_legacy_cache"),
+    ):
+        assert not hasattr(module, name), f"{module.__name__}.{name} is back"
+    for cls, name in (
+        (DeviceStateArrays, "from_mapping"),
+        (DeviceStateArrays, "view"),
+        (DeviceStateArrays, "as_mapping"),
+        (CrossbarArray, "copy_states"),
+    ):
+        assert not hasattr(cls, name), f"{cls.__name__}.{name} is back"
+    assert not hasattr(CrossbarArray(), "states")
+
+
 def test_headline_entry_point_signature():
     from repro import hammer_once
 

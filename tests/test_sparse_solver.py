@@ -118,7 +118,7 @@ class TestSparseSolverAgreement:
             fast = CrossbarSolver(netlist, model)
             reference = ReferenceCrossbarSolver(netlist, model)
             fast_op, counters = counted_solve(fast, bias, states)
-            ref_op = reference.solve(bias, states.as_mapping())
+            ref_op = reference.solve(bias, states)
 
             assert_same_operating_point(fast_op, ref_op)
             # Chord steps take more, cheaper iterations, but never need more
@@ -142,24 +142,8 @@ class TestSparseSolverAgreement:
         bias = write_bias(geometry, [(1, 1)], 1.0)
 
         fast_op = CrossbarSolver(netlist, model).solve(bias, states)
-        ref_op = ReferenceCrossbarSolver(netlist, model).solve(bias, states.as_mapping())
+        ref_op = ReferenceCrossbarSolver(netlist, model).solve(bias, states)
         assert_same_operating_point(fast_op, ref_op)
-
-    def test_mapping_and_array_states_give_identical_results(self, small_geometry):
-        model = JartVcmModel()
-        netlist = build_crossbar_netlist(small_geometry)
-        rng = np.random.default_rng(3)
-        states = random_states(rng, small_geometry)
-        bias = write_bias(small_geometry, [(1, 1)], 1.05)
-
-        from_arrays = CrossbarSolver(netlist, model).solve(bias, states)
-        legacy_mapping = {
-            cell: DeviceState(float(states.x[cell]), float(states.temperature_k[cell]))
-            for cell in small_geometry.iter_cells()
-        }
-        from_mapping = CrossbarSolver(netlist, model).solve(bias, legacy_mapping)
-        np.testing.assert_array_equal(from_arrays.device_voltages_v, from_mapping.device_voltages_v)
-        np.testing.assert_array_equal(from_arrays.device_currents_a, from_mapping.device_currents_a)
 
     def test_chained_solves_on_a_held_factor_agree_with_the_reference(self):
         """One solver, three successive solves, each stepping against the
@@ -181,7 +165,7 @@ class TestSparseSolverAgreement:
         for bias in (floating, redriven, write):
             states = random_states(rng, geometry)
             assert_same_operating_point(
-                fast.solve(bias, states), reference.solve(bias, states.as_mapping())
+                fast.solve(bias, states), reference.solve(bias, states)
             )
 
     def test_held_factor_is_reused_until_the_driven_lines_change(self):
@@ -230,7 +214,7 @@ class TestSparseSolverAgreement:
         assert counters["solver.factorizations"] == 1
         assert "solver.warm_starts" not in counters
         if size <= 16:
-            ref_op = ReferenceCrossbarSolver(netlist, model).solve(bias, states.as_mapping())
+            ref_op = ReferenceCrossbarSolver(netlist, model).solve(bias, states)
             # Powers are not compared: an x = 0 cell near 0 V dissipates
             # ~2e-19 W, and the ~3e-14 V rounding difference between the
             # dense and the sparse LU moves that by ~5e-9 relative, above
@@ -248,7 +232,7 @@ class TestSparseSolverAgreement:
         bias = write_bias(geometry, [(12, 12)], 1.05)
         assert_same_operating_point(
             CrossbarSolver(netlist, model).solve(bias, states),
-            ReferenceCrossbarSolver(netlist, model).solve(bias, states.as_mapping()),
+            ReferenceCrossbarSolver(netlist, model).solve(bias, states),
         )
 
     def test_mostly_floating_lines_sweep_until_the_step_is_accurate(self):
@@ -270,7 +254,7 @@ class TestSparseSolverAgreement:
         )
         op, counters = counted_solve(CrossbarSolver(netlist, model), bias, states)
         assert counters["solver.factorizations"] <= 5
-        reference = ReferenceCrossbarSolver(netlist, model).solve(bias, states.as_mapping())
+        reference = ReferenceCrossbarSolver(netlist, model).solve(bias, states)
         assert_same_operating_point(op, reference)
 
     def test_iteration_cap_raises_and_the_next_solve_starts_cold(self):
@@ -291,7 +275,7 @@ class TestSparseSolverAgreement:
         # The failed iterate is not kept as a warm start.
         assert "solver.warm_starts" not in counters
         # Powers are not compared, as in test_cold_solve_factors_once.
-        reference = ReferenceCrossbarSolver(netlist, model).solve(bias, states.as_mapping())
+        reference = ReferenceCrossbarSolver(netlist, model).solve(bias, states)
         assert_same_solution(op, reference)
 
     def test_an_indefinite_chain_band_raises(self):
@@ -410,6 +394,6 @@ class TestBatchedModelKernels:
             write_bias(CrossbarGeometry(rows=2, columns=2), [(0, 0)], 1.0), states
         )
         ref = ReferenceCrossbarSolver(netlist, LinearIonDriftModel()).solve(
-            write_bias(CrossbarGeometry(rows=2, columns=2), [(0, 0)], 1.0), states.as_mapping()
+            write_bias(CrossbarGeometry(rows=2, columns=2), [(0, 0)], 1.0), states
         )
         assert_same_operating_point(op, ref)

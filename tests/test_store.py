@@ -1,9 +1,9 @@
 """Tests for the concurrent-safe shared result store (repro.store).
 
 Covers the sqlite index, the advisory lease protocol, checksum detection
-and quarantine, verify/gc/migrate, the ResultCache front (refusal of
-unusable and per-file cache directories, the CLI's run without a cache,
-best-effort publishing), runner leasing, and — the acceptance bar —
+and quarantine, verify/gc, the ResultCache front (refusal of unusable
+directories, the CLI's run without a cache, best-effort publishing), runner
+leasing, and — the acceptance bar —
 multi-process contention: an N-writer stress test with no lost updates and
 two concurrent ``campaign run`` processes partitioning one sweep with zero
 duplicated computations.
@@ -37,7 +37,6 @@ from repro.store import (
     ResultStore,
     SqliteIndex,
     is_store_dir,
-    migrate_legacy_cache,
 )
 
 KEY_A = "aa11"
@@ -377,11 +376,18 @@ class TestResultCacheFacade:
         with pytest.raises(StoreUnavailableError):
             ResultCache(tmp_path)
 
-    def test_per_file_cache_directory_is_refused_untouched(self, tmp_path):
+    def test_per_file_entries_are_left_byte_identical(self, tmp_path):
+        """A directory of ``<hex>.json`` files opens as a store; the store
+        neither reads nor moves them (their keys hash an older version, so
+        none could ever be a hit)."""
         write_legacy_entry(tmp_path, KEY_A, PAYLOAD)
-        with pytest.raises(StoreUnavailableError, match=f"repro store migrate {tmp_path}"):
-            ResultCache(tmp_path)
-        assert [path.name for path in tmp_path.iterdir()] == [f"{KEY_A}.json"]
+        write_legacy_entry(tmp_path, KEY_B, {"status": "ok", "result": {"x": 1}})
+        before = {path.name: path.read_bytes() for path in tmp_path.glob("*.json")}
+        cache = ResultCache(tmp_path)
+        assert is_store_dir(tmp_path)
+        assert cache.get(KEY_A) is None and len(cache.store) == 0
+        cache.put(KEY_B, PAYLOAD)
+        assert {path.name: path.read_bytes() for path in tmp_path.glob("*.json")} == before
 
     def test_failed_publish_degrades_instead_of_crashing(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
@@ -414,36 +420,6 @@ class TestResultCacheFacade:
             assert mode == 0o644, oct(mode)
         finally:
             os.umask(previous)
-
-
-# ----------------------------------------------------------------------
-# migration
-# ----------------------------------------------------------------------
-
-
-class TestMigrateLegacyCache:
-    def test_migrates_entries_and_quarantine_in_place(self, tmp_path):
-        write_legacy_entry(tmp_path, KEY_A, PAYLOAD)
-        write_legacy_entry(tmp_path, KEY_B, {"status": "ok", "result": {"x": 1}})
-        (tmp_path / "cc33.json").write_text("torn{", encoding="utf-8")
-        (tmp_path / "dd44.corrupt").write_text("old evidence", encoding="utf-8")
-        # JSON files that are not cache entries stay where they are.
-        (tmp_path / "spec.json").write_text('{"name": "s"}', encoding="utf-8")
-        (tmp_path / "results.json").write_text("[1, 2]", encoding="utf-8")
-        report = migrate_legacy_cache(tmp_path)
-        assert report["migrated"] == 2 and report["quarantined"] == 2
-        assert report["skipped"] == 2 and report["entries"] == 2
-        migrated = ResultCache(tmp_path)
-        assert migrated.get(KEY_A)["result"]["pulses"] == 7
-        assert migrated.store.keys() == [KEY_A, KEY_B]
-        assert sorted(path.name for path in tmp_path.glob("*.json")) == ["results.json", "spec.json"]
-
-    def test_migration_is_idempotent(self, tmp_path):
-        write_legacy_entry(tmp_path, KEY_A, PAYLOAD)
-        first = migrate_legacy_cache(tmp_path)
-        second = migrate_legacy_cache(tmp_path)
-        assert first["migrated"] == 1 and second["migrated"] == 0
-        assert second["entries"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -562,7 +538,8 @@ class TestStoreCli:
     def test_verify_rejects_non_store_directory(self, tmp_path, capsys):
         write_legacy_entry(tmp_path, KEY_A, PAYLOAD)  # per-file cache, no index
         assert main(["store", "verify", str(tmp_path)]) == 1
-        assert "repro store migrate" in capsys.readouterr().err
+        assert f"{tmp_path} is not a result store" in capsys.readouterr().err
+        assert not is_store_dir(tmp_path)
 
     def test_gc_reports_sweep_counts(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
@@ -570,22 +547,6 @@ class TestStoreCli:
         assert main(["store", "gc", str(store_dir), "--json"]) == 0
         swept = json.loads(capsys.readouterr().out)
         assert swept["orphan_payloads"] == 0 and swept["stale_leases"] == 0
-
-    def test_migrate_then_campaign_run_reuses_entries(self, tmp_path, capsys):
-        spec = small_spec(name="migrate-spec")
-        spec_path = tmp_path / "spec.json"
-        spec.to_json(spec_path)
-        cache_dir = tmp_path / "cache"
-        for point in spec.iter_points():
-            write_legacy_entry(
-                cache_dir, point.key, {"status": "ok", "result": {"index": point.index}}
-            )
-        assert main(["store", "migrate", str(cache_dir)]) == 0
-        capsys.readouterr()
-        # The migrated store answers the same spec without recomputing.
-        rerun = CampaignRunner(spec, cache=ResultCache(cache_dir), job_fn=fake_job)
-        report = rerun.run()
-        assert report.cached_count == 3
 
     def test_campaign_status_points_at_the_quarantine_dir(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -599,18 +560,11 @@ class TestStoreCli:
         out = capsys.readouterr().out
         assert f"quarantined cache entries: 1 (*.corrupt files under {cache_dir / 'quarantine'})" in out
 
-    @pytest.mark.parametrize("damage", ["per-file entries", "unusable index"])
-    def test_campaign_run_without_a_usable_store_runs_uncached(
-        self, tmp_path, capsys, caplog, damage
-    ):
+    def test_campaign_run_without_a_usable_store_runs_uncached(self, tmp_path, capsys, caplog):
         spec_path = tmp_path / "spec.json"
         small_spec(name="uncached-spec").to_json(spec_path)
         cache_dir = tmp_path / "cache"
-        if damage == "per-file entries":
-            write_legacy_entry(cache_dir, KEY_A, PAYLOAD)
-        else:
-            (cache_dir / INDEX_FILENAME).mkdir(parents=True)  # sqlite cannot open a directory
-        before = {path.name: path.read_bytes() for path in cache_dir.glob("*.json")}
+        (cache_dir / INDEX_FILENAME).mkdir(parents=True)  # sqlite cannot open a directory
         telemetry = tmp_path / "telemetry.json"
         with caplog.at_level("WARNING", logger="repro.campaign.cli"):
             code = main([
@@ -621,10 +575,6 @@ class TestStoreCli:
         assert "3 points, 3 ok (0 cached)" in capsys.readouterr().out
         assert "running without a result cache" in caplog.text
         assert json.loads(telemetry.read_text())["counters"]["store.degraded"] == 1
-        if damage == "per-file entries":
-            assert f"repro store migrate {cache_dir}" in caplog.text
-            assert [path.name for path in cache_dir.iterdir()] == [f"{KEY_A}.json"]
-            assert {path.name: path.read_bytes() for path in cache_dir.glob("*.json")} == before
 
 
 # ----------------------------------------------------------------------
