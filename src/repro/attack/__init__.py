@@ -2,7 +2,6 @@
 
 from .analysis import (
     PhaseNarrative,
-    half_select_disturbance_time,
     minimum_alpha_to_flip,
     narrate_attack,
     switching_rate,
@@ -51,7 +50,6 @@ __all__ = [
     "narrate_attack",
     "switching_rate",
     "thermal_acceleration_factor",
-    "half_select_disturbance_time",
     "minimum_alpha_to_flip",
     "RowHammerModel",
     "RowHammerResult",

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..constants import DEFAULT_AMBIENT_TEMPERATURE_K, DEFAULT_SET_VOLTAGE_V
 from ..devices.base import DeviceState, MemristorModel
 from ..devices.jart_vcm import JartVcmModel
-from ..devices.kinetics import pulses_to_switch, time_to_switch
+from ..devices.kinetics import pulses_to_switch
 from ..devices.thermal import solve_operating_point
 from ..errors import AttackError
 
@@ -49,27 +49,6 @@ def thermal_acceleration_factor(
     if cold <= 0:
         return math.inf if hot > 0 else 1.0
     return hot / cold
-
-
-def half_select_disturbance_time(
-    model: MemristorModel,
-    half_select_voltage_v: float,
-    crosstalk_temperature_k: float,
-    ambient_temperature_k: float = DEFAULT_AMBIENT_TEMPERATURE_K,
-    flip_threshold: float = 0.5,
-    max_time_s: float = 10.0,
-) -> float:
-    """Biased time until a half-selected HRS cell crosses the flip threshold [s]."""
-    result = time_to_switch(
-        model,
-        half_select_voltage_v,
-        x_start=0.0,
-        x_target=flip_threshold,
-        ambient_temperature_k=ambient_temperature_k,
-        crosstalk_temperature_k=crosstalk_temperature_k,
-        max_time_s=max_time_s,
-    )
-    return result.time_s if result.switched else math.inf
 
 
 def minimum_alpha_to_flip(

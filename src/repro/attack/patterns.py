@@ -22,7 +22,7 @@ individually safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..config import CrossbarGeometry
 from ..errors import AttackError
@@ -108,22 +108,6 @@ class AttackPattern:
     def shares_line_with_victim(self, aggressor: Cell) -> bool:
         """True if the aggressor shares a word or bit line with the victim."""
         return aggressor[0] == self.victim[0] or aggressor[1] == self.victim[1]
-
-
-def _grouped_phases(aggressors: Sequence[Cell]) -> Tuple[HammerPhase, ...]:
-    """Group aggressors into simultaneous-safe phases.
-
-    Aggressors that all share one row (or all share one column) can be pulsed
-    together; anything else is split into per-row groups.
-    """
-    rows = {cell[0] for cell in aggressors}
-    columns = {cell[1] for cell in aggressors}
-    if len(rows) == 1 or len(columns) == 1:
-        return (HammerPhase(tuple(aggressors)),)
-    by_row: Dict[int, List[Cell]] = {}
-    for cell in aggressors:
-        by_row.setdefault(cell[0], []).append(cell)
-    return tuple(HammerPhase(tuple(cells)) for cells in by_row.values())
 
 
 def single_aggressor(geometry: CrossbarGeometry, victim: Optional[Cell] = None) -> AttackPattern:

@@ -106,6 +106,7 @@ from ..obs import (
     diff_audit_streams,
     check_bench,
     diff_snapshots,
+    find_heartbeats,
     follow_heartbeat,
     gate_passed,
     get_telemetry,
@@ -115,7 +116,6 @@ from ..obs import (
     numerics_counts,
     payload_max_abs_diff,
     read_audit_stream,
-    read_heartbeat,
     render_audit_diff,
     render_check_report,
     render_diff,
@@ -820,16 +820,10 @@ def _latest_spec_heartbeat(args: argparse.Namespace, spec_name: str) -> Optional
         live_dir = RunLedger(getattr(args, "obs_dir", None)).live_dir
     except (OSError, ReproError):
         return None
-    if not live_dir.is_dir():
-        return None
-    best: Optional[Dict[str, Any]] = None
-    for candidate in live_dir.glob("*.json"):
-        state = read_heartbeat(candidate)
-        if state is None or state.get("spec_name") != spec_name:
-            continue
-        if best is None or state.get("started_unix_s", 0.0) > best.get("started_unix_s", 0.0):
-            best = state
-    return best
+    states = [
+        state for state in find_heartbeats(live_dir).values() if state.get("spec_name") == spec_name
+    ]
+    return max(states, key=lambda state: state.get("started_unix_s", 0.0), default=None)
 
 
 def _follow_spec_heartbeat(args: argparse.Namespace, spec: CampaignSpec) -> int:
@@ -840,27 +834,25 @@ def _follow_spec_heartbeat(args: argparse.Namespace, spec: CampaignSpec) -> int:
     heartbeat sequence number until the run terminates.
     """
     live_dir = RunLedger(getattr(args, "obs_dir", None)).live_dir
-    path: Optional[Path] = None
+    run_id: Optional[str] = None
     deadline = time.monotonic() + args.timeout
     while time.monotonic() < deadline:
-        candidates = []
-        if live_dir.is_dir():
-            for candidate in live_dir.glob("*.json"):
-                state = read_heartbeat(candidate)
-                if state is not None and state.get("spec_name") == spec.name:
-                    candidates.append(
-                        (state.get("status") == "running", state.get("started_unix_s", 0.0), candidate)
-                    )
+        candidates = [
+            (state.get("status") == "running", state.get("started_unix_s", 0.0), key)
+            for key, state in find_heartbeats(live_dir).items()
+            if state.get("spec_name") == spec.name
+        ]
         if candidates:
             # Prefer a currently-running heartbeat; otherwise show the most
             # recent finished one (its terminal state prints once).
             running = [entry for entry in candidates if entry[0]]
-            path = max(running or candidates, key=lambda entry: entry[1])[2]
+            run_id = max(running or candidates, key=lambda entry: entry[1])[2]
             break
         time.sleep(args.poll)
-    if path is None:
+    if run_id is None:
         print(f"no live run of spec {spec.name!r} found under {live_dir}")
         return 1
+    path = live_dir / f"{run_id}.json"
     for state in follow_heartbeat(path, poll_s=args.poll, timeout_s=args.timeout):
         print(render_heartbeat(state), flush=True)
     return 0
@@ -1246,33 +1238,27 @@ def _cmd_obs_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_top(args: argparse.Namespace) -> int:
-    ledger = _open_ledger(args)
-    live_dir = ledger.live_dir
-    if not live_dir.is_dir():
-        raise ReproError(f"no live heartbeats under {live_dir}")
-    paths = sorted(live_dir.glob("*.json"))
-    if not paths:
+    live_dir = _open_ledger(args).live_dir
+    heartbeats = find_heartbeats(live_dir)
+    if not heartbeats:
         raise ReproError(f"no live heartbeats under {live_dir}")
     if args.run == "latest":
-        path = max(paths, key=lambda p: (read_heartbeat(p) or {}).get("updated_unix_s", 0.0))
+        run_id = max(heartbeats, key=lambda key: heartbeats[key].get("updated_unix_s", 0.0))
     else:
-        matches = [p for p in paths if p.stem == args.run] or [
-            p for p in paths if p.stem.startswith(args.run)
+        matches = [args.run] if args.run in heartbeats else [
+            key for key in heartbeats if key.startswith(args.run)
         ]
         if not matches:
             raise ReproError(f"no heartbeat matches {args.run!r} under {live_dir}")
         if len(matches) > 1:
             raise ReproError(
-                f"heartbeat reference {args.run!r} is ambiguous: "
-                f"matches {sorted(p.stem for p in matches)[:5]}"
+                f"heartbeat reference {args.run!r} is ambiguous: matches {sorted(matches)[:5]}"
             )
-        path = matches[0]
+        run_id = matches[0]
     if args.once:
-        state = read_heartbeat(path)
-        if state is None:
-            raise ReproError(f"heartbeat {path} is unreadable")
-        print(render_heartbeat(state))
+        print(render_heartbeat(heartbeats[run_id]))
         return 0
+    path = live_dir / f"{run_id}.json"
     for state in follow_heartbeat(path, poll_s=args.poll, timeout_s=args.timeout):
         print(render_heartbeat(state), flush=True)
     return 0

@@ -33,8 +33,6 @@ from .pulses import (
 from .readout import (
     ReadMargin,
     SneakPathReport,
-    array_read_margins,
-    minimum_read_window,
     read_margin,
     sensed_column_current,
     sneak_path_report,
@@ -74,8 +72,6 @@ __all__ = [
     "read_margin",
     "sensed_column_current",
     "sneak_path_report",
-    "array_read_margins",
-    "minimum_read_window",
     "CrossbarSolver",
     "NodeVoltageMap",
     "OperatingPoint",

@@ -11,11 +11,10 @@ memory controller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from .crossbar import CrossbarArray
 from .drivers import read_bias
 
@@ -143,19 +142,3 @@ def sneak_path_report(
         isolated_lrs_current_a=isolated_lrs,
     )
 
-
-def array_read_margins(
-    crossbar: CrossbarArray, read_voltage_v: float = 0.2
-) -> Dict[Cell, ReadMargin]:
-    """Read margins of every cell in the array."""
-    return {
-        tuple(cell): read_margin(crossbar, cell, read_voltage_v)
-        for cell in crossbar.geometry.iter_cells()
-    }
-
-
-def minimum_read_window(margins: Dict[Cell, ReadMargin]) -> float:
-    """Smallest LRS/HRS current ratio over the array."""
-    if not margins:
-        raise ConfigurationError("no read margins supplied")
-    return min(margin.ratio for margin in margins.values())

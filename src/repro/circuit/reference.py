@@ -136,12 +136,7 @@ class ReferenceCrossbarSolver:
 
     # -- solving --------------------------------------------------------------
 
-    def solve(
-        self,
-        bias: BiasPattern,
-        states: DeviceStateArrays,
-        initial_guess: Optional[np.ndarray] = None,
-    ) -> OperatingPoint:
+    def solve(self, bias: BiasPattern, states: DeviceStateArrays) -> OperatingPoint:
         n = len(self._index)
         # The seed stamp loops read one DeviceState per cell.
         cell_states = {
@@ -150,9 +145,7 @@ class ReferenceCrossbarSolver:
         }
         extra_g, driver_currents = self._driver_stamps(bias)
 
-        if initial_guess is not None:
-            voltages = np.array(initial_guess, dtype=float)
-        elif self._last_solution is not None and len(self._last_solution) == n:
+        if self._last_solution is not None and len(self._last_solution) == n:
             voltages = self._last_solution.copy()
         else:
             voltages = np.zeros(n)

@@ -16,6 +16,10 @@ import numpy as np
 from ..constants import DEFAULT_AMBIENT_TEMPERATURE_K
 from ..errors import DeviceModelError
 
+#: Magnitude of the largest cell voltage any compact model accepts [V];
+#: beyond it the models are driven outside their validity range.
+VOLTAGE_LIMIT_V = 10.0
+
 
 @dataclass
 class DeviceState:
@@ -297,22 +301,6 @@ class MemristorModel(abc.ABC):
         """Joule power dissipated in the cell [W]."""
         return abs(voltage_v * self.current(voltage_v, state))
 
-    def update_temperature(
-        self,
-        voltage_v: float,
-        state: DeviceState,
-        ambient_temperature_k: float,
-        crosstalk_temperature_k: float = 0.0,
-    ) -> float:
-        """Return the quasi-static filament temperature [K] (paper Eq. 6).
-
-        ``crosstalk_temperature_k`` is the *additional* temperature delivered
-        by the crosstalk hub (Eq. 5), i.e. the temperature rise caused by the
-        neighbouring cells' dissipation.
-        """
-        rise = self.thermal_resistance_k_per_w() * self.dissipated_power(voltage_v, state)
-        return ambient_temperature_k + crosstalk_temperature_k + rise
-
     def thermal_resistance_k_per_w(self) -> float:
         """Effective thermal resistance R_th,eff of the cell [K/W] (Eq. 6)."""
         return 0.0
@@ -351,12 +339,12 @@ class MemristorModel(abc.ABC):
         return x
 
     @staticmethod
-    def check_voltage(voltage_v: float, limit_v: float = 10.0) -> None:
+    def check_voltage(voltage_v: float) -> None:
         """Guard against numerically absurd voltages reaching the model."""
-        if not (-limit_v <= voltage_v <= limit_v):
+        if not (-VOLTAGE_LIMIT_V <= voltage_v <= VOLTAGE_LIMIT_V):
             raise DeviceModelError(
                 f"cell voltage {voltage_v!r} V outside the model validity range "
-                f"[-{limit_v}, {limit_v}] V"
+                f"[-{VOLTAGE_LIMIT_V}, {VOLTAGE_LIMIT_V}] V"
             )
 
 

@@ -42,6 +42,11 @@ from ..constants import (
 from ..errors import DeviceModelError
 from .base import DeviceState, MemristorModel
 
+#: Cap of the ion-hopping field argument ``field_k_per_v * |V_drive| / T``:
+#: an overflow guard for pathological inputs, since sinh(50) ~ 2.6e21
+#: already means instantaneous switching.
+MAX_FIELD_ARGUMENT = 50.0
+
 
 @dataclass
 class JartVcmParameters:
@@ -201,6 +206,10 @@ class JartVcmModel(MemristorModel):
         temperature = max(state.filament_temperature_k, 1.0)
         r_ohmic = self.ohmic_resistance(x)
         i_sat = self.interface_saturation_current(x, temperature)
+        if i_sat == 0.0:
+            # A few kelvin cold, the saturation current underflows and the
+            # interface blocks (the batched kernel's i_sat * sinh(w) is 0).
+            return 0.0
         v_nl = self.parameters.interface_voltage_v
 
         def residual(current_a: float) -> float:
@@ -258,9 +267,7 @@ class JartVcmModel(MemristorModel):
         temperature = max(state.filament_temperature_k, 1.0)
         v_drive = self._driving_voltage(voltage_v, current_a)
         field_argument = p.field_coefficient_k_per_v * abs(v_drive) / temperature
-        # Guard against overflow for pathological inputs; sinh(50) ~ 2.6e21
-        # already corresponds to instantaneous switching.
-        field_argument = min(field_argument, 50.0)
+        field_argument = min(field_argument, MAX_FIELD_ARGUMENT)
         field_term = math.sinh(field_argument)
         if voltage_v > 0.0:
             arrhenius = math.exp(-p.activation_energy_ev / (BOLTZMANN_EV_PER_K * temperature))

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..constants import DEFAULT_AMBIENT_TEMPERATURE_K
 from ..errors import DeviceModelError
-from .base import BatchedDeviceModel, DeviceState, MemristorModel
+from .base import VOLTAGE_LIMIT_V, BatchedDeviceModel, DeviceState, MemristorModel
 from .windows import WindowFunction, get_batched_window, get_window
 
 
@@ -116,8 +116,11 @@ class BatchedLinearIonDrift(BatchedDeviceModel):
 
     def current(self, voltage_v, x, temperature_k, scratch=None) -> np.ndarray:
         voltage_v = np.asarray(voltage_v, dtype=np.float64)
-        if np.any(np.abs(voltage_v) > 10.0):
-            raise DeviceModelError("cell voltage outside the model validity range [-10, 10] V")
+        if np.any(np.abs(voltage_v) > VOLTAGE_LIMIT_V):
+            raise DeviceModelError(
+                f"cell voltage outside the model validity range "
+                f"[-{VOLTAGE_LIMIT_V:g}, {VOLTAGE_LIMIT_V:g}] V"
+            )
         return voltage_v / self._memristance(np.asarray(x, dtype=np.float64))
 
     def conductance(self, voltage_v, x, temperature_k, scratch=None) -> np.ndarray:

@@ -19,10 +19,10 @@ that starts on the low side:
   with ``f > 0``, ``hi`` the lowest with ``f < 0``.  Anywhere else the
   damped step ``T + FALLBACK_DAMPING * f`` is taken, stopped halfway to the
   bracket end it would cross.
-* An accepted secant step shorter than ``tolerance_k`` is the error
-  estimate of the current iterate: the iterate is returned with the current
-  already solved at it, a self-consistent pair.  So is an iterate with
-  ``f = 0`` exactly.
+* An accepted secant step shorter than ``SELF_HEATING_TOLERANCE_K`` is the
+  error estimate of the current iterate: the iterate is returned with the
+  current already solved at it, a self-consistent pair.  So is an iterate
+  with ``f = 0`` exactly.
 
 For the JART model ``g(T) = T_base + R_th * P`` increases with T, so
 Picard from ``T_base`` rises monotonically to the *lowest* root, and the
@@ -47,9 +47,12 @@ from .base import DeviceState, MemristorModel
 #: the secant step is rejected.
 FALLBACK_DAMPING = 0.6
 
-#: Default stop of the self-heating fixed point: the bound on the error
-#: estimate (the last accepted secant step) [K].
+#: Stop of the self-heating fixed point: the bound on the error estimate
+#: (the last accepted secant step) [K].
 SELF_HEATING_TOLERANCE_K = 1e-4
+
+#: Current solves after which an unsettled self-heating fixed point fails.
+SELF_HEATING_MAX_ITERATIONS = 200
 
 
 @dataclass
@@ -80,30 +83,28 @@ def solve_operating_point(
     x: float,
     ambient_temperature_k: float = DEFAULT_AMBIENT_TEMPERATURE_K,
     crosstalk_temperature_k: float = 0.0,
-    tolerance_k: float = SELF_HEATING_TOLERANCE_K,
-    max_iterations: int = 200,
 ) -> ThermalOperatingPoint:
     """Solve the self-consistent filament temperature of a biased cell.
 
     Runs the module's safeguarded secant on
     ``f(T) = T_amb + dT_crosstalk + Rth_eff * P(V, x, T) - T``, one current
     solve per iteration, and returns the lowest fixed point within
-    ``tolerance_k``.  Raises :class:`ConvergenceError` if ``max_iterations``
-    current solves do not settle it.
+    :data:`SELF_HEATING_TOLERANCE_K`.  Raises :class:`ConvergenceError` if
+    :data:`SELF_HEATING_MAX_ITERATIONS` current solves do not settle it.
     """
     base = ambient_temperature_k + crosstalk_temperature_k
     rth = model.thermal_resistance_k_per_w()
     state = DeviceState(x=x, filament_temperature_k=base)
     temperature = base
     low, high = base, math.inf
-    for iteration in range(max_iterations):
+    for iteration in range(SELF_HEATING_MAX_ITERATIONS):
         state.filament_temperature_k = temperature
         current_a = model.current(voltage_v, state)
         power_w = abs(voltage_v * current_a)
         residual = base + rth * power_w - temperature
         if iteration == 0:
             # f(T_base) = R_th * P >= 0: settled here, or one Picard step.
-            if residual < tolerance_k:
+            if residual < SELF_HEATING_TOLERANCE_K:
                 break
             step = residual
         elif residual == 0.0:
@@ -118,7 +119,7 @@ def solve_operating_point(
             # A negative chord slope of f (g' < 1) gives the secant step.
             secant = -residual * rise / change if rise * change < 0.0 else None
             if secant is not None and low < temperature + secant < high:
-                if abs(secant) < tolerance_k:
+                if abs(secant) < SELF_HEATING_TOLERANCE_K:
                     break
                 step = secant
             else:
@@ -130,7 +131,7 @@ def solve_operating_point(
     else:
         raise ConvergenceError(
             f"filament temperature did not converge for V={voltage_v} V, x={x} "
-            f"within {max_iterations} current solves (last T={temperature:.1f} K)"
+            f"within {SELF_HEATING_MAX_ITERATIONS} current solves (last T={temperature:.1f} K)"
         )
     return ThermalOperatingPoint(
         voltage_v=voltage_v,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DeviceModelError
-from .base import BatchedDeviceModel, DeviceState, MemristorModel
+from .base import VOLTAGE_LIMIT_V, BatchedDeviceModel, DeviceState, MemristorModel
 
 
 @dataclass
@@ -131,8 +131,11 @@ class BatchedYakopcic(BatchedDeviceModel):
     def current(self, voltage_v, x, temperature_k, scratch=None) -> np.ndarray:
         p = self.parameters
         voltage_v = np.asarray(voltage_v, dtype=np.float64)
-        if np.any(np.abs(voltage_v) > 10.0):
-            raise DeviceModelError("cell voltage outside the model validity range [-10, 10] V")
+        if np.any(np.abs(voltage_v) > VOLTAGE_LIMIT_V):
+            raise DeviceModelError(
+                f"cell voltage outside the model validity range "
+                f"[-{VOLTAGE_LIMIT_V:g}, {VOLTAGE_LIMIT_V:g}] V"
+            )
         x = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
         amplitude = np.where(voltage_v >= 0.0, p.a1, p.a2)
         return amplitude * x * np.sinh(p.b * voltage_v)

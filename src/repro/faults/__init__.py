@@ -36,7 +36,6 @@ from .inject import (
     InjectedFatalFault,
     InjectedFault,
     active_plan,
-    current_attempt,
     fire_point_faults,
     hold_store_lock,
     perturb_result,
@@ -65,7 +64,6 @@ __all__ = [
     "RetryPolicy",
     "ShutdownFlag",
     "active_plan",
-    "current_attempt",
     "fire_point_faults",
     "graceful_shutdown",
     "hold_store_lock",

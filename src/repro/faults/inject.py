@@ -264,11 +264,6 @@ def set_current_attempt(attempt: int) -> None:
     _current_attempt = int(attempt)
 
 
-def current_attempt() -> int:
-    """The execution attempt recorded by the dispatch wrapper (0-based)."""
-    return _current_attempt
-
-
 def _count(action: str) -> None:
     tel = get_telemetry()
     if tel.enabled:

@@ -11,7 +11,7 @@ an attacker needs ("which addresses are physically adjacent to this one?").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from ..errors import AddressingError
 
@@ -131,10 +131,6 @@ class AddressMapping:
         """(byte_address, bit_index) pairs the attacker must own to hammer a bit."""
         victim = self.locate_bit(byte_address, bit_index)
         return [self.address_of(neighbour) for neighbour in self.physically_adjacent_bits(victim)]
-
-    def iter_addresses(self) -> Iterator[int]:
-        """Iterate over every byte address of the mapped memory."""
-        return iter(range(self.capacity_bytes))
 
     # -- helpers -----------------------------------------------------------------
 

@@ -142,14 +142,12 @@ class AdaptiveSampler:
         config: AdaptiveConfig,
         evaluate: BatchEvaluator,
         estimator: Optional[Union[StreamingBinomialEstimator, ImportanceEstimator]] = None,
-        first_batch_index: int = 0,
-        already_drawn: int = 0,
     ):
         self.config = config
         self.evaluate = evaluate
         self.estimator = estimator
-        self.next_batch_index = int(first_batch_index)
-        self.n_drawn = int(already_drawn)
+        self.next_batch_index = 0
+        self.n_drawn = 0
 
     # ------------------------------------------------------------------
 

@@ -18,14 +18,18 @@ population is propagated through the vectorized device model —
 
 A scalar reference path (``vectorized=False``) runs the identical physics one
 cell at a time through :mod:`repro.devices`; it backs the agreement tests and
-the throughput benchmark.
+the throughput benchmark.  The anchored vectorized, scalar and full-array
+evaluations differ only in their physics calls: they read one derivation of
+the attack environment and one draw-validity rule, write one set of lane
+arrays and fold into the estimators through one
+:meth:`MonteCarloResult.estimator_batch`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,8 +37,9 @@ from ..attack.neurohammer import NeuroHammer
 from ..attack.patterns import AttackPattern
 from ..circuit.crossbar import CrossbarArray
 from ..config import AttackConfig, JsonConfig, SimulationConfig
+from ..devices.base import VOLTAGE_LIMIT_V
 from ..devices.jart_vcm import JartVcmModel
-from ..devices.kinetics import pulses_to_switch
+from ..devices.kinetics import PulseCountResult, pulses_to_switch
 from ..devices.thermal import solve_operating_point
 from ..errors import ConvergenceError, DeviceModelError, MonteCarloError
 from ..circuit.drivers import write_bias
@@ -48,6 +53,8 @@ from .estimators import (
     StreamingBinomialEstimator,
 )
 from .sampling import (
+    ATTACK_PATHS,
+    OPERATING_PATHS,
     ArrayPopulationDraw,
     ImportanceSettings,
     ParameterDistribution,
@@ -55,6 +62,7 @@ from .sampling import (
     PopulationSampler,
 )
 from .vectorized import (
+    BatchPulseCountResult,
     SampledArrayJartModel,
     VectorizedJartVcm,
     pulses_to_switch_batch,
@@ -211,7 +219,7 @@ class MonteCarloResult:
     wall_clock_s: np.ndarray
     final_x: np.ndarray
     victim_temperature_k: np.ndarray
-    #: False in lanes whose electro-thermal solve diverged (excluded).
+    #: False in excluded lanes (see :meth:`MonteCarloEngine.run`).
     valid: np.ndarray
     duration_s: float = 0.0
     #: Likelihood-ratio weights of an importance-sampled population (None
@@ -255,25 +263,38 @@ class MonteCarloResult:
         valid = self.valid_count
         return self.flipped_count / valid if valid else 0.0
 
+    def estimator_batch(self, event: Optional[np.ndarray] = None) -> Tuple[Any, Optional[np.ndarray]]:
+        """The population as one estimator batch, ``(outcomes, weights)``.
+
+        ``event`` is a boolean lane array (default: the flip flag); excluded
+        lanes never count.  The pair is what an
+        :class:`~repro.montecarlo.adaptive.AdaptiveSampler` evaluation returns
+        and what :meth:`event_estimator` folds: the valid lanes' outcomes
+        plus their likelihood-ratio weights (``None`` for plain draws).
+        """
+        event = self.flipped if event is None else np.asarray(event, dtype=bool)
+        weights = self.weights[self.valid] if self.weights is not None else None
+        return event[self.valid], weights
+
+    def _empty_estimator(self):
+        if self.weights is not None:
+            return ImportanceEstimator(confidence=self.ci_confidence)
+        return StreamingBinomialEstimator(confidence=self.ci_confidence, method=self.ci_method)
+
     def event_estimator(self, event: Optional[np.ndarray] = None):
         """Fold an arbitrary per-lane event into the matching estimator.
 
-        ``event`` is a boolean lane array (default: the flip flag); invalid
-        lanes are always excluded.  This is the one place that knows whether
-        the population is importance-weighted, so every consumer that scores
-        a derived event (flip within a pulse budget, refresh survival, ...)
-        gets the correct self-normalized estimate and interval for free.
+        This is the one place that knows whether the population is
+        importance-weighted or clustered, so every consumer that scores a
+        derived event (flip within a pulse budget, refresh survival, ...)
+        gets the correct estimate and interval for free.
         """
-        event = (self.flipped if event is None else np.asarray(event, dtype=bool))
-        masked = (event & self.valid)[self.valid]
-        if self.weights is not None:
-            estimator = ImportanceEstimator(confidence=self.ci_confidence)
-            estimator.update(masked, self.weights[self.valid])
-            return estimator
-        estimator = StreamingBinomialEstimator(
-            confidence=self.ci_confidence, method=self.ci_method
-        )
-        estimator.update(masked)
+        outcomes, weights = self.estimator_batch(event)
+        estimator = self._empty_estimator()
+        if weights is None:
+            estimator.update(outcomes)
+        else:
+            estimator.update(outcomes, weights)
         return estimator
 
     def estimator(self):
@@ -388,24 +409,24 @@ class FullArrayMonteCarloResult(MonteCarloResult):
     #: when the population samples it; ``None`` otherwise.
     environment_draw: Optional[PopulationDraw] = None
 
-    def event_estimator(self, event: Optional[np.ndarray] = None):
-        """Cluster-robust estimator over a per-lane event.
+    def estimator_batch(self, event: Optional[np.ndarray] = None) -> Tuple[Any, None]:
+        """Per-array ``(event count, valid lanes)`` pairs, and no weights.
 
         The victim lanes of one sampled array share its per-cell draws,
         environment draw and nodal solve, so each array is one cluster of
         correlated lanes: the point estimate is the pooled lane fraction, but
         the interval comes from the between-array spread — treating the lanes
         as iid trials (the anchored-mode estimator) would overstate the
-        precision by up to a factor of ``sqrt(victims_per_array)``.
+        precision by up to a factor of ``sqrt(victims_per_array)``.  An
+        excluded array is an empty cluster, which the estimator drops.
         """
         event = self.flipped if event is None else np.asarray(event, dtype=bool)
-        masked = (event & self.valid).reshape(self.n_arrays, -1)
+        hits = (event & self.valid).reshape(self.n_arrays, -1)
         valid = self.valid.reshape(self.n_arrays, -1)
-        estimator = ClusteredBinomialEstimator(confidence=self.ci_confidence)
-        estimator.update_counts(
-            masked.sum(axis=1).astype(np.float64), valid.sum(axis=1).astype(np.float64)
-        )
-        return estimator
+        return (hits.sum(axis=1).astype(np.float64), valid.sum(axis=1).astype(np.float64)), None
+
+    def _empty_estimator(self):
+        return ClusteredBinomialEstimator(confidence=self.ci_confidence)
 
     @property
     def victims_per_array(self) -> int:
@@ -440,6 +461,85 @@ class FullArrayMonteCarloResult(MonteCarloResult):
             }
         )
         return summary
+
+
+#: The per-lane outcome arrays of a :class:`MonteCarloResult`.
+_LANE_FIELDS = (
+    "flipped", "pulses", "stress_time_s", "wall_clock_s", "final_x", "victim_temperature_k", "valid"
+)
+
+
+class _Environment(NamedTuple):
+    """Per-sample attack environment: the drawn value of each ``attack.*``
+    path, or its nominal where the population does not sample it."""
+
+    ambient_k: np.ndarray
+    amplitude_v: np.ndarray
+    pulse_length_s: np.ndarray
+    duty_cycle: np.ndarray
+    threshold: np.ndarray
+
+    def usable(self, *cell_voltages_v: np.ndarray) -> np.ndarray:
+        """Per sample, whether the draw passes the validity rule stated at
+        :meth:`MonteCarloEngine.run`; ``cell_voltages_v`` are held to
+        :data:`~repro.devices.base.VOLTAGE_LIMIT_V` with the drive amplitude."""
+        usable = (self.ambient_k > 0.0) & (self.pulse_length_s > 0.0)
+        usable &= (self.duty_cycle > 0.0) & (self.duty_cycle <= 1.0)
+        usable &= (self.threshold >= 0.0) & (self.threshold <= 1.0)
+        for voltage in (self.amplitude_v, *cell_voltages_v):
+            usable &= np.abs(voltage) <= VOLTAGE_LIMIT_V
+        return usable
+
+
+class _AnchoredLanes(NamedTuple):
+    """The inputs of every anchored lane, as both anchored evaluations read them."""
+
+    #: Every lane's sampled device.
+    devices: VectorizedJartVcm
+    env: _Environment
+    aggressor_voltage_v: np.ndarray
+    victim_voltage_v: np.ndarray
+    #: Drawn victim crosstalk [K], or ``None``: scale the aggressor's rise.
+    crosstalk_k: Optional[np.ndarray]
+    usable: np.ndarray
+
+
+class _LaneOutcomes:
+    """The lane arrays of one population, every lane excluded until scattered.
+
+    An excluded lane reports no flip, the full pulse budget, zero stress and
+    wall-clock time, its start state and its sample's ambient temperature.
+    """
+
+    def __init__(self, engine: "MonteCarloEngine", ambient_k: np.ndarray):
+        n = ambient_k.size
+        placeholders = (
+            np.zeros(n, dtype=bool),
+            np.full(n, engine.attack.max_pulses, dtype=np.int64),
+            np.zeros(n),
+            np.zeros(n),
+            np.full(n, engine.montecarlo.x_start),
+            np.array(ambient_k, dtype=np.float64),
+            np.zeros(n, dtype=bool),
+        )
+        self.arrays = dict(zip(_LANE_FIELDS, placeholders))
+
+    def scatter(self, lanes: np.ndarray, outcome: BatchPulseCountResult, converged=True) -> None:
+        """Write lane ``k`` of one kinetics outcome into ``lanes[k]``, except
+        where ``outcome.converged & converged`` is False (left excluded)."""
+        keep = outcome.converged & converged
+        lanes = lanes[keep]
+        values = (
+            outcome.flipped,
+            outcome.pulses,
+            outcome.stress_time_s,
+            outcome.wall_clock_s,
+            outcome.final_x,
+            outcome.final_temperature_k,
+            keep,
+        )
+        for name, value in zip(_LANE_FIELDS, values):
+            self.arrays[name][lanes] = value[keep]
 
 
 class MonteCarloEngine:
@@ -540,8 +640,6 @@ class MonteCarloEngine:
         (the attribute chain mirrors the dotted path; ``operating.*`` leaves
         are attributes of :class:`NominalConditions`).
         """
-        from .sampling import ATTACK_PATHS, OPERATING_PATHS
-
         nominals = self._device_nominals()
         roots = {"attack": self.attack, "operating": conditions}
         for path in ATTACK_PATHS + OPERATING_PATHS:
@@ -558,11 +656,9 @@ class MonteCarloEngine:
 
     def _device_nominals(self) -> Dict[str, float]:
         """``{device.<field>: nominal}`` for every sampleable device path."""
-        from dataclasses import fields as dc_fields
-
         device = self._device_base()
         return {
-            f"device.{f.name}": float(getattr(device, f.name)) for f in dc_fields(type(device))
+            f"device.{f.name}": float(getattr(device, f.name)) for f in fields(type(device))
         }
 
     def sample(self, n_samples: Optional[int] = None, spawn=()) -> PopulationDraw:
@@ -595,6 +691,11 @@ class MonteCarloEngine:
 
     def run(self, n_samples: Optional[int] = None, vectorized: bool = True) -> MonteCarloResult:
         """Evaluate the population and return per-cell outcomes plus stats.
+
+        A sample whose draw fails the validity rule (ambient and pulse length
+        positive, duty cycle in (0, 1], flip threshold in [0, 1], drive and
+        cell voltages within ±10 V) or whose physics does not converge is
+        excluded: it is never counted, as a flip or as a safe victim.
 
         With ``mode="full_array"`` each sample is a whole sampled crossbar
         (``n_samples`` arrays) whose nodal operating point is re-solved; the
@@ -675,9 +776,9 @@ class MonteCarloEngine:
         else:
             draw = self.sample(n, spawn=spawn)
             if vectorized:
-                result = self._run_vectorized(n, draw, conditions)
+                result = self._run_vectorized(draw, conditions)
             else:
-                result = self._run_scalar(n, draw, conditions)
+                result = self._run_scalar(draw, conditions)
         if tel.enabled:
             self._observe_batch(tel, result, spawn)
         return result
@@ -710,16 +811,22 @@ class MonteCarloEngine:
 
     # -- adaptive (sequential) path ----------------------------------------
 
+    def adaptive_estimator(self, config: AdaptiveConfig):
+        """The empty estimator that batches of this engine fold into under
+        ``config``: importance-weighted, cluster-robust (full-array mode, one
+        cluster per sampled array) or plain binomial."""
+        if self.montecarlo.mode == "full_array":
+            return ClusteredBinomialEstimator(confidence=config.confidence)
+        return config.make_estimator(weighted=self.montecarlo.importance is not None)
+
     def _run_adaptive(self, conditions: NominalConditions, vectorized: bool) -> MonteCarloResult:
         """Draw batches until the flip-probability CI meets the target.
 
-        Both modes target the per-lane flip probability.  Full-array mode
-        folds each batch through the cluster-robust estimator (one cluster
-        per sampled array — the victim lanes of one array share its per-cell
-        draws, environment draw and nodal solve), so the interval honours the
-        within-array correlation instead of stopping too early on
-        pseudo-independent lanes; the same estimator backs the result's
-        :meth:`~FullArrayMonteCarloResult.event_estimator`.
+        Both modes target the per-lane flip probability.  Each batch folds
+        through :meth:`MonteCarloResult.estimator_batch` into
+        :meth:`adaptive_estimator`, so full-array runs honour the
+        within-array correlation instead of stopping early on
+        pseudo-independent lanes.
         """
         config = self.montecarlo.adaptive
         batch_results: List[MonteCarloResult] = []
@@ -727,26 +834,9 @@ class MonteCarloEngine:
         def evaluate(index: int, n: int):
             result = self._run_fixed(n, conditions, vectorized, spawn=("batch", index))
             batch_results.append(result)
-            if isinstance(result, FullArrayMonteCarloResult):
-                # Per-cluster (flips, valid lanes) pairs; invalid arrays
-                # contribute empty clusters, which the estimator drops.
-                flips = (result.flipped & result.valid).reshape(result.n_arrays, -1)
-                valid = result.valid.reshape(result.n_arrays, -1)
-                counts = (
-                    flips.sum(axis=1).astype(np.float64),
-                    valid.sum(axis=1).astype(np.float64),
-                )
-                return counts, None
-            mask = result.valid
-            outcomes = (result.flipped & mask)[mask]
-            weights = result.weights[mask] if result.weights is not None else None
-            return outcomes, weights
+            return result.estimator_batch()
 
-        if self.montecarlo.mode == "full_array":
-            estimator = ClusteredBinomialEstimator(confidence=config.confidence)
-        else:
-            estimator = config.make_estimator(weighted=self.montecarlo.importance is not None)
-        outcome = AdaptiveSampler(config, evaluate, estimator=estimator).run()
+        outcome = AdaptiveSampler(config, evaluate, estimator=self.adaptive_estimator(config)).run()
         result = self._concat_results(batch_results)
         result.adaptive = outcome
         return result
@@ -766,17 +856,11 @@ class MonteCarloEngine:
             seed=first.seed,
             engine=first.engine,
             conditions=first.conditions,
-            flipped=cat("flipped"),
-            pulses=cat("pulses"),
-            stress_time_s=cat("stress_time_s"),
-            wall_clock_s=cat("wall_clock_s"),
-            final_x=cat("final_x"),
-            victim_temperature_k=cat("victim_temperature_k"),
-            valid=cat("valid"),
             weights=cat("weights") if first.weights is not None else None,
             draw=_concat_draws([r.draw for r in results]),
             ci_confidence=first.ci_confidence,
             ci_method=first.ci_method,
+            **{name: cat(name) for name in _LANE_FIELDS},
         )
         if isinstance(first, FullArrayMonteCarloResult):
             return FullArrayMonteCarloResult(
@@ -788,109 +872,105 @@ class MonteCarloEngine:
             )
         return MonteCarloResult(**common)
 
-    # -- vectorized path ---------------------------------------------------
-
-    def _run_vectorized(
-        self, n: int, draw: PopulationDraw, conditions: NominalConditions
+    def _result(
+        self, cls, engine: str, conditions: NominalConditions, outcomes: _LaneOutcomes, **extra
     ) -> MonteCarloResult:
-        base = self._device_base()
+        """A fresh population result over the lane arrays of ``outcomes``."""
+        confidence, method = self._ci_settings()
+        return cls(
+            n_samples=outcomes.arrays["valid"].size,
+            seed=self.montecarlo.seed,
+            engine=engine,
+            conditions=conditions,
+            ci_confidence=confidence,
+            ci_method=method,
+            **outcomes.arrays,
+            **extra,
+        )
+
+    # -- attack environment and anchored lane inputs -------------------------
+
+    def _environment(self, draw: Optional[PopulationDraw], n: int) -> _Environment:
+        """The attack environment of ``n`` samples drawn as ``draw``."""
+        pulse = self.attack.pulse
+
+        def get(path: str, nominal: float) -> np.ndarray:
+            return draw.get(path, nominal) if draw is not None else np.full(n, float(nominal))
+
+        return _Environment(
+            ambient_k=get("attack.ambient_temperature_k", self.attack.ambient_temperature_k),
+            amplitude_v=get("attack.pulse.amplitude_v", pulse.amplitude_v),
+            pulse_length_s=get("attack.pulse.length_s", pulse.length_s),
+            duty_cycle=get("attack.pulse.duty_cycle", pulse.duty_cycle),
+            threshold=get("attack.flip_threshold", self.attack.flip_threshold),
+        )
+
+    def _anchored_lanes(self, draw: PopulationDraw, conditions: NominalConditions) -> _AnchoredLanes:
+        """Every anchored lane's inputs: the sampled devices, the drawn
+        environment, the nominal aggressor and victim voltages scaled by the
+        drawn amplitude (unless ``operating.*`` draws replace them) and the
+        lanes the validity rule keeps."""
         device_overrides = {
             path.split(".", 1)[1]: values
             for path, values in draw.values.items()
             if path.startswith("device.")
         }
-        model = VectorizedJartVcm(n, base=base, overrides=device_overrides)
-
-        amplitude = draw.get("attack.pulse.amplitude_v", self.attack.pulse.amplitude_v)
-        scale = amplitude / conditions.amplitude_v
-        ambient = draw.get("attack.ambient_temperature_k", self.attack.ambient_temperature_k)
+        env = self._environment(draw, draw.n_samples)
+        scale = env.amplitude_v / conditions.amplitude_v
         aggressor_voltage = conditions.aggressor_voltage_v * scale
-        if "operating.victim_voltage_v" in draw.values:
-            victim_voltage = draw.values["operating.victim_voltage_v"]
-        else:
-            victim_voltage = conditions.victim_voltage_v * scale
-        pulse_length = draw.get("attack.pulse.length_s", self.attack.pulse.length_s)
-        x_target = draw.get("attack.flip_threshold", self.attack.flip_threshold)
-        duty = draw.get("attack.pulse.duty_cycle", self.attack.pulse.duty_cycle)
-
-        # Lanes whose draws fall outside the device model's validity guards
-        # (the conditions the scalar path raises DeviceModelError on) are
-        # excluded up front, so one pathological sample cannot abort the
-        # whole population.
-        usable = (
-            (np.abs(aggressor_voltage) <= 10.0)
-            & (np.abs(victim_voltage) <= 10.0)
-            & (pulse_length > 0.0)
-            & (x_target >= 0.0)
-            & (x_target <= 1.0)
-            & (duty > 0.0)
-            & (duty <= 1.0)
+        victim_voltage = draw.values.get(
+            "operating.victim_voltage_v", conditions.victim_voltage_v * scale
+        )
+        return _AnchoredLanes(
+            devices=VectorizedJartVcm(
+                draw.n_samples, base=self._device_base(), overrides=device_overrides
+            ),
+            env=env,
+            aggressor_voltage_v=aggressor_voltage,
+            victim_voltage_v=victim_voltage,
+            crosstalk_k=draw.values.get("operating.crosstalk_temperature_k"),
+            usable=env.usable(aggressor_voltage, victim_voltage),
         )
 
-        flipped = np.zeros(n, dtype=bool)
-        pulses = np.full(n, self.attack.max_pulses, dtype=np.int64)
-        stress = np.zeros(n)
-        wall = np.zeros(n)
-        final_x = np.full(n, self.montecarlo.x_start)
-        temperature = np.asarray(ambient, dtype=np.float64).copy()
-        valid = np.zeros(n, dtype=bool)
+    # -- vectorized path ---------------------------------------------------
 
-        lanes = np.flatnonzero(usable)
+    def _run_vectorized(self, draw: PopulationDraw, conditions: NominalConditions) -> MonteCarloResult:
+        inputs = self._anchored_lanes(draw, conditions)
+        env = inputs.env
+        outcomes = _LaneOutcomes(self, env.ambient_k)
+        lanes = np.flatnonzero(inputs.usable)
         if lanes.size:
-            sub = model.take(lanes)
+            sub = inputs.devices.take(lanes)
+            ambient = env.ambient_k[lanes]
             # Aggressor→victim coupling, re-solved per sampled cell: a sampled
             # device that runs hotter under the aggressor bias delivers
             # proportionally more crosstalk to its victim.
             aggressor = solve_operating_point_batch(
                 sub,
-                aggressor_voltage[lanes],
+                inputs.aggressor_voltage_v[lanes],
                 np.ones(lanes.size),
-                ambient_temperature_k=ambient[lanes],
+                ambient_temperature_k=ambient,
                 raise_on_failure=False,
             )
-            rise = aggressor.filament_temperature_k - ambient[lanes]
-            if "operating.crosstalk_temperature_k" in draw.values:
-                crosstalk = draw.values["operating.crosstalk_temperature_k"][lanes]
+            if inputs.crosstalk_k is not None:
+                crosstalk = inputs.crosstalk_k[lanes]
             else:
-                crosstalk = conditions.coupling_ratio * rise
+                crosstalk = conditions.coupling_ratio * (aggressor.filament_temperature_k - ambient)
             outcome = pulses_to_switch_batch(
                 sub,
-                victim_voltage[lanes],
-                pulse_length[lanes],
+                inputs.victim_voltage_v[lanes],
+                env.pulse_length_s[lanes],
                 np.full(lanes.size, self.montecarlo.x_start),
-                x_target[lanes],
-                duty_cycle=duty[lanes],
-                ambient_temperature_k=ambient[lanes],
+                env.threshold[lanes],
+                duty_cycle=env.duty_cycle[lanes],
+                ambient_temperature_k=ambient,
                 crosstalk_temperature_k=crosstalk,
                 max_pulses=self.attack.max_pulses,
                 raise_on_failure=False,
             )
-            lane_valid = outcome.converged & aggressor.converged
-            flipped[lanes] = outcome.flipped & lane_valid
-            pulses[lanes] = outcome.pulses
-            stress[lanes] = outcome.stress_time_s
-            wall[lanes] = outcome.wall_clock_s
-            final_x[lanes] = outcome.final_x
-            temperature[lanes] = outcome.final_temperature_k
-            valid[lanes] = lane_valid
-
-        confidence, method = self._ci_settings()
-        return MonteCarloResult(
-            n_samples=n,
-            seed=self.montecarlo.seed,
-            engine="vectorized",
-            conditions=conditions,
-            flipped=flipped,
-            pulses=pulses,
-            stress_time_s=stress,
-            wall_clock_s=wall,
-            final_x=final_x,
-            victim_temperature_k=temperature,
-            valid=valid,
-            weights=draw.weights(),
-            draw=draw,
-            ci_confidence=confidence,
-            ci_method=method,
+            outcomes.scatter(lanes, outcome, aggressor.converged)
+        return self._result(
+            MonteCarloResult, "vectorized", conditions, outcomes, weights=draw.weights(), draw=draw
         )
 
     # -- full-array path ---------------------------------------------------
@@ -957,7 +1037,7 @@ class MonteCarloEngine:
         base = self._device_base()
         nominals = self._nominals(conditions)
         draw = self.sampler.sample_cells(n_arrays, cells, nominals, spawn=spawn, paths=cell_paths)
-        env = (
+        env_draw = (
             self.sampler.sample(
                 n_arrays, nominals, spawn=(*spawn, "full-array-env"), paths=env_paths
             )
@@ -989,25 +1069,14 @@ class MonteCarloEngine:
             scheme=self.attack.bias_scheme,
         )
 
-        ambient_default = self.attack.ambient_temperature_k
-        total = n_arrays * n_victims
-        flipped = np.zeros((n_arrays, n_victims), dtype=bool)
-        pulses = np.full((n_arrays, n_victims), self.attack.max_pulses, dtype=np.int64)
-        stress = np.zeros((n_arrays, n_victims))
-        wall = np.zeros((n_arrays, n_victims))
-        final_x = np.full((n_arrays, n_victims), self.montecarlo.x_start)
-        temperature = np.full((n_arrays, n_victims), float(ambient_default))
-        valid = np.zeros((n_arrays, n_victims), dtype=bool)
-        array_valid = np.ones(n_arrays, dtype=bool)
+        env = self._environment(env_draw, n_arrays)
+        usable = env.usable()
+        outcomes = _LaneOutcomes(self, np.repeat(env.ambient_k, n_victims))
+        array_valid = usable.copy()
 
-        def env_scalar(path: str, index: int, nominal: float) -> float:
-            return env.scalar(path, index, nominal) if env is not None else float(nominal)
-
-        def env_lanes(path: str, arrays: List[int], nominal: float) -> np.ndarray:
+        def per_lane(values: np.ndarray, arrays: List[int]) -> np.ndarray:
             """One value per victim lane of ``arrays``, array-major."""
-            if env is None:
-                return np.full(len(arrays) * n_victims, float(nominal))
-            return np.repeat(env.get(path, nominal)[arrays], n_victims)
+            return np.repeat(values[arrays], n_victims)
 
         tel = get_telemetry()
         hb = tel.heartbeat
@@ -1023,30 +1092,22 @@ class MonteCarloEngine:
             kernel = VectorizedJartVcm(
                 n, base=base, overrides=draw.array_overrides(np.ix_(arrays, lanes))
             )
-            pulse = self.attack.pulse
             outcome = pulses_to_switch_batch(
                 kernel,
                 np.concatenate([voltage for _, voltage, _ in stack]),
-                env_lanes("attack.pulse.length_s", arrays, pulse.length_s),
+                per_lane(env.pulse_length_s, arrays),
                 np.full(n, self.montecarlo.x_start),
-                env_lanes("attack.flip_threshold", arrays, self.attack.flip_threshold),
-                duty_cycle=env_lanes("attack.pulse.duty_cycle", arrays, pulse.duty_cycle),
-                ambient_temperature_k=env_lanes(
-                    "attack.ambient_temperature_k", arrays, ambient_default
-                ),
+                per_lane(env.threshold, arrays),
+                duty_cycle=per_lane(env.duty_cycle, arrays),
+                ambient_temperature_k=per_lane(env.ambient_k, arrays),
                 crosstalk_temperature_k=np.concatenate([crosstalk for _, _, crosstalk in stack]),
                 max_pulses=self.attack.max_pulses,
                 raise_on_failure=False,
             )
             stack.clear()
-            shape = (len(arrays), n_victims)
-            flipped[arrays] = (outcome.flipped & outcome.converged).reshape(shape)
-            pulses[arrays] = outcome.pulses.reshape(shape)
-            stress[arrays] = outcome.stress_time_s.reshape(shape)
-            wall[arrays] = outcome.wall_clock_s.reshape(shape)
-            final_x[arrays] = outcome.final_x.reshape(shape)
-            temperature[arrays] = outcome.final_temperature_k.reshape(shape)
-            valid[arrays] = outcome.converged.reshape(shape)
+            outcomes.scatter(
+                (np.array(arrays)[:, None] * n_victims + np.arange(n_victims)).ravel(), outcome
+            )
             if hb is not None:
                 hb.update(samples=(arrays[-1] + 1) * n_victims)
 
@@ -1056,41 +1117,23 @@ class MonteCarloEngine:
                     # Array boundary: each iteration is one whole-array
                     # re-solve, the natural progress unit of this mode.
                     hb.update(arrays_done=index)
+                if not usable[index]:
+                    continue
                 if index:  # array 0's population is already bound from construction
                     model.set_population(
                         VectorizedJartVcm(cells, base=base, overrides=draw.array_overrides(index))
                     )
                 # This array's attack environment (one draw per sampled array).
-                ambient = env_scalar("attack.ambient_temperature_k", index, ambient_default)
-                amplitude = env_scalar(
-                    "attack.pulse.amplitude_v", index, self.attack.pulse.amplitude_v
-                )
-                pulse_length = env_scalar("attack.pulse.length_s", index, self.attack.pulse.length_s)
-                duty = env_scalar("attack.pulse.duty_cycle", index, self.attack.pulse.duty_cycle)
-                threshold = env_scalar("attack.flip_threshold", index, self.attack.flip_threshold)
-                if (
-                    ambient <= 0.0
-                    or pulse_length <= 0.0
-                    or not 0.0 < duty <= 1.0
-                    or not 0.0 <= threshold <= 1.0
-                    or abs(amplitude) > 10.0
-                ):
-                    # A draw outside the model's validity guards excludes the
-                    # array, never the population (mirrors the anchored lanes).
-                    array_valid[index] = False
-                    continue
-                temperature[index] = ambient
+                ambient = float(env.ambient_k[index])
                 crossbar.ambient_temperature_k = ambient
                 crossbar.hub.ambient_temperature_k = ambient
                 crossbar.initialise_states(default_x=0.0)
                 for aggressor in pattern.aggressors:
                     crossbar.set_state(aggressor, 1.0)
-                if env is not None and "attack.pulse.amplitude_v" in env.values:
-                    bias = write_bias(
-                        geometry, aggressor_cells, amplitude, scheme=self.attack.bias_scheme
-                    )
-                else:
-                    bias = nominal_bias
+                amplitude = float(env.amplitude_v[index])
+                bias = nominal_bias if amplitude == self.attack.pulse.amplitude_v else write_bias(
+                    geometry, aggressor_cells, amplitude, scheme=self.attack.bias_scheme
+                )
                 try:
                     snapshot = crossbar.thermal_snapshot(bias)
                 except (ConvergenceError, DeviceModelError):
@@ -1111,122 +1154,72 @@ class MonteCarloEngine:
             tel.count("mc.arrays", n_arrays)
             tel.count("mc.invalid_arrays", n_arrays - int(array_valid.sum()))
         if hb is not None:
-            hb.update(arrays_done=n_arrays, samples=total)
+            hb.update(arrays_done=n_arrays, samples=n_arrays * n_victims)
 
-        confidence, method = self._ci_settings()
-        return FullArrayMonteCarloResult(
-            n_samples=total,
-            seed=self.montecarlo.seed,
-            engine="full_array",
-            conditions=conditions,
-            flipped=flipped.reshape(total),
-            pulses=pulses.reshape(total),
-            stress_time_s=stress.reshape(total),
-            wall_clock_s=wall.reshape(total),
-            final_x=final_x.reshape(total),
-            victim_temperature_k=temperature.reshape(total),
-            valid=valid.reshape(total),
+        return self._result(
+            FullArrayMonteCarloResult,
+            "full_array",
+            conditions,
+            outcomes,
             draw=draw,
-            ci_confidence=confidence,
-            ci_method=method,
             n_arrays=n_arrays,
             victims=victims,
             array_valid=array_valid,
-            environment_draw=env,
+            environment_draw=env_draw,
         )
 
     # -- scalar reference path --------------------------------------------
 
-    def _run_scalar(
-        self, n: int, draw: PopulationDraw, conditions: NominalConditions
-    ) -> MonteCarloResult:
+    def _run_scalar(self, draw: PopulationDraw, conditions: NominalConditions) -> MonteCarloResult:
         """The identical physics, one cell at a time through repro.devices.
 
         This is the pre-vectorization baseline: it exists to validate the
-        batched path element-for-element and to quantify the speedup.
+        batched path element-for-element and to quantify the speedup.  It
+        reads the same lane inputs and validity rule as the batched path.
         """
-        from dataclasses import fields as dc_fields
-
-        from ..devices.jart_vcm import JartVcmParameters
-
-        base = self._device_base()
-        flipped = np.zeros(n, dtype=bool)
-        pulses = np.full(n, self.attack.max_pulses, dtype=np.int64)
-        stress = np.zeros(n)
-        wall = np.zeros(n)
-        final_x = np.full(n, self.montecarlo.x_start)
-        temperature = np.zeros(n)
-        valid = np.ones(n, dtype=bool)
-
-        for index in range(n):
-            values = {
-                f.name: draw.scalar(f"device.{f.name}", index, getattr(base, f.name))
-                for f in dc_fields(JartVcmParameters)
-                if f.name != "charge_number"
-            }
-            model = JartVcmModel(JartVcmParameters(charge_number=base.charge_number, **values))
-            amplitude = draw.scalar("attack.pulse.amplitude_v", index, self.attack.pulse.amplitude_v)
-            scale = amplitude / conditions.amplitude_v
-            ambient = draw.scalar(
-                "attack.ambient_temperature_k", index, self.attack.ambient_temperature_k
-            )
-            temperature[index] = ambient
+        inputs = self._anchored_lanes(draw, conditions)
+        env = inputs.env
+        solved: Dict[int, PulseCountResult] = {}
+        for index in np.flatnonzero(inputs.usable).tolist():
+            model = JartVcmModel(inputs.devices.scalar_parameters(index))
+            ambient = float(env.ambient_k[index])
             try:
                 aggressor = solve_operating_point(
                     model,
-                    conditions.aggressor_voltage_v * scale,
+                    float(inputs.aggressor_voltage_v[index]),
                     1.0,
                     ambient_temperature_k=ambient,
                 )
-                if "operating.crosstalk_temperature_k" in draw.values:
-                    crosstalk = draw.scalar("operating.crosstalk_temperature_k", index, 0.0)
+                if inputs.crosstalk_k is not None:
+                    crosstalk = float(inputs.crosstalk_k[index])
                 else:
                     rise = aggressor.filament_temperature_k - ambient
                     crosstalk = conditions.coupling_ratio * rise
-                if "operating.victim_voltage_v" in draw.values:
-                    victim_voltage = draw.scalar("operating.victim_voltage_v", index, 0.0)
-                else:
-                    victim_voltage = conditions.victim_voltage_v * scale
                 outcome = pulses_to_switch(
                     model,
-                    victim_voltage,
-                    draw.scalar("attack.pulse.length_s", index, self.attack.pulse.length_s),
+                    float(inputs.victim_voltage_v[index]),
+                    float(env.pulse_length_s[index]),
                     self.montecarlo.x_start,
-                    draw.scalar("attack.flip_threshold", index, self.attack.flip_threshold),
-                    duty_cycle=draw.scalar(
-                        "attack.pulse.duty_cycle", index, self.attack.pulse.duty_cycle
-                    ),
+                    float(env.threshold[index]),
+                    duty_cycle=float(env.duty_cycle[index]),
                     ambient_temperature_k=ambient,
                     crosstalk_temperature_k=crosstalk,
                     max_pulses=self.attack.max_pulses,
                 )
             except (ConvergenceError, DeviceModelError):
-                # Thermal runaway or a draw outside the model's validity
-                # guards: the cell is excluded, never the whole population.
-                valid[index] = False
+                # Thermal runaway: the cell is excluded, never the population.
                 continue
-            flipped[index] = outcome.flipped
-            pulses[index] = outcome.pulses
-            stress[index] = outcome.stress_time_s
-            wall[index] = outcome.wall_clock_s
-            final_x[index] = outcome.final_x
-            temperature[index] = outcome.final_temperature_k
+            solved[index] = outcome
 
-        confidence, method = self._ci_settings()
-        return MonteCarloResult(
-            n_samples=n,
-            seed=self.montecarlo.seed,
-            engine="scalar",
-            conditions=conditions,
-            flipped=flipped & valid,
-            pulses=pulses,
-            stress_time_s=stress,
-            wall_clock_s=wall,
-            final_x=final_x,
-            victim_temperature_k=temperature,
-            valid=valid,
-            weights=draw.weights(),
-            draw=draw,
-            ci_confidence=confidence,
-            ci_method=method,
+        outcomes = _LaneOutcomes(self, env.ambient_k)
+        stacked = {
+            f.name: np.array([getattr(outcome, f.name) for outcome in solved.values()])
+            for f in fields(PulseCountResult)
+        }
+        outcomes.scatter(
+            np.array(list(solved), dtype=np.intp),
+            BatchPulseCountResult(**stacked, converged=np.ones(len(solved), dtype=bool)),
+        )
+        return self._result(
+            MonteCarloResult, "scalar", conditions, outcomes, weights=draw.weights(), draw=draw
         )

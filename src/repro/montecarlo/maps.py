@@ -235,12 +235,12 @@ class _PointState:
     flip_count: int = 0
 
     def interval(self):
-        if self.sampler.estimator is None:
+        if not self.sampler.n_drawn:
             return 0.0, 1.0
         return self.sampler.estimator.interval()
 
     def half_width(self) -> float:
-        if self.sampler.estimator is None:
+        if not self.sampler.n_drawn:
             return float("inf")
         return float(self.sampler.estimator.half_width())
 
@@ -251,7 +251,7 @@ class _PointState:
     def estimate(self) -> float:
         """NaN until the point receives its first batch: an unsampled point
         must never masquerade as a measured P = 0 plateau."""
-        if self.sampler.estimator is None:
+        if not self.sampler.n_drawn:
             return float("nan")
         return float(self.sampler.estimator.estimate)
 
@@ -283,6 +283,10 @@ def refine_flip_probability_map(
     Reproducibility: points share the population seed and batch ``i`` of any
     point draws through spawn key ``("batch", i)``, so the refined map is a
     pure function of the spec — the allocation order never changes the draws.
+    Each batch folds into its point's estimator through
+    :meth:`~repro.montecarlo.engine.MonteCarloResult.estimator_batch`, as in
+    the engine's own adaptive runs, so samples the engine excludes never
+    count and full-array points keep their per-array clusters.
     """
     from ..experiments.base import ExperimentResult
     from .adaptive import AdaptiveSampler
@@ -318,16 +322,15 @@ def refine_flip_probability_map(
 
         def evaluate(batch_index: int, n: int, state: "_PointState" = state):
             result = state.engine.run_batch(n, batch_index)
-            mask = result.valid
-            flipped = result.flipped & mask
-            pulses = result.pulses[flipped]
+            pulses = result.pulses_to_flip()
             if pulses.size:
                 state.log_pulses.update(np.log(pulses))
                 state.flip_count += int(pulses.size)
-            weights = result.weights[mask] if result.weights is not None else None
-            return flipped[mask], weights
+            return result.estimator_batch()
 
-        state.sampler = AdaptiveSampler(adaptive, evaluate)
+        state.sampler = AdaptiveSampler(
+            adaptive, evaluate, estimator=engine.adaptive_estimator(adaptive)
+        )
         states.append(state)
 
     total = 0

@@ -72,14 +72,16 @@ from ..constants import (
     RICHARDSON_A_PER_M2K2,
 )
 from ..devices.base import (
+    VOLTAGE_LIMIT_V,
     BatchedDeviceModel,
     MemristorModel,
     SolveScratch,
     finite_difference_conductance,
 )
-from ..devices.jart_vcm import JartVcmParameters
+from ..devices.jart_vcm import MAX_FIELD_ARGUMENT, JartVcmParameters
 from ..devices.kinetics import QUADRATURE_NODES, quadrature_states, switching_time
-from ..devices.thermal import FALLBACK_DAMPING, SELF_HEATING_TOLERANCE_K
+from ..devices import thermal
+from ..devices.thermal import FALLBACK_DAMPING
 from ..errors import ConvergenceError, DeviceModelError
 from ..obs import get_telemetry
 from ..utils.logging import get_logger
@@ -96,9 +98,6 @@ _MAX_NEWTON_STEPS = 80
 #: Newton termination: a lane stops once its step is below ~1 ulp of ``b``,
 #: the rounding floor of the residual ``g(w) = w + a sinh(w) - b``.
 _NEWTON_RTOL = 4e-16
-
-#: Overflow guard of the sinh field term (matches the scalar model).
-_MAX_FIELD_ARGUMENT = 50.0
 
 _PARAMETER_NAMES = tuple(f.name for f in fields(JartVcmParameters))
 
@@ -140,7 +139,9 @@ def interface_root(
     resolve the root orders of magnitude beyond the 1e-9 agreement budget
     of this module (the scalar bracket ends 2^-60 wide).
     """
-    ceiling = np.minimum(b, np.arcsinh(b / a))
+    # fmin, not minimum: a lane whose i_sat underflowed (a = 0, root w = b)
+    # divides to inf, or to NaN at zero bias.
+    ceiling = np.fmin(b, np.arcsinh(b / a))
     w = ceiling if start is None else np.minimum(ceiling, start)
     tolerance = _NEWTON_RTOL * b
     step = np.empty_like(w)
@@ -181,8 +182,11 @@ def _scaled_bias(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The sign of V and ``b = |V| / v_nl`` per lane, after the validity guard."""
     magnitude = np.abs(voltage_v)
-    if (magnitude > 10.0).any():
-        raise DeviceModelError("cell voltage outside the model validity range [-10, 10] V in a lane")
+    if (magnitude > VOLTAGE_LIMIT_V).any():
+        raise DeviceModelError(
+            f"cell voltage outside the model validity range "
+            f"[-{VOLTAGE_LIMIT_V:g}, {VOLTAGE_LIMIT_V:g}] V in a lane"
+        )
     return np.where(voltage_v > 0.0, 1.0, -1.0), magnitude / interface_voltage_v
 
 
@@ -399,7 +403,7 @@ class VectorizedJartVcm:
         # The drive is the cell voltage minus the plug and series drops.
         v_drive = voltage_v - current_a * self.plug_series_ohm
         field_argument = np.minimum(
-            self.field_k_per_v * np.abs(v_drive) / temperature, _MAX_FIELD_ARGUMENT
+            self.field_k_per_v * np.abs(v_drive) / temperature, MAX_FIELD_ARGUMENT
         )
         field_term = np.sinh(field_argument)
         set_rate = self.set_rate_prefactor_per_s * np.exp(-self.set_activation_k / temperature) * field_term
@@ -633,8 +637,6 @@ def solve_operating_point_batch(
     x: ArrayLike,
     ambient_temperature_k: ArrayLike = DEFAULT_AMBIENT_TEMPERATURE_K,
     crosstalk_temperature_k: ArrayLike = 0.0,
-    tolerance_k: float = SELF_HEATING_TOLERANCE_K,
-    max_iterations: int = 200,
     raise_on_failure: bool = True,
 ) -> BatchOperatingPoint:
     """Batched mirror of :func:`repro.devices.thermal.solve_operating_point`.
@@ -644,7 +646,8 @@ def solve_operating_point_batch(
     passes, returning the temperature it was last solved at with that
     solve's current; iteration counts, and therefore results, match the
     scalar path lane for lane.  A lane still unsettled after
-    ``max_iterations`` current solves raises :class:`ConvergenceError`, or,
+    :data:`~repro.devices.thermal.SELF_HEATING_MAX_ITERATIONS` current solves
+    raises :class:`ConvergenceError`, or,
     with ``raise_on_failure=False``, returns its last iterate with
     ``converged`` cleared and counts ``thermal.self_heating.unconverged``,
     letting population studies keep the healthy lanes.
@@ -667,7 +670,7 @@ def solve_operating_point_batch(
     # Written as at every iterate, so T1 matches the scalar solver's bit for bit.
     residual = base + model.rth_eff_k_per_w * np.abs(voltage * current) - base
     temperature = base.copy()
-    done = residual < tolerance_k
+    done = residual < thermal.SELF_HEATING_TOLERANCE_K
     lanes = np.flatnonzero(~done)
     if lanes.size:
         # The iterating lanes' state, one row per quantity, so that retiring
@@ -692,7 +695,7 @@ def solve_operating_point_batch(
         if lanes.size < n:
             rows = rows[:, lanes]
         with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(1, max_iterations):
+            for _ in range(1, thermal.SELF_HEATING_MAX_ITERATIONS):
                 t = rows[_T]
                 bias = PreparedBias(*rows[:_BIAS_FIELDS])
                 lane_current, rows[_W] = bias.solve(t, start=rows[_W])
@@ -715,7 +718,7 @@ def solve_operating_point_batch(
                 secant &= low < next_t
                 secant &= next_t < high
                 np.abs(quotient, out=quotient)
-                settled = quotient < tolerance_k
+                settled = quotient < thermal.SELF_HEATING_TOLERANCE_K
                 settled &= secant
                 settled |= f == 0.0
                 if not secant.all():
@@ -750,7 +753,8 @@ def solve_operating_point_batch(
             lane = int(failed[0])
             raise ConvergenceError(
                 f"filament temperature did not converge for V={voltage[lane]} V, x={x[lane]} "
-                f"within {max_iterations} current solves (last T={temperature[lane]:.1f} K) "
+                f"within {thermal.SELF_HEATING_MAX_ITERATIONS} current solves "
+                f"(last T={temperature[lane]:.1f} K) "
                 f"in {failed.size} of {n} lanes"
             )
         get_telemetry().count("thermal.self_heating.unconverged", failed.size)

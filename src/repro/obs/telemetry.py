@@ -312,30 +312,24 @@ class Telemetry:
         """Spans currently entered but not yet exited."""
         return len(self._stack)
 
-    @property
-    def current_span(self) -> Optional[SpanRecord]:
-        return self._stack[-1] if self._stack else None
-
     # -- snapshot / merge ---------------------------------------------------
 
-    def snapshot(self, include_spans: bool = True) -> Dict[str, Any]:
+    def snapshot(self) -> Dict[str, Any]:
         """The registry as one JSON-serialisable dict.
 
         The snapshot is a value: mutating the telemetry afterwards does not
         change it, and it can cross a process boundary and be merged into
         another instance with :meth:`merge_snapshot`.
         """
-        payload: Dict[str, Any] = {
+        return {
             "elapsed_s": time.perf_counter() - self.epoch,
             "counters": dict(self.counters),
             "gauges": {name: dict(gauge) for name, gauge in self.gauges.items()},
             "histograms": {name: hist.to_dict() for name, hist in self.histograms.items()},
             "events": {name: [dict(event) for event in series] for name, series in self.events.items()},
             "open_spans": len(self._stack),
+            "spans": [span.to_dict() for span in self.spans],
         }
-        if include_spans:
-            payload["spans"] = [span.to_dict() for span in self.spans]
-        return payload
 
     def merge_snapshot(self, snapshot: Dict[str, Any], remote: bool = False) -> None:
         """Fold another telemetry's snapshot into this registry.

@@ -130,11 +130,6 @@ class CrossbarVoxelModel:
         """Voxel grid shape (nx, ny, nz)."""
         return self.kappa.shape  # type: ignore[return-value]
 
-    @property
-    def voxel_count(self) -> int:
-        """Total number of voxels."""
-        return int(np.prod(self.shape))
-
     def voxel_volume_m3(self, ix: int, iy: int, iz: int) -> float:
         """Volume of one voxel [m^3]."""
         return float(

@@ -25,6 +25,33 @@ from repro.montecarlo import (
 from repro.devices import JartVcmModel
 
 
+#: Per guard of the draw-validity rule: an environment distribution that
+#: crosses it, and which of its draws the rule excludes.
+PATHOLOGICAL_ENVIRONMENTS = {
+    "amplitude": (
+        {"path": "attack.pulse.amplitude_v", "kind": "normal", "mean": 1.0, "sigma": 8.0,
+         "relative": True},
+        lambda amplitude: np.abs(amplitude) > 10.0,
+    ),
+    "ambient": (
+        {"path": "attack.ambient_temperature_k", "kind": "normal", "mean": 150.0, "sigma": 200.0},
+        lambda ambient: ambient <= 0.0,
+    ),
+    "duty cycle": (
+        {"path": "attack.pulse.duty_cycle", "kind": "normal", "mean": 0.5, "sigma": 0.5},
+        lambda duty: (duty <= 0.0) | (duty > 1.0),
+    ),
+    "flip threshold": (
+        {"path": "attack.flip_threshold", "kind": "normal", "mean": 0.5, "sigma": 0.5},
+        lambda threshold: (threshold < 0.0) | (threshold > 1.0),
+    ),
+    "pulse length": (
+        {"path": "attack.pulse.length_s", "kind": "normal", "mean": 10e-9, "sigma": 30e-9},
+        lambda length: length <= 0.0,
+    ),
+}
+
+
 def fast_attack(**overrides) -> AttackConfig:
     return AttackConfig(
         pulse=PulseConfig(amplitude_v=1.05, length_s=50e-9),
@@ -326,25 +353,31 @@ class TestFullArrayEngine:
         with pytest.raises(MonteCarloError, match="per sampled array"):
             engine.run()
 
-    def test_pathological_environment_draw_excludes_only_that_array(self):
-        """An ambient draw at/below 0 K invalidates its array, not the run."""
+    @pytest.mark.parametrize("case", sorted(PATHOLOGICAL_ENVIRONMENTS))
+    def test_pathological_environment_draw_excludes_only_that_array(self, case):
+        """An environment draw that fails the validity rule invalidates
+        exactly its array and that array's victim lanes, not the run."""
+        distribution, fails_rule = PATHOLOGICAL_ENVIRONMENTS[case]
         config = MonteCarloConfig(
-            n_samples=6,
-            seed=0,
-            mode="full_array",
-            distributions=[
-                {"path": "attack.ambient_temperature_k", "kind": "normal",
-                 "mean": 150.0, "sigma": 200.0},
-            ],
+            n_samples=6, seed=0, mode="full_array", distributions=[distribution]
         )
         result = MonteCarloEngine(
             config, simulation=small_simulation(), attack=fast_attack()
         ).run()
-        draws = result.environment_draw.values["attack.ambient_temperature_k"]
-        bad = draws <= 0.0
+        bad = fails_rule(result.environment_draw.values[distribution["path"]])
         assert bad.any()  # the scenario actually exercises the guard
-        assert not result.array_valid[bad].any()
-        assert result.array_valid[~bad].all()
+        np.testing.assert_array_equal(result.array_valid, ~bad)
+        np.testing.assert_array_equal(result.valid.reshape(6, -1).all(axis=1), ~bad)
+        # The excluded arrays' lanes hold the anchored mode's placeholders.
+        lanes = {name: getattr(result, name).reshape(6, -1)[bad] for name in LANE_FIELDS}
+        ambient = result.environment_draw.get("attack.ambient_temperature_k", 300.0)[bad]
+        assert not lanes["valid"].any() and not lanes["flipped"].any()
+        assert (lanes["pulses"] == fast_attack().max_pulses).all()
+        assert not lanes["stress_time_s"].any() and not lanes["wall_clock_s"].any()
+        assert not lanes["final_x"].any()
+        np.testing.assert_array_equal(
+            lanes["victim_temperature_k"], np.repeat(ambient[:, None], lanes["valid"].shape[1], 1)
+        )
 
     def test_within_die_rejected_in_anchored_mode(self):
         """Anchored per-victim draws cannot honour within-die correlation; the

@@ -15,6 +15,7 @@ from repro.devices import (
     solve_operating_point,
     time_to_switch,
 )
+from repro.devices import thermal
 from repro.devices.kinetics import QUADRATURE_NODES, quadrature_states, switching_time
 from repro.errors import ConvergenceError, DeviceModelError
 
@@ -64,9 +65,10 @@ class TestOperatingPoint:
         # The returned pair is self-consistent: no re-solve after the stop.
         assert calls[-1] == point.filament_temperature_k
 
-    def test_iteration_cap_raises(self, jart_model):
+    def test_iteration_cap_raises(self, jart_model, monkeypatch):
+        monkeypatch.setattr(thermal, "SELF_HEATING_MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError):
-            solve_operating_point(jart_model, 1.05, 1.0, 300.0, max_iterations=1)
+            solve_operating_point(jart_model, 1.05, 1.0, 300.0)
 
 
 def inverse_rate(x):

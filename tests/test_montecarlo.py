@@ -10,6 +10,7 @@ control flow per lane.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import fields
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.devices import (
     pulses_to_switch,
     solve_operating_point,
 )
+from repro.devices import thermal
 from repro.devices.base import DeviceState
 from repro.errors import CampaignError, ConvergenceError, DeviceModelError, MonteCarloError
 from repro.montecarlo import (
@@ -40,6 +42,7 @@ from repro.montecarlo import (
 )
 from repro.devices.base import SolveScratch
 from repro.devices.kinetics import QUADRATURE_NODES
+from repro.montecarlo.sampling import PopulationDraw
 from repro.montecarlo.vectorized import JartArrayModel, PreparedBias, interface_root
 from repro.obs import telemetry_capture
 from repro.utils.rng import child_rng, child_seed
@@ -482,12 +485,13 @@ class TestOperatingPointBatch:
         assert batch.converged.all()
         assert sum(lanes) <= 7 * n
 
-    def test_iteration_cap_clears_converged_and_counts(self):
+    def test_iteration_cap_clears_converged_and_counts(self, monkeypatch):
+        monkeypatch.setattr(thermal, "SELF_HEATING_MAX_ITERATIONS", 1)
         model = VectorizedJartVcm(2)
         voltage = np.array([0.0, 1.05])
         with telemetry_capture() as tel:
             batch = solve_operating_point_batch(
-                model, voltage, 1.0, 300.0, max_iterations=1, raise_on_failure=False
+                model, voltage, 1.0, 300.0, raise_on_failure=False
             )
         assert batch.converged.tolist() == [True, False]
         assert tel.counters["thermal.self_heating.unconverged"] == 1
@@ -498,11 +502,12 @@ class TestOperatingPointBatch:
             batch.current_a, model.current(voltage, np.ones(2), np.full(2, 300.0))
         )
 
-    def test_iteration_cap_raises_on_failure(self):
+    def test_iteration_cap_raises_on_failure(self, monkeypatch):
+        monkeypatch.setattr(thermal, "SELF_HEATING_MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError):
             solve_operating_point_batch(
                 VectorizedJartVcm(2), np.array([0.0, 1.05]), 1.0, 300.0,
-                max_iterations=1, raise_on_failure=True,
+                raise_on_failure=True,
             )
 
 
@@ -679,6 +684,43 @@ class TestKineticsBatch:
             assert relative_error(batch.final_temperature_k[lane], scalar.final_temperature_k).max() < RTOL
 
 
+#: Per guard of the draw-validity rule: a fat-tailed distribution that
+#: crosses it, and which of its draws the rule excludes.
+PATHOLOGICAL_DRAWS = {
+    "amplitude": (
+        {"path": "attack.pulse.amplitude_v", "kind": "normal", "mean": 1.0, "sigma": 8.0,
+         "relative": True},
+        lambda amplitude: np.abs(amplitude) > 10.0,
+    ),
+    "ambient": (
+        {"path": "attack.ambient_temperature_k", "kind": "normal", "mean": 1.0, "sigma": 1.2,
+         "relative": True},
+        lambda ambient: ambient <= 0.0,
+    ),
+    "duty cycle": (
+        {"path": "attack.pulse.duty_cycle", "kind": "normal", "mean": 0.5, "sigma": 0.5},
+        lambda duty: (duty <= 0.0) | (duty > 1.0),
+    ),
+    "flip threshold": (
+        {"path": "attack.flip_threshold", "kind": "normal", "mean": 0.5, "sigma": 0.5},
+        lambda threshold: (threshold < 0.0) | (threshold > 1.0),
+    ),
+}
+
+
+def assert_excluded_placeholders(result, excluded, max_pulses, x_start=0.0):
+    """Excluded lanes report no flip, the full budget, no stress or wall-clock
+    time, the start state and their sample's ambient."""
+    ambient = result.draw.get("attack.ambient_temperature_k", 300.0)
+    assert not result.valid[excluded].any()
+    assert not result.flipped[excluded].any()
+    assert (result.pulses[excluded] == max_pulses).all()
+    assert (result.stress_time_s[excluded] == 0.0).all()
+    assert (result.wall_clock_s[excluded] == 0.0).all()
+    assert (result.final_x[excluded] == x_start).all()
+    np.testing.assert_array_equal(result.victim_temperature_k[excluded], ambient[excluded])
+
+
 def engine_config(n_samples=32, seed=9, **attack_overrides):
     from repro.config import AttackConfig, SimulationConfig
 
@@ -752,20 +794,16 @@ class TestMonteCarloEngine:
         assert conditions.crosstalk_temperature_k > 0.0
         assert 0.0 < conditions.coupling_ratio < 1.0
 
-    def test_pathological_draws_invalidate_lanes_not_the_run(self):
-        """A fat-tailed draw outside the model's validity range (e.g. a
-        sampled amplitude beyond +-10 V) must flag those lanes invalid
+    @pytest.mark.parametrize("case", sorted(PATHOLOGICAL_DRAWS))
+    def test_pathological_draws_invalidate_lanes_not_the_run(self, case):
+        """A fat-tailed draw outside the validity rule (an amplitude beyond
+        +-10 V, an ambient at or below 0 K, a duty cycle outside (0, 1], a
+        flip threshold outside [0, 1]) must flag exactly those lanes invalid
         instead of aborting the whole population — in both engines."""
         from repro.config import AttackConfig, SimulationConfig
 
-        montecarlo = MonteCarloConfig(
-            n_samples=16,
-            seed=2,
-            distributions=[
-                {"path": "attack.pulse.amplitude_v", "kind": "normal",
-                 "mean": 1.0, "sigma": 8.0, "relative": True},
-            ],
-        )
+        distribution, fails_rule = PATHOLOGICAL_DRAWS[case]
+        montecarlo = MonteCarloConfig(n_samples=16, seed=2, distributions=[distribution])
         simulation = SimulationConfig.from_dict({"geometry": {"rows": 3, "columns": 3}})
         attack = AttackConfig.from_dict(
             {"aggressors": [[1, 1]], "victim": [1, 2], "max_pulses": 100_000}
@@ -773,11 +811,28 @@ class TestMonteCarloEngine:
         engine = MonteCarloEngine(montecarlo, simulation=simulation, attack=attack)
         vectorized = engine.run()
         scalar = engine.run(vectorized=False)
-        assert not vectorized.valid.all()  # the fat tail must actually hit
-        assert np.array_equal(vectorized.valid, scalar.valid)
-        assert np.array_equal(vectorized.flipped, scalar.flipped)
-        # Invalid lanes are excluded from the statistics, not counted as safe.
-        assert vectorized.valid_count == vectorized.summary()["valid"]
+        excluded = fails_rule(vectorized.draw.values[distribution["path"]])
+        assert excluded.any()  # the fat tail must actually hit
+        np.testing.assert_array_equal(vectorized.valid, ~excluded)
+        np.testing.assert_array_equal(scalar.valid, ~excluded)
+        np.testing.assert_array_equal(vectorized.flipped, scalar.flipped)
+        # Excluded lanes count neither as flips nor as safe victims.
+        summary = vectorized.summary()
+        assert summary["valid"] == int((~excluded).sum())
+        assert summary["flip_probability"] == vectorized.flipped[~excluded].mean()
+        for result in (vectorized, scalar):
+            assert_excluded_placeholders(result, excluded, attack.max_pulses)
+
+    def test_unconverged_lanes_keep_the_excluded_placeholders(self, monkeypatch):
+        """A lane whose self-heating fixed point hits the cap is excluded with
+        the same placeholders in both engines as a lane the rule excludes."""
+        montecarlo, simulation, attack = engine_config(n_samples=6)
+        engine = MonteCarloEngine(montecarlo, simulation=simulation, attack=attack)
+        engine.nominal_conditions()  # the circuit anchor is solved uncapped
+        monkeypatch.setattr(thermal, "SELF_HEATING_MAX_ITERATIONS", 1)
+        for result in (engine.run(), engine.run(vectorized=False)):
+            assert not result.valid.any()
+            assert_excluded_placeholders(result, ~result.valid, attack.max_pulses)
 
     def test_multi_phase_pattern_rejected(self):
         from repro.config import AttackConfig
@@ -786,6 +841,112 @@ class TestMonteCarloEngine:
         attack = AttackConfig.from_dict({"pattern": "quad"})
         with pytest.raises(MonteCarloError, match="phases"):
             MonteCarloEngine(montecarlo, attack=attack).nominal_conditions()
+
+
+class FixedAttackDraws(PopulationSampler):
+    """A sampler serving given per-sample attack draws instead of seeded ones."""
+
+    def __init__(self, values):
+        super().__init__(
+            [ParameterDistribution(path=path, kind="uniform", low=0.0, high=1.0) for path in values]
+        )
+        self.values = {path: np.asarray(draws, dtype=float) for path, draws in values.items()}
+
+    def sample(self, n, nominals, spawn=(), importance=None, paths=None):
+        return PopulationDraw(
+            n_samples=n, seed=self.seed, values={path: v[:n] for path, v in self.values.items()}
+        )
+
+
+GUARD_SAMPLES = 6
+
+
+def straddling(boundary_values, inside):
+    """Per-sample draws on both sides of one guard: mostly from the usable
+    range, else one of the guard's boundary values or their neighbours."""
+    one = st.integers(0, 3).flatmap(
+        lambda branch: st.sampled_from(boundary_values) if branch == 0 else inside
+    )
+    return st.lists(one, min_size=GUARD_SAMPLES, max_size=GUARD_SAMPLES)
+
+
+BELOW_ONE, ABOVE_ONE = float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0))
+
+#: Attack draws straddling every guard of the validity rule.  The drive
+#: amplitude stays 1 mV clear of the +-10 V limit on the usable side: a
+#: nodal solve driven within ~0.1 mV of it steps a Newton iterate outside the
+#: device model's range and fails, which excludes the array (but not the
+#: anchored lane, whose cell voltages stay below the drive).
+GUARD_DRAWS = st.fixed_dictionaries({
+    "attack.ambient_temperature_k": straddling(
+        [-300.0, -1e-9, 0.0, 1e-300, 1.0], st.floats(250.0, 350.0)
+    ),
+    "attack.pulse.amplitude_v": straddling(
+        [-12.0, -10.001, 10.001, 12.0, 0.0], st.floats(-9.999, 9.999)
+    ),
+    "attack.pulse.length_s": straddling([-1e-9, 0.0, 1e-300], st.floats(1e-9, 1e-7)),
+    "attack.pulse.duty_cycle": straddling(
+        [-0.5, 0.0, 1e-300, 1.0, ABOVE_ONE, 1.5], st.floats(0.01, 1.0)
+    ),
+    "attack.flip_threshold": straddling(
+        [-1e-9, 0.0, 1.0, ABOVE_ONE, 1.5, BELOW_ONE], st.floats(0.0, 1.0)
+    ),
+})
+
+
+def passes_rule(values) -> np.ndarray:
+    """The validity rule on the drawn environment (the anchored cell voltages
+    sit below the drive amplitude, so the amplitude bounds them)."""
+    v = {path.split(".")[-1]: np.asarray(draws) for path, draws in values.items()}
+    return (
+        (v["ambient_temperature_k"] > 0.0)
+        & (v["length_s"] > 0.0)
+        & (v["duty_cycle"] > 0.0) & (v["duty_cycle"] <= 1.0)
+        & (v["flip_threshold"] >= 0.0) & (v["flip_threshold"] <= 1.0)
+        & (np.abs(v["amplitude_v"]) <= 10.0)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def guard_conditions():
+    montecarlo, simulation, attack = engine_config()
+    return MonteCarloEngine(montecarlo, simulation=simulation, attack=attack).nominal_conditions()
+
+
+def guard_engine(values, mode="anchored") -> MonteCarloEngine:
+    """An engine over the given attack draws, anchored at the 3x3 attack."""
+    _, simulation, attack = engine_config()
+    montecarlo = MonteCarloConfig(n_samples=GUARD_SAMPLES, mode=mode)
+    engine = MonteCarloEngine(montecarlo, simulation=simulation, attack=attack)
+    engine.set_nominal_conditions(guard_conditions())
+    engine.sampler = FixedAttackDraws(values)
+    return engine
+
+
+class TestDrawValidityRule:
+    """Every evaluation excludes exactly the draws that fail the rule."""
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(values=GUARD_DRAWS)
+    def test_property_anchored_paths_exclude_the_same_lanes(self, values):
+        engine = guard_engine(values)
+        vectorized = engine.run()
+        scalar = engine.run(vectorized=False)
+        usable = passes_rule(values)
+        np.testing.assert_array_equal(vectorized.valid, usable)
+        np.testing.assert_array_equal(scalar.valid, usable)
+        np.testing.assert_array_equal(vectorized.flipped, scalar.flipped)
+        np.testing.assert_array_equal(vectorized.pulses, scalar.pulses)
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(values=GUARD_DRAWS)
+    def test_property_full_array_excludes_exactly_the_failing_arrays(self, values):
+        result = guard_engine(values, mode="full_array").run()
+        usable = passes_rule(values)
+        np.testing.assert_array_equal(result.array_valid, usable)
+        np.testing.assert_array_equal(
+            result.valid.reshape(GUARD_SAMPLES, -1).all(axis=1), usable
+        )
 
 
 class TestMonteCarloCampaign:

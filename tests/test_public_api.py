@@ -28,7 +28,7 @@ SUBPACKAGES = [
 
 
 def test_version_is_exposed():
-    assert repro.__version__ == "1.19.0"
+    assert repro.__version__ == "1.19.1"
 
 
 def test_top_level_exports_resolve():
@@ -112,6 +112,52 @@ def test_one_state_representation_and_one_cache_layout():
     ):
         assert not hasattr(cls, name), f"{cls.__name__}.{name} is back"
     assert not hasattr(CrossbarArray(), "states")
+
+
+def test_unreachable_definitions_and_parameters_stay_retired():
+    """Definitions and parameters that nothing called or set are gone; each
+    device limit and self-heating stop has one owning constant."""
+    import inspect
+
+    from repro import attack, circuit, faults, montecarlo, obs
+    from repro.attack import analysis, patterns
+    from repro.circuit import ReferenceCrossbarSolver, readout
+    from repro.devices import base, jart_vcm, thermal
+    from repro.faults import inject
+    from repro.memory import AddressMapping
+    from repro.montecarlo import vectorized
+    from repro.thermal.geometry import CrossbarVoxelModel
+
+    for namespace, name in (
+        (faults, "current_attempt"),
+        (inject, "current_attempt"),
+        (obs.Telemetry, "current_span"),
+        (circuit, "array_read_margins"),
+        (circuit, "minimum_read_window"),
+        (readout, "array_read_margins"),
+        (readout, "minimum_read_window"),
+        (CrossbarVoxelModel, "voxel_count"),
+        (patterns, "_grouped_phases"),
+        (attack, "half_select_disturbance_time"),
+        (analysis, "half_select_disturbance_time"),
+        (base.MemristorModel, "update_temperature"),
+        (AddressMapping, "iter_addresses"),
+        (vectorized, "_MAX_FIELD_ARGUMENT"),
+    ):
+        assert not hasattr(namespace, name), f"{namespace.__name__}.{name} is back"
+    for function, names in (
+        (montecarlo.AdaptiveSampler.__init__, {"first_batch_index", "already_drawn"}),
+        (obs.Telemetry.snapshot, {"include_spans"}),
+        (ReferenceCrossbarSolver.solve, {"initial_guess"}),
+        (base.MemristorModel.check_voltage, {"limit_v"}),
+        (thermal.solve_operating_point, {"tolerance_k", "max_iterations"}),
+        (montecarlo.solve_operating_point_batch, {"tolerance_k", "max_iterations"}),
+    ):
+        leftovers = set(inspect.signature(function).parameters) & names
+        assert not leftovers, f"{function.__qualname__} takes {leftovers} again"
+    assert base.VOLTAGE_LIMIT_V == 10.0
+    assert jart_vcm.MAX_FIELD_ARGUMENT == 50.0
+    assert thermal.SELF_HEATING_MAX_ITERATIONS == 200
 
 
 def test_headline_entry_point_signature():
