@@ -13,7 +13,7 @@ README = Path(__file__).with_name("README.md")
 
 setup(
     name="neurohammer-repro",
-    version="1.19.1",
+    version="1.19.2",
     description=(
         "Reproduction of 'NeuroHammer: Inducing Bit-Flips in Memristive "
         "Crossbar Memories' (DATE 2022): electro-thermal crossbar simulation, "

@@ -115,7 +115,7 @@ from .thermal import (
     extract_alpha_values,
 )
 
-__version__ = "1.19.1"
+__version__ = "1.19.2"
 
 __all__ = [
     "__version__",

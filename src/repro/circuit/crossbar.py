@@ -32,6 +32,24 @@ from .solver import CrossbarSolver, OperatingPoint
 
 Cell = Tuple[int, int]
 
+#: Stop of the nodal solves a thermal snapshot moves on from, as
+#: ``(last chord step [V], KCL residual [A])`` (see
+#: :meth:`~repro.circuit.solver.CrossbarSolver.solve`).  Over four seed-1
+#: ``full_array_64`` batches, one paper figure set and one 3x3 map, a
+#: 1e-4 V step took 80, 167 and 240 chord steps (131, 280 and 389 at the
+#: solver's own stop) with every flip and pulse count unchanged and floats
+#: within 2.5e-10; 1e-3 V saved another 9-10 % but moved pulse counts, and
+#: 1e-6 V took 89, 192 and 263.  The step binds: residual stops from 1e-4
+#: to 1e-7 A took the same steps.
+LOOSE_SOLVE_STOP = (1e-4, 1e-6)
+
+#: A snapshot solves loosely while the thermal residual it predicts for the
+#: solve is at least this multiple of ``tolerance_k``.  On the same runs no
+#: loose solve met the tolerance at 10, so every snapshot kept its 4 solves;
+#: at 3, 1 of the 16 figure-set snapshots and 6 of the 24 map snapshots
+#: re-solved, and at 30 the map took 260 chord steps against 240.
+LOOSE_SOLVE_MARGIN = 10.0
+
 
 @dataclass
 class ThermalSnapshot:
@@ -42,7 +60,9 @@ class ThermalSnapshot:
     third solve on.  It stops when the residual G(T) - T is below the
     tolerance in every cell and returns the image G(T) with the operating
     point solved at T; at the iteration cap it returns the last image with
-    ``converged`` cleared.
+    ``converged`` cleared.  The solves before the last may stop loosely;
+    the operating point returned always comes from a solve at the
+    solver's own stop.
     """
 
     operating_point: OperatingPoint
@@ -210,6 +230,21 @@ class CrossbarArray:
         returns the image ``g_k`` with the operating point solved at ``T_k``.
         A loop that reaches ``max_iterations`` returns its last image with
         ``converged`` cleared and counts ``thermal.picard.unconverged``.
+
+        Only the solve whose image the loop returns needs the solver's own
+        stop (an inexact fixed point with a forcing term, as in Eisenstat &
+        Walker, SIAM J. Sci. Comput. 17, 1996).  So a solve stops at
+        :data:`LOOSE_SOLVE_STOP` while the residual predicted for it is at
+        least :data:`LOOSE_SOLVE_MARGIN` times ``tolerance_k``, and at the
+        solver's own stop after that.  The prediction is how far the solve
+        before moved the field it ran at, times the contraction of that
+        distance over the solve before it (none after the first solve).
+        The first solve runs loose only when the array holds the ambient
+        field: a field an earlier snapshot left warm is usually near this
+        one's fixed point, and the first image is then the one the loop
+        returns from.  The last solve ``max_iterations`` allows is always
+        tight, and a loose solve whose residual is already below
+        ``tolerance_k`` is solved again tightly at the same field.
         """
         if max_iterations < 1:
             raise ConfigurationError("max_iterations must be at least 1")
@@ -219,16 +254,33 @@ class CrossbarArray:
         temperatures = np.full((rows, columns), ambient)
         image = residual = None
         converged = False
+        loose_above = LOOSE_SOLVE_MARGIN * tolerance_k
+        # Nothing bounds the first residual from the ambient field; a warm
+        # field solves tightly first.
+        predicted = np.inf if (self.state.temperature_k == ambient).all() else 0.0
+        moved = 0.0
         for iterations in range(1, max_iterations + 1):
-            op = self.solve_bias(bias)
+            loose = iterations < max_iterations and predicted >= loose_above
+            op = self.solver.solve(bias, self.state, stop=LOOSE_SOLVE_STOP if loose else None)
             self_heating = rth * op.device_powers_w
             crosstalk = self.hub.additional_temperatures(ambient + self_heating)
             previous_image, previous_residual = image, residual
             image = ambient + self_heating + crosstalk
             residual = image - temperatures
             if float(np.abs(residual).max()) < tolerance_k:
-                converged = True
-                break
+                if not loose:
+                    converged = True
+                    break
+                # Solve again tightly at the same field, so that the snapshot
+                # returns a tight operating point.
+                image, residual = previous_image, previous_residual
+                predicted = 0.0
+                continue
+            # How far this solve moved the field it ran at, shrunk by the
+            # contraction since the solve before, predicts the next residual.
+            previous_moved = moved
+            moved = float(np.abs(image - self.state.temperature_k).max())
+            predicted = moved * min(1.0, moved / previous_moved) if previous_moved else moved
             temperatures = image
             if iterations >= 3:
                 delta = residual - previous_residual

@@ -31,6 +31,7 @@ iteration instead of recomputing them per device.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Optional, Tuple
@@ -57,7 +58,10 @@ REFACTOR_CONTRACTION = 0.3
 
 #: A solve may end only when its last step is below this fraction of
 #: ``voltage_tolerance_v``; a linearly contracting iteration leaves an error
-#: of the order of its last step.
+#: of the order of its last step.  This is the solver's own stop, which the
+#: operating point a thermal snapshot returns always meets; the solves
+#: before a snapshot's last stop at
+#: :data:`~repro.circuit.crossbar.LOOSE_SOLVE_STOP`.
 CHORD_STOP_FRACTION = 1e-5
 
 #: A chord step sweeps until the error its last two corrections predict is
@@ -170,7 +174,12 @@ class CrossbarSolver:
     wire-drop-free bias and the solve typically needs a single factor.  No
     step is an exact Newton step, so a solve converges when the KCL residual
     is below ``residual_tolerance_a`` and the last step below
-    :data:`CHORD_STOP_FRACTION` of ``voltage_tolerance_v``.
+    :data:`CHORD_STOP_FRACTION` of ``voltage_tolerance_v``: the solver's own
+    stop.  A caller may give one solve a looser stop, as a thermal snapshot
+    does for the solves before its last; the residual watchdog judges each
+    solve against the stop it was given, and its audit record names it.  A
+    solve whose KCL residual turns non-finite ends at once, and a failed
+    solve drops the held factor, so the next one factors afresh.
 
     Each solve creates one :class:`~repro.devices.base.SolveScratch` and
     passes it to every device-kernel call it makes.  The device states and
@@ -259,7 +268,13 @@ class CrossbarSolver:
 
     # -- solving --------------------------------------------------------------
 
-    def solve(self, bias: BiasPattern, states: DeviceStateArrays) -> OperatingPoint:
+    def solve(
+        self,
+        bias: BiasPattern,
+        states: DeviceStateArrays,
+        *,
+        stop: Optional[Tuple[float, float]] = None,
+    ) -> OperatingPoint:
         """Solve the nonlinear operating point for one bias pattern.
 
         Starts from the last successful solve's voltages (warm start) or,
@@ -268,7 +283,18 @@ class CrossbarSolver:
         Args:
             bias: Driver voltages per line (None = floating).
             states: Device state of every cell.
+            stop: ``(step_v, residual_a)``: the solve ends once its last
+                chord step is below ``step_v`` and its KCL residual below
+                ``residual_a``.  The default is the solver's own stop,
+                :data:`CHORD_STOP_FRACTION` of ``voltage_tolerance_v`` and
+                ``residual_tolerance_a``;
+                :meth:`~repro.circuit.crossbar.CrossbarArray.thermal_snapshot`
+                passes a looser one to the solves its temperature loop
+                moves on from.
         """
+        if stop is None:
+            stop = (self.voltage_tolerance_v * CHORD_STOP_FRACTION, self.residual_tolerance_a)
+        stop_step, stop_residual = stop
         extra_g, driver_currents, line_v = self._driver_stamps(bias)
         x_arr, t_arr = self._state_arrays(states)
 
@@ -285,7 +311,6 @@ class CrossbarSolver:
         scratch = SolveScratch()
         iterations = factorizations = 0
         prev_step = np.inf
-        stop_step = self.voltage_tolerance_v * CHORD_STOP_FRACTION
         refactor = False
         converged = False
         failure = f"did not converge after {self.max_iterations} iterations"
@@ -299,7 +324,10 @@ class CrossbarSolver:
             residual = float(np.abs(kcl).max())
             if residual_trajectory is not None:
                 residual_trajectory.append(residual)
-            if prev_step < stop_step and residual < self.residual_tolerance_a:
+            if not math.isfinite(residual):
+                failure = f"has a non-finite KCL residual after {iterations} iterations"
+                break
+            if prev_step < stop_step and residual < stop_residual:
                 converged = True
                 break
             if solve_count == self.max_iterations:
@@ -328,17 +356,19 @@ class CrossbarSolver:
             tel.count("solver.factorizations", factorizations)
             if warm_started:
                 tel.count("solver.warm_starts")
-            tel.observe("solver.residual_a", residual)
+            if math.isfinite(residual):  # the log histogram bins finite samples only
+                tel.observe("solver.residual_a", residual)
             tel.observe("solver.iterations_per_solve", iterations)
             numerics = tel.numerics
             numerics.check_array("solver.solve", "node_voltages_v", voltages)
             numerics.check_array("solver.solve", "device_currents_a", currents)
             numerics.check_iterations("solver.solve", iterations, self.max_iterations)
-            numerics.check_residuals(
-                "solver.solve", residual_trajectory, self.residual_tolerance_a
-            )
+            numerics.check_residuals("solver.solve", residual_trajectory, stop_residual)
 
         if not converged:
+            # A factor built from a broken iterate would fail the next solve
+            # the same way.
+            self._factor = self._factor_g = None
             if tel.enabled:
                 tel.count("solver.failures")
             raise ConvergenceError(f"crossbar Newton solve {failure} (residual {residual:.3g} A)")
@@ -352,7 +382,12 @@ class CrossbarSolver:
                     "device_voltages_v": branch_v,
                     "device_currents_a": currents,
                 },
-                meta={"iterations": iterations, "residual_a": residual},
+                meta={
+                    "iterations": iterations,
+                    "residual_a": residual,
+                    "stop_step_v": stop_step,
+                    "stop_residual_a": stop_residual,
+                },
             )
         return self._operating_point(voltages, branch_v, currents, iterations, residual)
 

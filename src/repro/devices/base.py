@@ -98,13 +98,18 @@ def finite_difference_conductance(
     """Per-device conductance dI/dV [S] of ``current``, a function of V alone.
 
     Mirrors the scalar :meth:`MemristorModel.conductance` default exactly: a
-    symmetric finite difference with the same step rule and the same
-    positive floor, so Newton trajectories of the vectorized solver match
-    the legacy per-device path.
+    symmetric finite difference with the same step rule, the same clip of
+    the probes to +-:data:`VOLTAGE_LIMIT_V` and the same positive floor, so
+    Newton trajectories of the vectorized solver match the legacy per-device
+    path.
     """
     voltage_v = np.asarray(voltage_v, dtype=np.float64)
     delta = np.maximum(1e-4, np.abs(voltage_v) * 1e-4)
-    g = (current(voltage_v + delta) - current(voltage_v - delta)) / (2.0 * delta)
+    # Within delta of the limit a probe stops at it; the difference is then
+    # taken over the span actually probed.
+    up = np.minimum(delta, VOLTAGE_LIMIT_V - voltage_v)
+    down = np.minimum(delta, VOLTAGE_LIMIT_V + voltage_v)
+    g = (current(voltage_v + up) - current(voltage_v - down)) / (up + down)
     return np.where(g <= 0.0, 1e-12, g)
 
 
@@ -241,12 +246,16 @@ class MemristorModel(abc.ABC):
 
         The default implementation uses a symmetric finite difference, which
         is accurate enough for the Newton nodal solver; models with analytic
-        derivatives may override it.
+        derivatives may override it.  Within the step of
+        +-:data:`VOLTAGE_LIMIT_V` a probe stops at the limit, and the
+        difference is taken over the span actually probed.
         """
         delta = max(1e-4, abs(voltage_v) * 1e-4)
-        upper = self.current(voltage_v + delta, state)
-        lower = self.current(voltage_v - delta, state)
-        g = (upper - lower) / (2.0 * delta)
+        up = min(delta, VOLTAGE_LIMIT_V - voltage_v)
+        down = min(delta, VOLTAGE_LIMIT_V + voltage_v)
+        upper = self.current(voltage_v + up, state)
+        lower = self.current(voltage_v - down, state)
+        g = (upper - lower) / (up + down)
         if g <= 0.0:
             # A passive resistive device can never present a negative or zero
             # small-signal conductance to the solver; clamp to a floor that

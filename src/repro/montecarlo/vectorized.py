@@ -141,7 +141,9 @@ def interface_root(
     """
     # fmin, not minimum: a lane whose i_sat underflowed (a = 0, root w = b)
     # divides to inf, or to NaN at zero bias.
-    ceiling = np.fmin(b, np.arcsinh(b / a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = b / a
+    ceiling = np.fmin(b, np.arcsinh(ratio))
     w = ceiling if start is None else np.minimum(ceiling, start)
     tolerance = _NEWTON_RTOL * b
     step = np.empty_like(w)

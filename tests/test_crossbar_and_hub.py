@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.attack.patterns import standard_patterns
-from repro.circuit import CrossbarArray, CrosstalkHub, write_bias
+from repro.circuit import CrossbarArray, CrossbarSolver, CrosstalkHub, idle_bias, write_bias
+from repro.circuit.crossbar import LOOSE_SOLVE_STOP
+from repro.circuit.solver import CHORD_STOP_FRACTION
 from repro.config import CrossbarGeometry
 from repro.errors import ConfigurationError, GeometryError
-from repro.obs import telemetry_capture
+from repro.obs import AuditTrail, Telemetry, telemetry_capture
 from repro.thermal import AnalyticCouplingModel, UniformCouplingModel
 
 
@@ -50,6 +52,43 @@ def plain_picard_field(crossbar, bias, iterates=40):
         field = ambient + rise + crossbar.hub.additional_temperatures(ambient + rise)
         crossbar.state.temperature_k[...] = field
     return field
+
+
+def spied_snapshot(crossbar, bias, **kwargs):
+    """A snapshot, its telemetry counters, and the field and stop of each of
+    its nodal solves."""
+    solves = []
+    solve = crossbar.solver.solve
+
+    def spy(bias, states, **options):
+        solves.append((states.temperature_k.copy(), options.get("stop")))
+        return solve(bias, states, **options)
+
+    crossbar.solver.solve = spy
+    try:
+        with telemetry_capture() as tel:
+            snapshot = crossbar.thermal_snapshot(bias, **kwargs)
+    finally:
+        del crossbar.solver.solve
+    return snapshot, tel.counters, solves
+
+
+def assert_tight_operating_point(crossbar, bias, snapshot, solves):
+    """The returned operating point comes from a solve at the solver's own
+    stop, and matches a fresh solve at the field it was solved at."""
+    field, stop = solves[-1]
+    assert stop is None
+    op = snapshot.operating_point
+    assert op.residual_a < crossbar.solver.residual_tolerance_a
+    states = crossbar.state.copy()
+    states.temperature_k[...] = field
+    fresh = CrossbarSolver(crossbar.netlist, crossbar.model).solve(bias, states)
+    np.testing.assert_allclose(
+        op.device_voltages_v, fresh.device_voltages_v, rtol=1e-9, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        op.device_currents_a, fresh.device_currents_a, rtol=1e-9, atol=1e-15
+    )
 
 
 class TestCrosstalkHub:
@@ -177,8 +216,6 @@ class TestThermalSnapshot:
         assert aggressor_crosstalk < 0.1 * aggressor_rise
 
     def test_idle_bias_keeps_array_at_ambient(self, small_crossbar):
-        from repro.circuit import idle_bias
-
         snapshot = small_crossbar.thermal_snapshot(idle_bias(small_crossbar.geometry))
         assert np.allclose(snapshot.filament_temperatures_k, 300.0, atol=1.0)
 
@@ -204,6 +241,47 @@ class TestThermalSnapshot:
         assert snapshot.converged
         assert snapshot.iterations == 4 == tel.counters["solver.solves"]
         assert tel.counters.get("thermal.picard.unconverged", 0) == 0
+        # Solving every step to the solver's own stop took 16 chord steps;
+        # the three loose solves before the last leave 10.
+        assert tel.counters["solver.iterations"] <= 10
+
+    def test_loose_solves_precede_one_tight_solve(self, paper_crossbar):
+        """Each solve's audit record names the stop it met."""
+        paper_crossbar.set_state((2, 2), 1.0)
+        bias = write_bias(paper_crossbar.geometry, [(2, 2)], 1.05)
+        trail = AuditTrail()
+        with telemetry_capture(Telemetry(audit=trail)):
+            paper_crossbar.thermal_snapshot(bias)
+        solver = paper_crossbar.solver
+        tight = (CHORD_STOP_FRACTION * solver.voltage_tolerance_v, solver.residual_tolerance_a)
+        stops = [
+            (record["meta"]["stop_step_v"], record["meta"]["stop_residual_a"])
+            for record in trail.records()
+            if record["stage"] == "solver.operating_point"
+        ]
+        assert stops == [LOOSE_SOLVE_STOP] * 3 + [tight]
+
+    def test_a_field_left_warm_is_solved_tightly_first(self, paper_crossbar):
+        """An earlier snapshot leaves the field near this one's fixed point,
+        so the image of the first solve is the one the loop returns from."""
+        paper_crossbar.set_state((2, 2), 1.0)
+        bias = write_bias(paper_crossbar.geometry, [(2, 2)], 1.05)
+        paper_crossbar.thermal_snapshot(bias)
+        snapshot, _, solves = spied_snapshot(paper_crossbar, bias)
+        assert snapshot.converged and snapshot.iterations == 2
+        assert [stop for _, stop in solves] == [None, None]
+        idle, _, _ = spied_snapshot(paper_crossbar, idle_bias(paper_crossbar.geometry))
+        assert idle.converged and idle.iterations == 1
+
+    def test_a_loose_solve_that_meets_the_tolerance_is_solved_again_tightly(self, small_crossbar):
+        """An idle array meets the tolerance on its first, loose solve; the
+        snapshot re-solves tightly at the same field and returns that."""
+        bias = idle_bias(small_crossbar.geometry)
+        snapshot, counters, solves = spied_snapshot(small_crossbar, bias)
+        assert snapshot.converged and snapshot.iterations == 2 == counters["solver.solves"]
+        assert [stop for _, stop in solves] == [LOOSE_SOLVE_STOP, None]
+        np.testing.assert_array_equal(solves[0][0], solves[1][0])
+        assert_tight_operating_point(small_crossbar, bias, snapshot, solves)
 
     @pytest.mark.parametrize(
         "geometry, lrs_cells, driven, amplitude_v, ambient_k", list(_picard_probes())
@@ -218,26 +296,29 @@ class TestThermalSnapshot:
             return crossbar
 
         bias = write_bias(geometry, driven, amplitude_v)
-        with telemetry_capture() as tel:
-            snapshot = prepared().thermal_snapshot(bias)
+        crossbar = prepared()
+        snapshot, counters, solves = spied_snapshot(crossbar, bias)
         assert snapshot.converged
-        assert snapshot.iterations == tel.counters["solver.solves"] <= 4
+        assert snapshot.iterations == counters["solver.solves"] <= 4
+        assert "numerics.residual_anomalies" not in counters
+        assert "numerics.iteration_pressure" not in counters
+        assert_tight_operating_point(crossbar, bias, snapshot, solves)
         reference = plain_picard_field(prepared(), bias)
         np.testing.assert_allclose(snapshot.filament_temperatures_k, reference, rtol=0.0, atol=0.25)
 
     def test_iteration_cap_exit_is_reported(self, paper_crossbar):
         paper_crossbar.set_state((2, 2), 1.0)
         bias = write_bias(paper_crossbar.geometry, [(2, 2)], 1.05)
-        with telemetry_capture() as tel:
-            snapshot = paper_crossbar.thermal_snapshot(bias, max_iterations=2)
+        snapshot, counters, solves = spied_snapshot(paper_crossbar, bias, max_iterations=2)
         assert not snapshot.converged
-        assert snapshot.iterations == 2 == tel.counters["solver.solves"]
-        assert tel.counters["thermal.picard.unconverged"] == 1
+        assert snapshot.iterations == 2 == counters["solver.solves"]
+        assert counters["thermal.picard.unconverged"] == 1
+        assert "numerics.residual_anomalies" not in counters
+        assert "numerics.iteration_pressure" not in counters
+        assert_tight_operating_point(paper_crossbar, bias, snapshot, solves)
         # The last iterate is still returned: ~886 K against a converged ~906 K.
         assert snapshot.cell_temperature((2, 2)) < 900.0
 
     def test_invalid_iteration_count_rejected(self, small_crossbar):
-        from repro.circuit import idle_bias
-
         with pytest.raises(ConfigurationError):
             small_crossbar.thermal_snapshot(idle_bias(small_crossbar.geometry), max_iterations=0)

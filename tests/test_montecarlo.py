@@ -11,6 +11,7 @@ control flow per lane.
 from __future__ import annotations
 
 import functools
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -395,6 +396,18 @@ class TestInterfaceNewton:
             float(voltage[0]), DeviceState(float(x[0]), float(temperature[0]))
         )
         assert relative_error(current, scalar).max() < 1e-12
+
+    def test_underflowed_saturation_current_lanes_warn_nothing(self):
+        """A lane whose i_sat underflowed (a = 0) has the root w = b, and at
+        zero bias the root 0; neither raises a RuntimeWarning, cold or warm."""
+        a = np.array([0.0, 0.0, 1e-3])
+        b = np.array([2.0, 0.0, 2.0])
+        for start in (None, np.ones(3)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                roots, _ = interface_root(a, b, start)
+            alone, _ = interface_root(a[2:], b[2:], None if start is None else start[2:])
+            assert roots[0] == 2.0 and roots[1] == 0.0 and roots[2] == alone[0]
 
     @pytest.mark.parametrize(
         "start",
@@ -872,17 +885,14 @@ def straddling(boundary_values, inside):
 
 BELOW_ONE, ABOVE_ONE = float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0))
 
-#: Attack draws straddling every guard of the validity rule.  The drive
-#: amplitude stays 1 mV clear of the +-10 V limit on the usable side: a
-#: nodal solve driven within ~0.1 mV of it steps a Newton iterate outside the
-#: device model's range and fails, which excludes the array (but not the
-#: anchored lane, whose cell voltages stay below the drive).
+#: Attack draws straddling every guard of the validity rule.
 GUARD_DRAWS = st.fixed_dictionaries({
     "attack.ambient_temperature_k": straddling(
         [-300.0, -1e-9, 0.0, 1e-300, 1.0], st.floats(250.0, 350.0)
     ),
     "attack.pulse.amplitude_v": straddling(
-        [-12.0, -10.001, 10.001, 12.0, 0.0], st.floats(-9.999, 9.999)
+        [-12.0, -10.001, -10.0, -9.99999, 9.99999, 10.0, 10.001, 12.0, 0.0],
+        st.floats(-10.0, 10.0),
     ),
     "attack.pulse.length_s": straddling([-1e-9, 0.0, 1e-300], st.floats(1e-9, 1e-7)),
     "attack.pulse.duty_cycle": straddling(

@@ -28,7 +28,7 @@ SUBPACKAGES = [
 
 
 def test_version_is_exposed():
-    assert repro.__version__ == "1.19.1"
+    assert repro.__version__ == "1.19.2"
 
 
 def test_top_level_exports_resolve():

@@ -278,6 +278,50 @@ class TestSparseSolverAgreement:
         reference = ReferenceCrossbarSolver(netlist, model).solve(bias, states)
         assert_same_solution(op, reference)
 
+    def test_a_failed_solve_drops_its_held_factor(self, monkeypatch):
+        """NaN conductances break the first factor; the solve ends at the first
+        non-finite KCL residual, and the next solve factors afresh instead of
+        stepping against the broken factor."""
+        geometry = CrossbarGeometry(rows=3, columns=3)
+        netlist = build_crossbar_netlist(geometry)
+        model = JartVcmModel()
+        states = DeviceStateArrays(3, 3)
+        states.x[1, 1] = 1.0
+        bias = write_bias(geometry, [(1, 1)], 1.05)
+        solver = CrossbarSolver(netlist, model)
+        kernel = model.batched()
+        monkeypatch.setattr(
+            kernel, "conductance", lambda voltage, *args: np.full(np.shape(voltage), np.nan)
+        )
+        with telemetry_capture() as tel:
+            with pytest.raises(ConvergenceError, match="non-finite KCL residual after 1 "):
+                solver.solve(bias, states)
+        assert tel.counters["solver.failures"] == 1
+
+        monkeypatch.undo()
+        op = solver.solve(bias, states)
+        fresh = CrossbarSolver(netlist, model).solve(bias, states)
+        np.testing.assert_array_equal(op.device_voltages_v, fresh.device_voltages_v)
+        np.testing.assert_array_equal(op.device_currents_a, fresh.device_currents_a)
+        assert op.iterations == fresh.iterations
+
+    @pytest.mark.parametrize("amplitude_v", [10.0, -10.0, 9.99999, -9.99999])
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_drives_at_the_voltage_limit_solve(self, size, amplitude_v):
+        """The cold start puts a single aggressor at the full drive, where the
+        conductance's finite difference stops its probe at the +-10 V limit."""
+        geometry = CrossbarGeometry(rows=size, columns=size)
+        netlist = build_crossbar_netlist(geometry)
+        model = JartVcmModel()
+        states = DeviceStateArrays(size, size)
+        aggressor = (size // 2, size // 2)
+        states.x[aggressor] = 1.0
+        bias = write_bias(geometry, [aggressor], amplitude_v)
+        op = CrossbarSolver(netlist, model).solve(bias, states)
+        reference = ReferenceCrossbarSolver(netlist, model).solve(bias, states)
+        assert_same_operating_point(op, reference)
+        assert 9.6 < abs(op.cell_voltage(aggressor)) < 9.8
+
     def test_an_indefinite_chain_band_raises(self):
         """A -1 S device outweighs the 0.8 S that two default 2.5 Ohm
         segments put on its node's diagonal, so its chain block is
