@@ -24,11 +24,12 @@ Two execution paths are provided and validated against each other:
   operating point is solved once per hammer phase.  The victim's rate per
   round is taken at the nodes of the package's one switching-time rule,
   :func:`repro.devices.kinetics.switching_time`, which counts the rounds to
-  the flip.  The operating points and the victim's rates at the nodes form
-  the attack's :class:`SteadyState`, which does not depend on the pulse
-  length, the duty cycle or the pulse budget: only the count reads those
-  (:data:`COUNT_FIELDS`), so attacks that differ in nothing else can share
-  one steady state.
+  the flip.  ``run`` is :meth:`NeuroHammer.steady_state` followed by
+  :meth:`SteadyState.count`.  The operating points and the victim's rates
+  at the nodes form the attack's :class:`SteadyState`, which does not
+  depend on the pulse length, the duty cycle or the pulse budget: only the
+  count reads those (:data:`COUNT_FIELDS`), and it needs no crossbar, so
+  attacks that differ in nothing else can count from one steady state.
 * :meth:`NeuroHammer.run_transient` — the full circuit-level transient
   simulation, pulse by pulse, used by tests and short demonstrations.
 """
@@ -37,13 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..config import AttackConfig, CrossbarGeometry, PulseConfig
 from ..constants import DEFAULT_AMBIENT_TEMPERATURE_K, DEFAULT_SET_VOLTAGE_V
-from ..devices.base import DeviceState
+from ..devices.base import DeviceState, MemristorModel
 from ..devices.kinetics import (
     QUADRATURE_NODES,
     SwitchingTime,
@@ -51,12 +52,12 @@ from ..devices.kinetics import (
     switching_time,
 )
 from ..devices.thermal import solve_operating_point
-from ..errors import AttackError, ConfigurationError
+from ..errors import ConfigurationError
 from ..circuit.crossbar import CrossbarArray
-from ..circuit.drivers import BiasPattern, write_bias
+from ..circuit.drivers import write_bias
 from ..circuit.pulses import StimulusSchedule, StimulusSegment
 from ..circuit.transient import TransientSimulator
-from .patterns import AttackPattern, HammerPhase, single_aggressor
+from .patterns import AttackPattern, HammerPhase, pattern_from_config, single_aggressor
 
 Cell = Tuple[int, int]
 
@@ -78,6 +79,12 @@ class PhaseOperatingPoint:
     aggressor_voltage_v: float = 0.0
 
 
+#: The :class:`AttackConfig` leaves that only :meth:`SteadyState.count`
+#: reads, as dotted paths: the budget in rounds, the dx per round and the
+#: wall clock.  A :class:`SteadyState` reads none of them.
+COUNT_FIELDS = ("pulse.length_s", "pulse.duty_cycle", "max_pulses")
+
+
 @dataclass(frozen=True, eq=False)
 class SteadyState:
     """What one round of an attack does to its victim, at any pulse length.
@@ -86,12 +93,17 @@ class SteadyState:
     victim's self-consistent rate at each quadrature node depend on the
     geometry, wires, device, pattern, amplitude, bias scheme, ambient and
     flip threshold, but not on the pulse length, the duty cycle or the pulse
-    budget.  :meth:`NeuroHammer.run` solves one, or takes one an earlier run
-    of the same attack returned, and counts its pulses from it.
+    budget.  :meth:`NeuroHammer.steady_state` solves one on a crossbar, and
+    :meth:`count` counts an attack's pulses from it.  It holds the pattern,
+    ambient and device model it was solved with, so the count needs no
+    crossbar.
     """
 
-    #: Pattern, amplitude, bias scheme, ambient and flip threshold solved for.
-    conditions: Tuple
+    pattern: AttackPattern
+    #: Ambient the victim's fixed points are solved at [K].
+    ambient_temperature_k: float
+    #: Device model of the victim.
+    model: MemristorModel
     phase_points: Tuple[PhaseOperatingPoint, ...]
     #: Victim state the attack starts from.
     x_start: float
@@ -115,12 +127,65 @@ class SteadyState:
             self.temperatures_k.max(axis=1), budget_rounds,
         )
 
+    def count(self, config: AttackConfig) -> AttackResult:
+        """The attack's pulses to the flip, within its budget.
 
-#: The :class:`AttackConfig` leaves that only the count of
-#: :meth:`NeuroHammer.run` reads, as dotted paths: the budget in rounds, the
-#: dx per round and the wall clock.  A :class:`SteadyState` reads none of
-#: them.
-COUNT_FIELDS = ("pulse.length_s", "pulse.duty_cycle", "max_pulses")
+        Of ``config`` the count reads only the :data:`COUNT_FIELDS`.  Every
+        phase pulses once per round, and
+        :func:`~repro.devices.kinetics.switching_time` counts the rounds to
+        the flip threshold; the pulses are the whole rounds times the
+        phases.  A campaign that does not flip within the budget's whole
+        rounds spends what is left on a partial last round, which pulses
+        only the leading phases the budget still allows.
+        """
+        pulse = config.pulse
+        phases = len(self.phase_points)
+        rounds, left = divmod(config.max_pulses, phases)
+        outcome = self.rounds_to_flip(pulse.length_s, rounds)
+        x = float(outcome.final_x[0])
+        if outcome.switched[0]:
+            pulses = max(1, math.ceil(outcome.time[0])) * phases
+        else:
+            pulses = config.max_pulses
+            for point in self.phase_points[:left]:
+                rate, _ = _victim_rate(self.model, point, x, self.ambient_temperature_k)
+                x = self.model.clamp_state(x + max(rate, 0.0) * pulse.length_s)
+        return AttackResult(
+            pattern_name=self.pattern.name,
+            victim=self.pattern.victim,
+            aggressors=self.pattern.aggressors,
+            flipped=x >= self.flip_threshold,
+            pulses=pulses,
+            stress_time_s=pulses * pulse.length_s,
+            wall_clock_s=pulses * pulse.period_s,
+            victim_final_x=x,
+            victim_temperature_k=float(outcome.final_temperature_k[0]),
+            phase_points=list(self.phase_points),
+            pulse_length_s=pulse.length_s,
+            ambient_temperature_k=self.ambient_temperature_k,
+        )
+
+
+def _victim_rate(
+    model: MemristorModel, point: PhaseOperatingPoint, x: float, ambient: float
+) -> Tuple[float, float]:
+    """Victim state rate [1/s] and temperature [K] during one phase pulse.
+
+    The fixed point returns the current it solved at the temperature it
+    returns, so the rate is taken from that current.
+    """
+    operating = solve_operating_point(
+        model,
+        point.victim_voltage_v,
+        x,
+        ambient_temperature_k=ambient,
+        crosstalk_temperature_k=point.victim_crosstalk_k,
+    )
+    state = DeviceState(x=x, filament_temperature_k=operating.filament_temperature_k)
+    rate = model.state_derivative_from_current(
+        point.victim_voltage_v, state, operating.current_a
+    )
+    return rate, operating.filament_temperature_k
 
 
 @dataclass
@@ -146,8 +211,6 @@ class AttackResult:
     #: Pulse length used [s].
     pulse_length_s: float = 0.0
     ambient_temperature_k: float = DEFAULT_AMBIENT_TEMPERATURE_K
-    #: The steady state the pulses were counted from (quasi-static runs).
-    steady_state: Optional[SteadyState] = field(default=None, repr=False, compare=False)
 
     @property
     def pulses_per_aggressor(self) -> float:
@@ -234,127 +297,53 @@ class NeuroHammer:
         self,
         pattern: Optional[AttackPattern] = None,
         config: Optional[AttackConfig] = None,
-        steady_state: Optional[SteadyState] = None,
     ) -> AttackResult:
         """Run a campaign with the fast quasi-static integrator.
 
         Either an explicit ``pattern`` or an :class:`AttackConfig` (whose
         aggressors become a single simultaneous phase) must be given.
 
-        The run solves the attack's :class:`SteadyState` (the phases'
-        operating points and the victim's rates at the nodes of
-        :func:`~repro.devices.kinetics.quadrature_states`) and counts its
-        pulses from it.  ``steady_state`` is one an earlier run of the same
-        attack returned on its result, on a crossbar built alike; it may
-        have had another pulse length, duty cycle or pulse budget
-        (:data:`COUNT_FIELDS`), which only the count reads.
+        The run solves the attack's :meth:`steady_state`, counts its pulses
+        from it (:meth:`SteadyState.count`) and leaves the victim at its
+        final state.
+        """
+        config = config if config is not None else AttackConfig()
+        result = self.steady_state(pattern, config).count(config)
+        self.crossbar.set_state(result.victim, result.victim_final_x)
+        return result
 
-        Every phase pulses once per round, and
-        :func:`~repro.devices.kinetics.switching_time` counts the rounds to
-        the flip threshold; the pulses are the whole rounds times the
-        phases.  A campaign that does not flip within the budget's whole
-        rounds spends what is left on a partial last round, which pulses
-        only the leading phases the budget still allows.
+    def steady_state(
+        self,
+        pattern: Optional[AttackPattern] = None,
+        config: Optional[AttackConfig] = None,
+    ) -> SteadyState:
+        """Prepare the array for the attack and solve its :class:`SteadyState`.
+
+        That is each phase's operating point and the victim's rate at each
+        node of :func:`~repro.devices.kinetics.quadrature_states` between its
+        start and the flip threshold.  Of ``config`` it reads everything but
+        the :data:`COUNT_FIELDS`.
         """
         config = config if config is not None else AttackConfig()
         pattern = self._prepare_attack(pattern, config)
-        conditions = (
-            pattern, config.pulse.amplitude_v, config.bias_scheme,
-            config.ambient_temperature_k, config.flip_threshold,
-        )
-        if steady_state is None:
-            steady_state = self._solve_steady_state(pattern, config, conditions)
-        elif steady_state.conditions != conditions:
-            raise AttackError("the steady state was solved for another attack")
-        return self._count(pattern, config, steady_state)
-
-    def _solve_steady_state(
-        self, pattern: AttackPattern, config: AttackConfig, conditions: Tuple
-    ) -> SteadyState:
-        """Phase operating points and the victim's rate at each node of its flip."""
         points = tuple(
             self.phase_operating_point(pattern, phase, config.pulse.amplitude_v, config.bias_scheme)
             for phase in pattern.phases
         )
         x_start = self.crossbar.get_state(pattern.victim).x
         threshold = config.flip_threshold
+        ambient = config.ambient_temperature_k
         model = self.crossbar.model
         rates = np.zeros((QUADRATURE_NODES, len(points)))
         temperatures = np.zeros_like(rates)
         for node, x in enumerate(quadrature_states(x_start, threshold)):
             for phase, point in enumerate(points):
-                rates[node, phase], temperatures[node, phase] = self._victim_rate(
-                    model, point, float(x), config.ambient_temperature_k
+                rates[node, phase], temperatures[node, phase] = _victim_rate(
+                    model, point, float(x), ambient
                 )
         rates.setflags(write=False)
         temperatures.setflags(write=False)
-        return SteadyState(conditions, points, x_start, threshold, rates, temperatures)
-
-    def _count(
-        self, pattern: AttackPattern, config: AttackConfig, steady: SteadyState
-    ) -> AttackResult:
-        """The pulses to the flip, within the budget, and the victim they leave.
-
-        Of ``config`` the count reads the :data:`COUNT_FIELDS` and the
-        ambient; of the crossbar, only the device model, for the partial
-        last round.  It leaves the victim at its final state.
-        """
-        pulse = config.pulse
-        ambient = config.ambient_temperature_k
-        phases = len(steady.phase_points)
-        rounds, left = divmod(config.max_pulses, phases)
-        outcome = steady.rounds_to_flip(pulse.length_s, rounds)
-        x = float(outcome.final_x[0])
-        if outcome.switched[0]:
-            pulses = max(1, math.ceil(outcome.time[0])) * phases
-        else:
-            pulses = config.max_pulses
-            model = self.crossbar.model
-            for point in steady.phase_points[:left]:
-                rate, _ = self._victim_rate(model, point, x, ambient)
-                x = model.clamp_state(x + max(rate, 0.0) * pulse.length_s)
-
-        self.crossbar.set_state(pattern.victim, x)
-        return AttackResult(
-            pattern_name=pattern.name,
-            victim=pattern.victim,
-            aggressors=pattern.aggressors,
-            flipped=x >= steady.flip_threshold,
-            pulses=pulses,
-            stress_time_s=pulses * pulse.length_s,
-            wall_clock_s=pulses * pulse.period_s,
-            victim_final_x=x,
-            victim_temperature_k=float(outcome.final_temperature_k[0]),
-            phase_points=list(steady.phase_points),
-            pulse_length_s=pulse.length_s,
-            ambient_temperature_k=ambient,
-            steady_state=steady,
-        )
-
-    def _victim_rate(
-        self,
-        model,
-        point: PhaseOperatingPoint,
-        x: float,
-        ambient: float,
-    ) -> Tuple[float, float]:
-        """Victim state rate [1/s] and temperature [K] during one phase pulse.
-
-        The fixed point returns the current it solved at the temperature it
-        returns, so the rate is taken from that current.
-        """
-        operating = solve_operating_point(
-            model,
-            point.victim_voltage_v,
-            x,
-            ambient_temperature_k=ambient,
-            crosstalk_temperature_k=point.victim_crosstalk_k,
-        )
-        state = DeviceState(x=x, filament_temperature_k=operating.filament_temperature_k)
-        rate = model.state_derivative_from_current(
-            point.victim_voltage_v, state, operating.current_a
-        )
-        return rate, operating.filament_temperature_k
+        return SteadyState(pattern, ambient, model, points, x_start, threshold, rates, temperatures)
 
     # ------------------------------------------------------------------
     # full transient campaign (slow, exact)
@@ -421,7 +410,7 @@ class NeuroHammer:
         one is refused rather than reported under the wrong temperature.
         """
         if pattern is None:
-            pattern = self._pattern_from_config(config)
+            pattern = pattern_from_config(config, self.crossbar.geometry)
         pattern.validate(self.crossbar.geometry)
         if self.crossbar.ambient_temperature_k != config.ambient_temperature_k:
             raise ConfigurationError(
@@ -430,32 +419,6 @@ class NeuroHammer:
             )
         self.prepare(pattern)
         return pattern
-
-    def _pattern_from_config(self, config: AttackConfig) -> AttackPattern:
-        geometry = self.crossbar.geometry
-        if config.pattern is not None:
-            from .patterns import standard_patterns
-
-            victim = tuple(config.victim) if config.victim is not None else None
-            patterns = standard_patterns(geometry, victim)
-            if config.pattern not in patterns:
-                raise AttackError(
-                    f"pattern {config.pattern!r} does not fit the {geometry.rows}x{geometry.columns} "
-                    f"crossbar (available: {sorted(patterns)})"
-                )
-            return patterns[config.pattern]
-        if config.victim is None and len(config.aggressors) == 1:
-            aggressor = tuple(config.aggressors[0])
-            victim_column = aggressor[1] + 1 if aggressor[1] + 1 < geometry.columns else aggressor[1] - 1
-            victim = (aggressor[0], victim_column)
-            return AttackPattern(name="single", victim=victim, aggressors=(aggressor,))
-        if config.victim is None:
-            raise AttackError("multi-aggressor AttackConfig needs an explicit victim")
-        return AttackPattern(
-            name="custom",
-            victim=tuple(config.victim),
-            aggressors=tuple(tuple(cell) for cell in config.aggressors),
-        )
 
 
 def hammer_once(

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from ..config import CrossbarGeometry
+from ..config import AttackConfig, CrossbarGeometry
 from ..errors import AttackError
 
 Cell = Tuple[int, int]
@@ -230,3 +230,34 @@ def standard_patterns(geometry: CrossbarGeometry, victim: Optional[Cell] = None)
     if not patterns:
         raise AttackError("no standard pattern fits this geometry")
     return patterns
+
+
+def pattern_from_config(config: AttackConfig, geometry: CrossbarGeometry) -> AttackPattern:
+    """The pattern an :class:`~repro.config.AttackConfig` describes on ``geometry``.
+
+    A named ``pattern`` comes from :func:`standard_patterns` (around the
+    config's victim, if it names one).  Otherwise the config's aggressors
+    form one simultaneous phase; a lone aggressor without a victim hammers
+    its right-hand neighbour, or its left-hand one on the last column.
+    """
+    if config.pattern is not None:
+        victim = tuple(config.victim) if config.victim is not None else None
+        patterns = standard_patterns(geometry, victim)
+        if config.pattern not in patterns:
+            raise AttackError(
+                f"pattern {config.pattern!r} does not fit the {geometry.rows}x{geometry.columns} "
+                f"crossbar (available: {sorted(patterns)})"
+            )
+        return patterns[config.pattern]
+    if config.victim is None and len(config.aggressors) == 1:
+        aggressor = tuple(config.aggressors[0])
+        victim_column = aggressor[1] + 1 if aggressor[1] + 1 < geometry.columns else aggressor[1] - 1
+        victim = (aggressor[0], victim_column)
+        return AttackPattern(name="single", victim=victim, aggressors=(aggressor,))
+    if config.victim is None:
+        raise AttackError("multi-aggressor AttackConfig needs an explicit victim")
+    return AttackPattern(
+        name="custom",
+        victim=tuple(config.victim),
+        aggressors=tuple(tuple(cell) for cell in config.aggressors),
+    )

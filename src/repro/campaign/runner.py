@@ -225,40 +225,39 @@ def _steady_state_key(job: Dict[str, Any]) -> str:
 def execute_attack_point(job: Dict[str, Any]) -> Dict[str, Any]:
     """Run one attack point: the campaign equivalent of ``hammer_once``.
 
-    The crossbar is built from the point's simulation config at the attack's
-    ambient temperature, and the fast quasi-static engine runs the attack.
-
     The attack's steady state (:class:`~repro.attack.neurohammer.SteadyState`)
     does not depend on its pulse length, duty cycle or pulse budget, so
     within one :meth:`CampaignRunner.run` the points that differ only in
-    those share it: the first solves it and the others count from it
-    (``attack.steady_state.shared`` counts them).  Each point still builds
-    its own crossbar.  The nodal solver warm-starts from its last solve, so
-    a shared crossbar would make a point's result depend on the points run
-    before it.  Called outside a run, a point shares nothing.
+    those share it: the first solves it and the others only count from it
+    (``attack.steady_state.shared`` counts them), building nothing.  A point
+    that solves builds its own crossbar from its simulation config, at the
+    attack's ambient temperature.  The nodal solver warm-starts from its
+    last solve, so a shared crossbar would make a point's result depend on
+    the points run before it.  Called outside a run, a point shares nothing.
     """
-    simulation = SimulationConfig.from_dict(job["simulation"])
     attack = AttackConfig.from_dict(job["attack"])
-    crossbar = CrossbarArray(
-        geometry=simulation.geometry,
-        wires=simulation.wires,
-        ambient_temperature_k=attack.ambient_temperature_k,
-    )
     share = _steady_states
-    key = shared = None
+    key = steady = None
     if share is not None:
         key = _steady_state_key(job)
-        shared = share.get(key)
-    outcome = NeuroHammer(crossbar).run(config=attack, steady_state=shared)
-    if shared is not None:
+        steady = share.get(key)
+    if steady is not None:
         tel = get_telemetry()
         if tel.enabled:
             tel.count("attack.steady_state.shared")
-    elif share is not None:
-        if len(share) >= STEADY_STATE_SHARE_SIZE:
-            del share[next(iter(share))]
-        share[key] = outcome.steady_state
-    return attack_result_to_dict(outcome)
+    else:
+        simulation = SimulationConfig.from_dict(job["simulation"])
+        crossbar = CrossbarArray(
+            geometry=simulation.geometry,
+            wires=simulation.wires,
+            ambient_temperature_k=attack.ambient_temperature_k,
+        )
+        steady = NeuroHammer(crossbar).steady_state(config=attack)
+        if share is not None:
+            if len(share) >= STEADY_STATE_SHARE_SIZE:
+                del share[next(iter(share))]
+            share[key] = steady
+    return attack_result_to_dict(steady.count(attack))
 
 
 def execute_montecarlo_point(job: Dict[str, Any]) -> Dict[str, Any]:

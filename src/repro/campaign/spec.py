@@ -57,7 +57,7 @@ from ..errors import CampaignError, ReproError
 from ..utils.rng import child_rng
 
 #: Bump when the job layout changes so stale cache entries are never reused.
-SPEC_FORMAT_VERSION = 2
+SPEC_FORMAT_VERSION = 3
 
 #: Sweep modes understood by :class:`CampaignSpec`.
 SWEEP_MODES = ("grid", "zip", "random")
@@ -69,9 +69,9 @@ JOB_KINDS = ("attack", "montecarlo")
 PATH_ROOTS = ("simulation", "attack", "montecarlo")
 
 #: Path prefixes the attack job actually consumes.  Sweeping anything else
-#: (e.g. ``simulation.thermal.*``, which the quasi-static engine does not
-#: read) would materialise a full-looking campaign whose points all compute
-#: the same thing, so such axes are rejected up front.
+#: (e.g. ``montecarlo.*``, which an attack job does not read) would
+#: materialise a full-looking campaign whose points all compute the same
+#: thing, so such axes are rejected up front.
 CONSUMED_PATH_PREFIXES = ("attack.", "simulation.geometry.", "simulation.wires.")
 
 #: Additional prefixes consumed by Monte-Carlo jobs.

@@ -356,8 +356,7 @@ class CrossbarSolver:
             tel.count("solver.factorizations", factorizations)
             if warm_started:
                 tel.count("solver.warm_starts")
-            if math.isfinite(residual):  # the log histogram bins finite samples only
-                tel.observe("solver.residual_a", residual)
+            tel.observe("solver.residual_a", residual)
             tel.observe("solver.iterations_per_solve", iterations)
             numerics = tel.numerics
             numerics.check_array("solver.solve", "node_voltages_v", voltages)

@@ -162,28 +162,16 @@ class WireParameters(JsonConfig):
 
 @dataclass
 class ThermalSolverConfig(JsonConfig):
-    """Settings for the finite-volume electro-thermal crossbar solver."""
+    """Grid resolution of the finite-volume voxel model (:mod:`repro.thermal`)."""
 
     #: In-plane grid resolution [m].
     lateral_resolution_m: float = 20e-9
     #: Vertical grid resolution [m].
     vertical_resolution_m: float = 20e-9
-    #: Ambient / heat-sink temperature applied at the substrate base [K].
-    ambient_temperature_k: float = DEFAULT_AMBIENT_TEMPERATURE_K
-    #: Number of points used for the power sweep when extracting alpha values.
-    power_sweep_points: int = 5
-    #: Maximum SET voltage used for the power sweep [V].
-    max_set_voltage_v: float = DEFAULT_SET_VOLTAGE_V
 
     def __post_init__(self) -> None:
         if self.lateral_resolution_m <= 0 or self.vertical_resolution_m <= 0:
             raise ConfigurationError("thermal grid resolutions must be positive")
-        if self.ambient_temperature_k <= 0:
-            raise ConfigurationError("ambient temperature must be positive")
-        if self.power_sweep_points < 2:
-            raise ConfigurationError("power sweep needs at least two points")
-        if self.max_set_voltage_v <= 0:
-            raise ConfigurationError("max_set_voltage_v must be positive")
 
 
 @dataclass
@@ -267,16 +255,18 @@ class AttackConfig(JsonConfig):
 
 @dataclass
 class SimulationConfig(JsonConfig):
-    """Top-level bundle tying the geometry, wires and thermal setup together."""
+    """The crossbar a campaign job simulates: its geometry and its wires.
+
+    The crosstalk comes from the analytic Eq. 5 coupling of the geometry, so
+    no finite-volume setting belongs here; :class:`ThermalSolverConfig` is
+    passed to :func:`~repro.thermal.geometry.build_voxel_model` directly.
+    """
 
     geometry: CrossbarGeometry = field(default_factory=CrossbarGeometry)
     wires: WireParameters = field(default_factory=WireParameters)
-    thermal: ThermalSolverConfig = field(default_factory=ThermalSolverConfig)
 
     def __post_init__(self) -> None:
         if isinstance(self.geometry, dict):
             self.geometry = CrossbarGeometry.from_dict(self.geometry)
         if isinstance(self.wires, dict):
             self.wires = WireParameters.from_dict(self.wires)
-        if isinstance(self.thermal, dict):
-            self.thermal = ThermalSolverConfig.from_dict(self.thermal)

@@ -38,9 +38,6 @@ class YakopcicParameters:
     v_p: float = 0.85
     #: Negative switching threshold [V].
     v_n: float = 0.85
-    #: Motion decay exponents.
-    alpha_p: float = 4.0
-    alpha_n: float = 4.0
     #: State boundary softening parameters.
     x_p: float = 0.9
     x_n: float = 0.1

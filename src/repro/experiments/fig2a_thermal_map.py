@@ -106,7 +106,6 @@ def run_fig2a(
     elif method == "fdm":
         config = thermal_config if thermal_config is not None else ThermalSolverConfig(
             lateral_resolution_m=25e-9, vertical_resolution_m=25e-9,
-            ambient_temperature_k=ambient_temperature_k,
         )
         model = build_voxel_model(geometry, config)
         solver = HeatSolver(model, ambient_temperature_k)

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..attack.neurohammer import NeuroHammer
-from ..attack.patterns import AttackPattern
+from ..attack.patterns import AttackPattern, pattern_from_config
 from ..circuit.crossbar import CrossbarArray
 from ..config import AttackConfig, JsonConfig, SimulationConfig
 from ..devices.base import VOLTAGE_LIMIT_V
@@ -563,10 +563,11 @@ class MonteCarloEngine:
     # nominal circuit anchor
     # ------------------------------------------------------------------
 
-    def _single_phase_pattern(self, hammer: NeuroHammer) -> AttackPattern:
+    def _single_phase_pattern(self) -> AttackPattern:
         """Resolve and validate the attack pattern both modes evaluate."""
-        pattern = self._pattern if self._pattern is not None else hammer._pattern_from_config(self.attack)
-        pattern.validate(hammer.crossbar.geometry)
+        geometry = self.simulation.geometry
+        pattern = self._pattern if self._pattern is not None else pattern_from_config(self.attack, geometry)
+        pattern.validate(geometry)
         if len(pattern.phases) != 1:
             raise MonteCarloError(
                 f"pattern {pattern.name!r} hammers in {len(pattern.phases)} interleaved phases; "
@@ -588,7 +589,7 @@ class MonteCarloEngine:
             ambient_temperature_k=self.attack.ambient_temperature_k,
         )
         hammer = NeuroHammer(crossbar)
-        pattern = self._single_phase_pattern(hammer)
+        pattern = self._single_phase_pattern()
         hammer.prepare(pattern)
         point = hammer.phase_operating_point(
             pattern, pattern.phases[0], self.attack.pulse.amplitude_v, self.attack.bias_scheme
@@ -1055,7 +1056,7 @@ class MonteCarloEngine:
             wires=self.simulation.wires,
             ambient_temperature_k=self.attack.ambient_temperature_k,
         )
-        pattern = self._single_phase_pattern(NeuroHammer(crossbar))
+        pattern = self._single_phase_pattern()
         victims = self._victim_cells(pattern)
         n_victims = len(victims)
         victim_rows = np.array([cell[0] for cell in victims])

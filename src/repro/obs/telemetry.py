@@ -44,12 +44,15 @@ class LogHistogram:
     """A log-binned histogram of positive-ish samples.
 
     Bin ``i`` covers ``[10**(i/BINS_PER_DECADE), 10**((i+1)/BINS_PER_DECADE))``;
-    non-positive samples are tallied separately in :attr:`nonpositive`.  The
+    non-positive samples are tallied separately in :attr:`nonpositive`.  A
+    non-finite sample (NaN, ±inf, say the residual of a failed solve) has
+    no magnitude to bin: it is tallied in :attr:`nonfinite` only, and
+    ``count``, the sum, min, max and quantiles cover the finite samples.  The
     binning is exact, stable across merges, and needs no a-priori range —
     the right shape for quantities spanning decades (time steps, residuals).
     """
 
-    __slots__ = ("count", "total", "min", "max", "nonpositive", "bins")
+    __slots__ = ("count", "total", "min", "max", "nonpositive", "nonfinite", "bins")
 
     def __init__(self) -> None:
         self.count = 0
@@ -57,10 +60,14 @@ class LogHistogram:
         self.min = math.inf
         self.max = -math.inf
         self.nonpositive = 0
+        self.nonfinite = 0
         self.bins: Dict[int, int] = {}
 
     def observe(self, value: float) -> None:
         value = float(value)
+        if not math.isfinite(value):
+            self.nonfinite += 1
+            return
         self.count += 1
         self.total += value
         if value < self.min:
@@ -118,6 +125,7 @@ class LogHistogram:
             "p90": self.quantile(0.90),
             "p99": self.quantile(0.99),
             "nonpositive": self.nonpositive,
+            "nonfinite": self.nonfinite,
             "bins": [
                 [10 ** (index / BINS_PER_DECADE), 10 ** ((index + 1) / BINS_PER_DECADE), self.bins[index]]
                 for index in edges
@@ -129,6 +137,7 @@ class LogHistogram:
         self.count += int(payload.get("count", 0))
         self.total += float(payload.get("sum", 0.0))
         self.nonpositive += int(payload.get("nonpositive", 0))
+        self.nonfinite += int(payload.get("nonfinite", 0))
         if payload.get("min") is not None:
             self.min = min(self.min, float(payload["min"]))
         if payload.get("max") is not None:

@@ -30,7 +30,7 @@ from repro.campaign import runner as runner_module
 from repro.campaign.aggregate import ensure_complete, scenario_success_rates
 from repro.circuit import CrossbarArray
 from repro.config import AttackConfig, SimulationConfig
-from repro.errors import AttackError, CampaignError
+from repro.errors import CampaignError
 from repro.experiments import (
     fig3a_campaign_spec,
     fig3b_campaign_spec,
@@ -194,9 +194,10 @@ class TestCampaignSpec:
             SweepAxis(path="pulse.length_s", values=[1e-8])
 
     def test_axis_over_unconsumed_section_is_rejected(self):
-        # simulation.thermal.* is valid config but the attack job never reads
-        # it; sweeping it would silently produce N identical points.  The
-        # check lives on the spec because consumed paths depend on the kind.
+        # The simulation section holds only the geometry and the wires, and
+        # any other simulation path is refused when the spec is built, not
+        # when its points are.  The check lives on the spec because consumed
+        # paths depend on the kind.
         with pytest.raises(CampaignError, match="not consumed"):
             small_spec(axes=[{"path": "simulation.thermal.ambient_temperature_k", "values": [300.0]}])
 
@@ -560,6 +561,8 @@ class TestSteadyStateShare:
                 run_fig3a()
             assert len(snapshot_count) == 1
             assert tel.counter_value("attack.steady_state.shared") == 9
+            # A point served from the share builds no crossbar.
+            assert tel.counter_value("crosstalk.hub.built") == 1
             snapshot_count.clear()
         jobs = [point.job for point in fig3a_campaign_spec(pulse_lengths_s=(10e-9, 20e-9)).materialise()]
         for job in jobs:
@@ -597,9 +600,3 @@ class TestSteadyStateShare:
         assert shared_points(spec) == 1
         monkeypatch.setattr(runner_module, "STEADY_STATE_SHARE_SIZE", 1)
         assert shared_points(spec) == 0
-
-    def test_a_steady_state_of_another_attack_is_rejected(self, paper_geometry):
-        solved = NeuroHammer(CrossbarArray(geometry=paper_geometry)).run(config=AttackConfig())
-        attack = NeuroHammer(CrossbarArray(geometry=paper_geometry))
-        with pytest.raises(AttackError):
-            attack.run(config=AttackConfig(flip_threshold=0.4), steady_state=solved.steady_state)

@@ -160,10 +160,6 @@ class TestThermalSolverConfig:
         with pytest.raises(ConfigurationError):
             ThermalSolverConfig(lateral_resolution_m=0.0)
 
-    def test_rejects_single_sweep_point(self):
-        with pytest.raises(ConfigurationError):
-            ThermalSolverConfig(power_sweep_points=1)
-
 
 class TestSimulationConfig:
     def test_nested_round_trip(self):
@@ -171,4 +167,9 @@ class TestSimulationConfig:
         restored = SimulationConfig.from_dict(config.to_dict())
         assert restored.geometry == config.geometry
         assert restored.wires == config.wires
-        assert restored.thermal == config.thermal
+
+    def test_rejects_a_thermal_section(self):
+        # The quasi-static job reads no finite-volume setting, so a spec that
+        # carries one fails loudly instead of being hashed and ignored.
+        with pytest.raises(ConfigurationError):
+            SimulationConfig.from_dict({"thermal": {}})

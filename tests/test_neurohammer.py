@@ -16,6 +16,7 @@ from repro.attack import (
     switching_rate,
     thermal_acceleration_factor,
 )
+from repro.attack.neurohammer import _victim_rate
 from repro.attack.patterns import double_sided_row, standard_patterns
 from repro.circuit import CrossbarArray
 from repro.config import AttackConfig, CrossbarGeometry, PulseConfig
@@ -174,7 +175,7 @@ class TestVictimRate:
         attack.prepare(pattern)
         point = attack.phase_operating_point(pattern, pattern.phases[0], 1.05)
         model = paper_crossbar.model
-        rate, temperature = attack._victim_rate(model, point, x, 300.0)
+        rate, temperature = _victim_rate(model, point, x, 300.0)
         expected = model.state_derivative(point.victim_voltage_v, DeviceState(x, temperature))
         assert rate == expected
 
@@ -215,14 +216,15 @@ THRESHOLD = 0.5
 
 
 def attack_run(length_s, ambient_k, pattern_name):
-    """One run of an attack at 1.05 V; its result carries the steady state."""
+    """An attack at 1.05 V: its steady state and the result counted from it."""
     geometry = CrossbarGeometry()
     crossbar = CrossbarArray(geometry=geometry, ambient_temperature_k=ambient_k)
     config = AttackConfig(
         pulse=PulseConfig(amplitude_v=1.05, length_s=length_s), ambient_temperature_k=ambient_k
     )
     pattern = standard_patterns(geometry)[pattern_name]
-    return NeuroHammer(crossbar).run(pattern=pattern, config=config)
+    steady = NeuroHammer(crossbar).steady_state(pattern, config)
+    return steady, steady.count(config)
 
 
 def extrapolated_rounds(round_rate):
@@ -248,7 +250,7 @@ class TestSwitchingTimeAccuracy:
 
         grid = np.arange(0.0, THRESHOLD, 0.5 * EULER_STEP)
         cases = {name: attack_run(*point) for name, point in ACCURACY_POINTS.items()}
-        phases = [(name, point) for name, result in cases.items() for point in result.phase_points]
+        phases = [(name, point) for name, (steady, _) in cases.items() for point in steady.phase_points]
         voltage = np.concatenate([np.full(grid.size, p.victim_voltage_v) for _, p in phases])
         crosstalk = np.concatenate([np.full(grid.size, p.victim_crosstalk_k) for _, p in phases])
         ambient = np.concatenate(
@@ -262,15 +264,15 @@ class TestSwitchingTimeAccuracy:
         for (name, _), rate in zip(phases, rates.reshape(len(phases), grid.size)):
             round_rate[name] += np.maximum(rate, 0.0) * ACCURACY_POINTS[name][0]
         return {
-            name: (result, extrapolated_rounds(round_rate[name]))
-            for name, result in cases.items()
+            name: (*case, extrapolated_rounds(round_rate[name]))
+            for name, case in cases.items()
         }
 
     @pytest.mark.parametrize("name", list(ACCURACY_POINTS))
     def test_rounds_to_flip_match_the_euler_limit(self, jart_points, name):
-        result, reference = jart_points[name]
+        steady, result, reference = jart_points[name]
         length_s, _, _ = ACCURACY_POINTS[name]
-        rule = result.steady_state.rounds_to_flip(length_s, math.inf)
+        rule = steady.rounds_to_flip(length_s, math.inf)
         assert rule.switched[0]
         assert abs(rule.time[0] / reference[-1] - 1.0) < 5e-4
         # The campaign pulses every phase for each whole round the rule counts.
@@ -279,10 +281,10 @@ class TestSwitchingTimeAccuracy:
     @pytest.mark.parametrize("name", ["fig3a_50ns", "fig3c_373K", "quad"])
     @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
     def test_budget_limited_state_matches_the_euler_limit(self, jart_points, name, fraction):
-        result, reference = jart_points[name]
+        steady, _, reference = jart_points[name]
         length_s, _, _ = ACCURACY_POINTS[name]
         budget = math.floor(fraction * reference[-1])
-        rule = result.steady_state.rounds_to_flip(length_s, budget)
+        rule = steady.rounds_to_flip(length_s, budget)
         assert not rule.switched[0]
         ends = EULER_STEP * np.arange(reference.size + 1)
         expected = np.interp(budget, np.concatenate([[0.0], reference]), ends)
@@ -292,10 +294,10 @@ class TestSwitchingTimeAccuracy:
         attack = NeuroHammer(CrossbarArray(geometry=paper_geometry, model=LinearIonDriftModel()))
         pattern = single_aggressor(paper_geometry)
         config = AttackConfig(pulse=PulseConfig(amplitude_v=1.05, length_s=1e-3))
-        steady = attack.run(pattern=pattern, config=config).steady_state
+        steady = attack.steady_state(pattern, config)
         point = steady.phase_points[0]
         grid = np.arange(0.0, THRESHOLD, 0.5 * EULER_STEP)
-        rate = [attack._victim_rate(attack.crossbar.model, point, x, 300.0)[0] for x in grid]
+        rate = [_victim_rate(steady.model, point, x, 300.0)[0] for x in grid]
         reference = extrapolated_rounds(np.asarray(rate) * 1e-3)
         rule = steady.rounds_to_flip(1e-3, math.inf)
         assert abs(rule.time[0] / reference[-1] - 1.0) < 5e-4

@@ -179,6 +179,24 @@ class TestLogHistogram:
             reference.observe(value)
         assert merged.to_dict() == reference.to_dict()
 
+    def test_non_finite_samples_are_tallied_apart(self):
+        tel = Telemetry()
+        for value in (float("nan"), 2e-3, float("inf"), -float("inf"), 0.0):
+            tel.observe("residual", value)
+        payload = tel.snapshot()["histograms"]["residual"]
+        assert payload["nonfinite"] == 3
+        assert payload["count"] == 2 and payload["nonpositive"] == 1
+        assert payload["sum"] == 2e-3
+        assert (payload["min"], payload["max"]) == (0.0, 2e-3)
+        assert sum(count for _low, _high, count in payload["bins"]) == 1
+        json.dumps(payload, allow_nan=False)  # must not raise
+        merged = Telemetry()
+        merged.merge_snapshot(tel.snapshot())
+        merged.merge_snapshot(tel.snapshot())
+        twice = merged.snapshot()["histograms"]["residual"]
+        assert twice["nonfinite"] == 6
+        assert (twice["count"], twice["sum"]) == (4, 4e-3)
+
 
 class TestSpans:
     def test_nesting_and_exclusive_time(self):

@@ -160,6 +160,35 @@ def test_unreachable_definitions_and_parameters_stay_retired():
     assert thermal.SELF_HEATING_MAX_ITERATIONS == 200
 
 
+def test_attack_points_carry_only_what_they_read():
+    """The count has one home, :meth:`SteadyState.count`: a run no longer
+    takes or returns a steady state.  Config fields and device parameters
+    nothing read are gone."""
+    import dataclasses
+    import inspect
+
+    from repro.attack import neurohammer
+    from repro.config import SimulationConfig, ThermalSolverConfig
+    from repro.devices.yakopcic import YakopcicParameters
+
+    assert "steady_state" not in inspect.signature(neurohammer.NeuroHammer.run).parameters
+    for cls, names in (
+        (neurohammer.AttackResult, {"steady_state"}),
+        (neurohammer.SteadyState, {"conditions"}),
+        (SimulationConfig, {"thermal"}),
+        (YakopcicParameters, {"alpha_p", "alpha_n"}),
+        (ThermalSolverConfig, {"ambient_temperature_k", "power_sweep_points", "max_set_voltage_v"}),
+    ):
+        leftovers = {field.name for field in dataclasses.fields(cls)} & names
+        assert not leftovers, f"{cls.__name__} has {leftovers} again"
+    for cls, name in (
+        (neurohammer.NeuroHammer, "_count"),
+        (neurohammer.NeuroHammer, "_victim_rate"),
+        (neurohammer.NeuroHammer, "_pattern_from_config"),
+    ):
+        assert not hasattr(cls, name), f"{cls.__name__}.{name} is back"
+
+
 def test_headline_entry_point_signature():
     from repro import hammer_once
 
